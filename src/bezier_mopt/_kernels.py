@@ -16,6 +16,14 @@ Results are deterministic within either path. Across paths, values agree to
 a few ulps but not bitwise: numpy's vectorized ``pow`` uses SIMD kernels
 whose last-bit rounding can differ from libm's ``pow`` that numba emits.
 The benchmark in ``benchmarks/kernel_bench.py`` compares both paths.
+
+The numpy descent steps every weight of a sweep at once on
+coordinate-major arrays: the weight index is the innermost, contiguous
+axis, so each numpy call covers all active weights instead of an axis of
+length L or M. Its results are bitwise equal to a row-major formulation
+that the tests keep as a reference. ``perfbench/run.py --workload
+baseline-sweep`` measures it end to end and, with ``--trace 1``, as
+``kernels.descent.busy_s``.
 """
 
 from __future__ import annotations
@@ -149,44 +157,103 @@ def min_distances_numpy(points, references):
     return np.sqrt(d2.min(axis=1))
 
 
+def _descent_workspace(scales_sq, centers, powers, width):
+    """Scratch arrays of `descent_sweep_numpy` for `width` active weights,
+    and its constants tiled to that width. With full-size constants only
+    x - centers and w * scales broadcast, which numpy runs more slowly."""
+    n_obj, dim = scales_sq.shape
+    scales = np.repeat(scales_sq.T[:, :, None], width, axis=2)
+    ctr = np.repeat(centers.T[:, :, None], width, axis=2)
+    expo = np.repeat(((powers - 2.0) / 2.0)[:, None], width, axis=1)
+    return (scales, ctr, expo, np.empty((dim, n_obj, width)),
+            np.empty((dim, n_obj, width)), np.empty((n_obj, width)),
+            np.empty((n_obj, width)), np.empty((n_obj, width), dtype=np.bool_),
+            np.empty((dim, width)))
+
+
 def descent_sweep_numpy(scales_sq, centers, powers, weights, start,
                         step0, decay_steps, grad_tol, max_steps):
-    n_w, dim = start.shape
+    """All descents of `_descent_sweep_loop` stepped together.
+
+    Arrays are coordinate-major: the weight index is the innermost axis, so
+    every numpy call runs over all active weights at once instead of over
+    axes of length L or M. Iterates are (L, n), scaled weights and radii
+    (M, n), differences (L, M, n). The active set stays compact and is
+    re-compacted only on steps where some weight converges; iterates,
+    gradient norms and step counts reach the outputs when a weight
+    converges or the loop ends.
+
+    Per element the arithmetic and its order are those of a row-major
+    formulation that gathers one (n, M, L) array per step, so results are
+    bitwise reproducible against it: sums over L run in index order from
+    +0.0, and the sum over M is numpy's reduction over M contiguous terms
+    from +0.0. Diverging iterates overflow to inf/NaN; they stay
+    non-converged and raise no floating-point warnings.
+    """
+    n_w = start.shape[0]
     points = start.copy()
     grad_norms = np.full(n_w, np.inf)
     steps = np.zeros(n_w, dtype=np.int64)
     converged = np.zeros(n_w, dtype=np.bool_)
+    if n_w == 0 or max_steps < 1:
+        return points, grad_norms, steps, converged
+    n_obj, dim = scales_sq.shape
     active = np.arange(n_w)
-    for k in range(1, max_steps + 1):
-        x = points[active]
-        t = weights[active]
-        diff = x[:, None, :] - centers[None, :, :]
-        r2 = np.zeros((x.shape[0], scales_sq.shape[0]))
-        for l in range(dim):
-            r2 += scales_sq[:, l] * diff[:, :, l] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(r2 > 0.0, t * powers * r2 ** ((powers - 2.0) / 2.0), 0.0)
-        grad = np.zeros_like(x)
-        for l in range(dim):
-            grad[:, l] = (w * scales_sq[:, l] * diff[:, :, l]).sum(axis=1)
-        g2 = np.zeros(x.shape[0])
-        for l in range(dim):
-            g2 += grad[:, l] ** 2
-        g_norm = np.sqrt(g2)
-        done = g_norm < grad_tol
-        if done.any():
-            idx = active[done]
-            converged[idx] = True
-            grad_norms[idx] = g_norm[done]
-            steps[idx] = k - 1
-        keep = ~done
-        active = active[keep]
-        if active.size == 0:
-            break
-        alpha = step0 / (1.0 + k / decay_steps)
-        points[active] = x[keep] - alpha * grad[keep]
-        grad_norms[active] = g_norm[keep]
-        steps[active] = k
+    x = start.T.copy()
+    tp = weights.T * powers[:, None]
+    grad = np.empty((dim, n_w))
+    g_norm = np.empty(n_w)
+    scales, ctr, expo, diff, prod, r2, w, pos, gsq = _descent_workspace(
+        scales_sq, centers, powers, n_w)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(1, max_steps + 1):
+            np.subtract(x[:, None, :], ctr, out=diff)
+            np.multiply(diff, diff, out=prod)
+            np.multiply(scales, prod, out=prod)
+            # Terms are >= +0.0 or NaN, so starting from the first row
+            # equals starting from +0.0.
+            np.copyto(r2, prod[0])
+            for l in range(1, dim):
+                r2 += prod[l]
+            np.power(r2, expo, out=w)
+            np.multiply(tp, w, out=w)
+            # The gradient is zero exactly at a center (r2 == 0); a NaN
+            # radius gets the same treatment.
+            np.greater(r2, 0.0, out=pos)
+            if np.count_nonzero(pos) != pos.size:
+                np.copyto(w, 0.0, where=~pos)
+            np.multiply(w, scales, out=prod)
+            np.multiply(prod, diff, out=prod)
+            if n_obj < 8:
+                np.add.reduce(prod, axis=1, out=grad)
+            else:
+                # numpy sums eight or more contiguous terms pairwise; lay the
+                # M terms out contiguously, as the row-major formulation had.
+                np.add.reduce(prod.transpose(0, 2, 1).copy(), axis=2, out=grad)
+            np.multiply(grad, grad, out=gsq)
+            np.copyto(g_norm, gsq[0])
+            for l in range(1, dim):
+                g_norm += gsq[l]
+            np.sqrt(g_norm, out=g_norm)
+            done = g_norm < grad_tol
+            if np.count_nonzero(done):
+                idx = active[done]
+                converged[idx] = True
+                grad_norms[idx] = g_norm[done]
+                steps[idx] = k - 1
+                points[idx] = x[:, done].T
+                keep = ~done
+                active = active[keep]
+                if active.size == 0:
+                    return points, grad_norms, steps, converged
+                x, tp, grad, g_norm = x[:, keep], tp[:, keep], grad[:, keep], g_norm[keep]
+                scales, ctr, expo, diff, prod, r2, w, pos, gsq = _descent_workspace(
+                    scales_sq, centers, powers, active.size)
+            grad *= step0 / (1.0 + k / decay_steps)
+            x -= grad
+    points[active] = x.T
+    grad_norms[active] = g_norm
+    steps[active] = max_steps
     return points, grad_norms, steps, converged
 
 

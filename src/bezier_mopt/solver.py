@@ -175,6 +175,8 @@ class RunRecord:
     basis-vector 2-norm, the worst partition-of-unity error, and how many
     resamples the iteration needed. `weights` holds every sampled batch
     only when requested; the final iteration's batch is always kept.
+    `wall_clock` is left out of `to_dict` so that the traces of equal runs
+    are byte-identical.
     """
 
     seed: int
@@ -216,7 +218,6 @@ class RunRecord:
             "footer": {
                 "seed": self.seed,
                 "config": self.config,
-                "wall_clock_seconds": self.wall_clock,
                 "final_weights": self.final_weights.tolist(),
             },
         }

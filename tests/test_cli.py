@@ -34,13 +34,16 @@ def test_solve_writes_model_and_trace(tmp_path, capsys):
 
 
 def test_solve_rerun_is_byte_identical(tmp_path, capsys):
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for p in paths:
+    runs = [(tmp_path / f"{r}.json", tmp_path / f"{r}-trace.json") for r in "ab"]
+    for model_path, trace_path in runs:
         code, _, _ = run_cli(
             capsys, "solve", "--problem", "scaled-med", "--n", "30", "--k",
-            "20", "--degree", "3", "--seed", "9", "--out", str(p))
+            "20", "--degree", "3", "--seed", "9", "--out", str(model_path),
+            "--trace", str(trace_path))
         assert code == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    (model_a, trace_a), (model_b, trace_b) = runs
+    assert model_a.read_bytes() == model_b.read_bytes()
+    assert trace_a.read_bytes() == trace_b.read_bytes()
 
 
 def test_solve_undersampled_config_exits_2(tmp_path, capsys):
