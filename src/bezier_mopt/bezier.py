@@ -4,7 +4,8 @@ A Bezier simplex of degree D maps the probability simplex into R^L as a
 convex-weighted combination of control points: b(t) = P' z(t) where z(t) is
 the Bernstein basis vector and P stacks one control point per multi-index,
 in canonical order. Fitting a batch of (weight, point) pairs is an ordinary
-linear least-squares problem in P.
+linear least-squares problem in P, solved through one thin SVD of the
+design matrix that also serves as the singularity gate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._kernels import bernstein_design
 from .simplex import MultiIndexSet, enumerate_multi_indices, weight_vector
@@ -136,38 +136,22 @@ def design_matrix(weights, basis: MultiIndexSet) -> np.ndarray:
     return bernstein_design(arr, basis._exponents_f64, basis.coefficients)
 
 
-def check_design(design: np.ndarray) -> tuple[float, float]:
-    """Singular-value gate for a prepared design matrix.
+def factor_designs(designs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Thin SVD of one (N, J) design matrix or a stack (T, N, J) of them.
 
-    Returns (smallest, largest) singular values; raises SingularFitError
-    when the matrix is effectively rank-deficient (including N < J, where
-    the normal equations cannot be regular).
+    Returns (u, s, vt, singular): the factors of `np.linalg.svd` and a flag
+    per design that is set when its smallest singular value falls below
+    SINGULARITY_RTOL times its largest. Each design of a stack is factored
+    on its own, so its factors do not depend on the rest of the stack.
     """
-    n_rows, n_basis = design.shape
-    if n_rows < n_basis:
-        raise SingularFitError(
-            f"{n_rows} samples cannot determine {n_basis} control points",
-            smallest_singular_value=0.0)
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[-1] < SINGULARITY_RTOL * sv[0]:
-        raise SingularFitError(
-            f"design matrix is numerically singular "
-            f"(smallest singular value {sv[-1]:.3e})",
-            smallest_singular_value=sv[-1])
-    return float(sv[-1]), float(sv[0])
+    u, s, vt = np.linalg.svd(designs, full_matrices=False)
+    return u, s, vt, s[..., -1] < SINGULARITY_RTOL * s[..., 0]
 
 
-def solve_prepared(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares control points for a prepared, full-rank design matrix.
-
-    Column-pivoted thin QR rather than the explicit normal-equation
-    inverse, for conditioning; the minimizer is identical.
-    """
-    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    y = scipy.linalg.solve_triangular(r, q.T @ targets, lower=False)
-    control = np.empty_like(y)
-    control[piv] = y
-    return control
+def solve_factored(u, s, vt, targets: np.ndarray) -> np.ndarray:
+    """Least-squares solution V diag(1/s) U' X of factored, full-rank
+    designs; works on one design or a stack, like `factor_designs`."""
+    return np.swapaxes(vt, -1, -2) @ ((np.swapaxes(u, -1, -2) @ targets) / s[..., None])
 
 
 def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
@@ -182,19 +166,15 @@ def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
     if pts.ndim != 2 or arr.ndim != 2 or pts.shape[0] != arr.shape[0]:
         raise ValueError("weights and points must be 2-D with matching row counts")
     design = design_matrix(arr, basis)
-    check_design(design)
-    return BezierSimplex(basis=basis, control_points=solve_prepared(design, pts))
-
-
-def fit_normal_equations(weights, points, basis: MultiIndexSet) -> BezierSimplex:
-    """Reference fit through the explicit normal equations (Z'Z) P = Z'X.
-
-    Kept as an independent cross-check of the QR path; numerically inferior
-    on ill-conditioned designs, mathematically the same minimizer.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    design = design_matrix(weights, basis)
-    check_design(design)
-    gram = design.T @ design
-    control = np.linalg.solve(gram, design.T @ pts)
-    return BezierSimplex(basis=basis, control_points=control)
+    n_rows, n_basis = design.shape
+    if n_rows < n_basis:
+        raise SingularFitError(
+            f"{n_rows} samples cannot determine {n_basis} control points",
+            smallest_singular_value=0.0)
+    u, s, vt, singular = factor_designs(design)
+    if singular:
+        raise SingularFitError(
+            f"design matrix is numerically singular "
+            f"(smallest singular value {s[-1]:.3e})",
+            smallest_singular_value=s[-1])
+    return BezierSimplex(basis=basis, control_points=solve_factored(u, s, vt, pts))

@@ -7,9 +7,10 @@ probes). Batch-oriented: configuration comes from an optional JSON config
 file plus flags, flags win. Exit codes: 0 success, 2 configuration error,
 3 runtime or numerical failure; failures emit one JSON object on stderr.
 
-The worker pool size for experiment trials comes from the
-BEZIER_MOPT_THREADS environment variable when set, else the --threads
-flag, else the hardware thread count.
+The trials of each experiment sample count run as one lockstep stack. With
+a worker pool the stack is split into one contiguous chunk per worker; the
+pool size comes from the BEZIER_MOPT_THREADS environment variable when set,
+else the --threads flag, else the hardware thread count.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from . import __version__
 from .bezier import BezierSimplex, SingularFitError, fit_least_squares, load_model
 from .diagnostics import (perturbation_csv_rows, perturbation_experiment,
                           repeat_generalization_gap, stability_summary)
-from .metrics import UnsupportedMetricError, gd, igd, model_samples, mse
+from .metrics import gd, igd, model_samples, mse
 from .problems import get_problem
 from .simplex import sample_uniform_simplex
 from .solver import (METRIC_STREAM, TRIAL_STREAM, SolverAbort, SolverConfig,
-                     derive_seed, run_surface_gd)
+                     derive_seed, run_surface_gd, run_surface_gd_trials)
 from .sweep import (DEFAULT_GRAD_TOL, DEFAULT_MAX_STEPS, pareto_set_sweep,
                     triangular_lattice, minimize_scalarizations)
 
@@ -198,29 +199,38 @@ def cmd_solve(args) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def _experiment_trial(job: dict) -> dict:
-    """One trial: seeded run plus requested metrics. Returns a plain dict
-    so the worker pool can ship it across processes."""
+def _experiment_trial(job: dict) -> list[dict]:
+    """A chunk of one cell's trials: one lockstep run of their seeds, then
+    each trial's requested metrics. Returns one plain dict per trial so the
+    worker pool can ship the rows across processes."""
     problem = get_problem(job["problem"])
     solver_cfg = SolverConfig(
         num_samples=job["num_samples"],
         num_iterations=job["iterations"],
         degree=job["degree"],
-        seed=job["seed"],
+        seed=0,
         step_schedule=job["schedule"],
         resample_retries=job["resample_retries"],
     )
-    row = {"problem": job["problem"], "n": job["num_samples"],
-           "trial": job["trial"], "seed": job["seed"], "status": "ok", "error": ""}
-    try:
-        model, record = run_surface_gd(problem, solver_cfg)
+    trials = job["trials"]
+    outcomes = run_surface_gd_trials(problem, solver_cfg, [seed for _, seed in trials])
+    rows = []
+    for (trial, seed), outcome in zip(trials, outcomes):
+        row = {"problem": job["problem"], "n": job["num_samples"],
+               "trial": trial, "seed": seed, "status": "ok", "error": ""}
+        rows.append(row)
+        if isinstance(outcome, SolverAbort):
+            row["status"] = "failed"
+            row["error"] = str(outcome)
+            continue
+        model, record = outcome
         if "mse" in job["metrics"]:
             row["mse"] = mse(model, problem.pareto_map, job["mse_samples"],
-                             seed=derive_seed(job["seed"], METRIC_STREAM, 0))
+                             seed=derive_seed(seed, METRIC_STREAM, 0))
         if "gd" in job["metrics"] or "igd" in job["metrics"]:
             reference = np.asarray(job["validation_points"])
             samples = model_samples(model, job["validation_count"],
-                                    seed=derive_seed(job["seed"], METRIC_STREAM, 1))
+                                    seed=derive_seed(seed, METRIC_STREAM, 1))
             if "gd" in job["metrics"]:
                 row["gd"] = gd(samples, reference)
             if "igd" in job["metrics"]:
@@ -231,10 +241,7 @@ def _experiment_trial(job: dict) -> dict:
             row["ztg_norm_max"] = summary["ztg_norm_max"]
             row["ztg_bound_ok"] = summary["ztg_bound_ok"]
             row["basis_norm_ok"] = summary["basis_norm_ok"]
-    except (SolverAbort, UnsupportedMetricError, ValueError) as err:
-        row["status"] = "failed"
-        row["error"] = str(err)
-    return row
+    return rows
 
 
 def _metric_columns(metric_names) -> list[str]:
@@ -258,13 +265,23 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
                    sweep_grad_tol: float = DEFAULT_GRAD_TOL,
                    sweep_max_steps: int = DEFAULT_MAX_STEPS) -> dict:
     """Library entry point behind `experiment`: runs the full grid and
-    returns {"rows": per-trial dicts, "aggregate": summary dict}."""
+    returns {"rows": per-trial dicts, "aggregate": summary dict}.
+
+    The trials of each sample count run as one lockstep stack, or, with a
+    worker pool, as one contiguous chunk of the stack per worker; the rows
+    are the same either way."""
     problem = _resolve_problem(problem_name)
     metric_names = _parse_metrics(metric_names)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if not n_values:
         raise ConfigError("at least one sample count is required")
+    if mse_samples < 1:
+        raise ConfigError("mse samples must be >= 1")
+    if validation_count < 1:
+        raise ConfigError("validation count must be >= 1")
+    if "mse" in metric_names and problem.pareto_map is None:
+        raise ConfigError(f"problem {problem.name} has no analytical map for mse")
     for n in n_values:
         probe = SolverConfig(num_samples=int(n), num_iterations=iterations,
                              degree=degree, seed=0, step_schedule=schedule,
@@ -279,9 +296,12 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
                                  grad_tol=sweep_grad_tol, max_steps=sweep_max_steps)
         validation_points = sweep.converged_points.tolist()
 
+    trial_seeds = [(trial, derive_seed(root_seed, TRIAL_STREAM, trial))
+                   for trial in range(trials)]
+    chunks = np.array_split(np.arange(trials), min(max(threads, 1), trials))
     jobs = []
     for n in n_values:
-        for trial in range(trials):
+        for chunk in chunks:
             jobs.append({
                 "problem": problem.name,
                 "num_samples": int(n),
@@ -289,8 +309,7 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
                 "degree": degree,
                 "schedule": schedule,
                 "resample_retries": resample_retries,
-                "trial": trial,
-                "seed": derive_seed(root_seed, TRIAL_STREAM, trial),
+                "trials": [trial_seeds[trial] for trial in chunk],
                 "metrics": metric_names,
                 "mse_samples": mse_samples,
                 "validation_count": validation_count,
@@ -299,9 +318,10 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
 
     if threads > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_experiment_trial, jobs))
+            chunk_rows = list(pool.map(_experiment_trial, jobs))
     else:
-        rows = [_experiment_trial(job) for job in jobs]
+        chunk_rows = [_experiment_trial(job) for job in jobs]
+    rows = [row for chunk in chunk_rows for row in chunk]
 
     aggregate = {"problem": problem.name, "version": __version__,
                  "trials": trials, "root_seed": root_seed,

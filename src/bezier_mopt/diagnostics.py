@@ -23,7 +23,7 @@ realized batch and is asserted by `stability_summary`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .metrics import loss_batch
 from .problems import Problem
 from .simplex import sample_uniform_simplex
 from .solver import (HOLDOUT_STREAM, PERTURB_STREAM, TRIAL_STREAM, RunRecord,
-                     SolverConfig, derive_seed, run_surface_gd)
+                     SolverAbort, SolverConfig, derive_seed, run_surface_gd,
+                     run_surface_gd_trials)
 from .sweep import triangular_lattice
 
 # The sup over weights in the perturbation gap is approximated on a fixed,
@@ -107,24 +108,22 @@ def perturbation_experiment(problem: Problem, config: SolverConfig, k: int,
         raise ValueError("the perturbation gap is defined on losses and "
                          "needs a problem with an analytical map")
     grid = stability_test_grid(problem.num_objectives, grid_version)
-    basis_size = None
-    reports = []
+    # All pairs run in one lockstep stack: repeat r's base run at position
+    # 2r, its perturbed twin at 2r + 1.
+    seeds, hooks = [], []
     for r in range(repeats):
         seed = derive_seed(config.seed, TRIAL_STREAM, r)
-        run_cfg = SolverConfig(
-            num_samples=config.num_samples,
-            num_iterations=config.num_iterations,
-            degree=config.degree,
-            seed=seed,
-            step_schedule=config.step_schedule,
-            initial_control_points=config.initial_control_points,
-            resample_retries=config.resample_retries,
-        )
-        base_model, base_rec = run_surface_gd(problem, run_cfg)
-        hook = _replace_last_weight(seed, k, problem.num_objectives)
-        pert_model, pert_rec = run_surface_gd(problem, run_cfg, weight_hook=hook)
-        if basis_size is None:
-            basis_size = base_model.basis.size
+        seeds += [seed, seed]
+        hooks += [None, _replace_last_weight(seed, k, problem.num_objectives)]
+    outcomes = run_surface_gd_trials(problem, config, seeds, hooks)
+    for outcome in outcomes:
+        if isinstance(outcome, SolverAbort):
+            raise outcome
+    reports = []
+    for r in range(repeats):
+        seed = seeds[2 * r]
+        (base_model, base_rec), (pert_model, pert_rec) = outcomes[2 * r:2 * r + 2]
+        basis_size = base_model.basis.size
 
         sup_gap = float(np.abs(
             loss_batch(base_model, grid, problem.pareto_map)
@@ -155,20 +154,16 @@ def loss_gap(model, pareto_map, train_weights, holdout_weights) -> dict:
             "gap": empirical - holdout}
 
 
-def generalization_gap_experiment(problem: Problem, config: SolverConfig,
-                                  holdout: int) -> dict:
-    """Train once, then compare the final training batch's mean loss to the
-    mean loss on fresh uniform weights.
-
-    The report echoes the configuration and all seeds so the run can be
-    reproduced exactly.
-    """
+def _check_gap_inputs(problem: Problem, holdout: int) -> None:
     if holdout < 1:
         raise ValueError("holdout must be >= 1")
     if problem.pareto_map is None:
         raise ValueError("the generalization gap is defined on losses and "
                          "needs a problem with an analytical map")
-    model, record = run_surface_gd(problem, config)
+
+
+def _gap_report(problem: Problem, config: SolverConfig, model, record: RunRecord,
+                holdout: int) -> dict:
     holdout_weights = sample_uniform_simplex(
         problem.num_objectives, holdout,
         np.random.SeedSequence(entropy=int(config.seed), spawn_key=(HOLDOUT_STREAM,)))
@@ -182,27 +177,39 @@ def generalization_gap_experiment(problem: Problem, config: SolverConfig,
     return report
 
 
+def generalization_gap_experiment(problem: Problem, config: SolverConfig,
+                                  holdout: int) -> dict:
+    """Train once, then compare the final training batch's mean loss to the
+    mean loss on fresh uniform weights.
+
+    The report echoes the configuration and all seeds so the run can be
+    reproduced exactly.
+    """
+    _check_gap_inputs(problem, holdout)
+    model, record = run_surface_gd(problem, config)
+    return _gap_report(problem, config, model, record, holdout)
+
+
 def repeat_generalization_gap(problem: Problem, config: SolverConfig,
                               holdout: int, trials: int) -> dict:
     """Independent repetitions of the generalization-gap experiment.
 
-    Trial i uses the derived seed mix(config.seed, i); reports per-trial
-    gaps plus mean, mean absolute gap, and standard deviation.
+    Trial i uses the derived seed mix(config.seed, i); the trials run as one
+    lockstep stack, and each reports what `generalization_gap_experiment`
+    would for its seed. Reports per-trial gaps plus mean, mean absolute gap,
+    and standard deviation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_gap_inputs(problem, holdout)
+    configs = [replace(config, seed=derive_seed(config.seed, TRIAL_STREAM, i))
+               for i in range(trials)]
+    outcomes = run_surface_gd_trials(problem, config, [cfg.seed for cfg in configs])
     per_trial = []
-    for i in range(trials):
-        cfg = SolverConfig(
-            num_samples=config.num_samples,
-            num_iterations=config.num_iterations,
-            degree=config.degree,
-            seed=derive_seed(config.seed, TRIAL_STREAM, i),
-            step_schedule=config.step_schedule,
-            initial_control_points=config.initial_control_points,
-            resample_retries=config.resample_retries,
-        )
-        per_trial.append(generalization_gap_experiment(problem, cfg, holdout))
+    for cfg, outcome in zip(configs, outcomes):
+        if isinstance(outcome, SolverAbort):
+            raise outcome
+        per_trial.append(_gap_report(problem, cfg, *outcome, holdout))
     gaps = np.array([t["gap"] for t in per_trial])
     return {
         "problem": problem.name,

@@ -112,11 +112,11 @@ def _norm_power_jacobian(spec: NormPowerSpec, x: np.ndarray) -> np.ndarray:
 
 
 def norm_power_gradient_batch(spec: NormPowerSpec, points: np.ndarray,
-                              weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scalarized gradients for a batch, plus the batch Lipschitz proxy.
+                              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalarized gradients for a batch, plus each row's Lipschitz proxy.
 
-    Returns (G, mu) where row n of G is J_f(points[n])' weights[n] and mu is
-    the largest single-objective gradient norm encountered in the batch.
+    Returns (G, mu) where row n of G is J_f(points[n])' weights[n] and
+    mu[n] is the largest single-objective gradient norm at points[n].
     """
     diff = points[:, None, :] - spec.centers[None, :, :]
     r2 = np.einsum("ml,nml->nm", spec.scales_sq, diff * diff)
@@ -125,27 +125,29 @@ def norm_power_gradient_batch(spec: NormPowerSpec, points: np.ndarray,
     scaled = spec.scales_sq[None, :, :] * diff          # (N, M, L)
     grads = factor[:, :, None] * scaled                 # per-objective gradients
     g = np.einsum("nm,nml->nl", weights, grads)
-    mu = float(np.sqrt((grads * grads).sum(axis=2)).max()) if len(points) else 0.0
+    mu = np.sqrt((grads * grads).sum(axis=2)).max(axis=1)
     return g, mu
 
 
 def gradient_batch_stats(problem: Problem, points: np.ndarray,
-                         weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scalarized gradients and max per-objective gradient norm for a batch.
+                         weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalarized gradients of a batch and each row's largest
+    single-objective gradient norm; (N, L) and (N,).
 
     Uses the norm-power fast path when available, otherwise one Jacobian
-    call per point.
+    call per point. Every row is computed on its own, so a row's values do
+    not depend on the other rows of the batch.
     """
     points = np.asarray(points, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if problem.norm_power is not None:
         return norm_power_gradient_batch(problem.norm_power, points, weights)
     g = np.empty((points.shape[0], problem.num_vars))
-    mu = 0.0
+    mu = np.empty(points.shape[0])
     for n in range(points.shape[0]):
         jac = problem.jacobian(points[n])
         g[n] = jac.T @ weights[n]
-        mu = max(mu, float(np.sqrt((jac * jac).sum(axis=1)).max()))
+        mu[n] = np.sqrt((jac * jac).sum(axis=1)).max()
     return g, mu
 
 

@@ -5,9 +5,17 @@ optimizer: each iteration samples fresh weights uniformly on the simplex,
 evaluates the current model there, advances every sampled point with the
 step rule applied to its weighted-sum scalarization, then refits the control
 points to the stepped batch by least squares. The surface-wise gradient
-descent specialization uses one plain gradient step per point; its
-closed-form control update is kept as `closed_form_control_step` for
-cross-checking, the production path shares the generic stepped-points code.
+descent specialization uses one plain gradient step per point.
+
+The engine steps a stack of trials that share one configuration in
+lockstep. Each iteration assembles the designs and the scalarized gradients
+of all T trials at once over their T*N rows, and one batched thin SVD of the
+(T, N, J) designs gives every trial its singularity gate, its smallest Gram
+eigenvalue and its least-squares refit. A trial whose design is singular
+resamples alone; a trial that aborts leaves the stack and the others go on.
+Every per-trial quantity is computed from that trial's rows only, so a
+trial's model and trace are bitwise the same alone as in any stack. A single
+run is a stack of one.
 
 RNG discipline: every run owns a single integer seed. Iteration k draws its
 weight batch from the substream (WEIGHT_STREAM, k, retry), so a resample
@@ -23,8 +31,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .bezier import (BezierSimplex, SingularFitError, check_design,
-                     design_matrix, solve_prepared)
+from .bezier import (BezierSimplex, design_matrix, factor_designs,
+                     solve_factored)
 from .problems import Problem, gradient_batch_stats, scalarize
 from .simplex import enumerate_multi_indices, sample_uniform_simplex
 
@@ -156,7 +164,9 @@ class SolverConfig:
 
 
 class SolverAbort(RuntimeError):
-    """Run aborted after exhausting singular-fit resampling retries."""
+    """Run aborted: its design stayed singular through every resampling
+    retry, or its control points stopped being finite. `payload` names the
+    iteration and the run seed."""
 
     def __init__(self, message: str, payload: dict):
         super().__init__(message)
@@ -175,8 +185,9 @@ class RunRecord:
     basis-vector 2-norm, the worst partition-of-unity error, and how many
     resamples the iteration needed. `weights` holds every sampled batch
     only when requested; the final iteration's batch is always kept.
-    `wall_clock` is left out of `to_dict` so that the traces of equal runs
-    are byte-identical.
+    `wall_clock` is the wall time of the stack the run was stepped in; it
+    is left out of `to_dict` so that the traces of equal runs are
+    byte-identical.
     """
 
     seed: int
@@ -238,101 +249,188 @@ def _initial_control_points(config: SolverConfig, basis, num_vars: int) -> np.nd
     return control.copy()
 
 
-def _run_loop(problem: Problem, batch_step, config: SolverConfig,
-              weight_hook=None) -> tuple[BezierSimplex, RunRecord]:
-    """Shared engine: sample, evaluate, step, refit, K times.
+TRACE_FIELDS = ("lambda_min", "ztg_norm", "control_delta", "max_scalarized_grad",
+                "max_objective_grad", "max_basis_norm", "max_basis_sum_err")
 
-    `batch_step(points, weights, k)` advances the whole sampled batch.
-    `weight_hook(k, weights)` may replace the sampled batch and exists for
-    the stability diagnostics; it must return an array of the same shape.
+# What the engine returns per trial: the fitted model and its trace, or the
+# abort that ended the trial.
+TrialOutcome = Union[tuple[BezierSimplex, RunRecord], SolverAbort]
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a (T, R, C) stack."""
+    return np.sqrt((stack * stack).sum(axis=(1, 2)))
+
+
+def _last_finite(values: np.ndarray) -> Optional[float]:
+    finite = values[np.isfinite(values)]
+    return float(finite[-1]) if finite.size else None
+
+
+def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
+              weight_hooks=None) -> list[TrialOutcome]:
+    """Shared engine: sample, evaluate, step, refit, K times, for a stack
+    of trials in lockstep.
+
+    Trial i runs `config` with seed `seeds[i]`. `batch_step(points,
+    weights, grads, k)` advances the sampled rows of all trials, given
+    their scalarized gradients. `weight_hooks[i](k, weights)`, when given
+    and not None, may replace trial i's sampled batch; it exists for the
+    stability diagnostics and must return an array of the same shape.
+    Returns one outcome per seed, in order.
     """
     config.validate(problem)
     basis = enumerate_multi_indices(problem.num_objectives, config.degree)
     alpha = resolve_schedule(config.step_schedule)
-    control = _initial_control_points(config, basis, problem.num_vars)
+    start = _initial_control_points(config, basis, problem.num_vars)
+    seeds = [int(seed) for seed in seeds]
+    hooks = [None] * len(seeds) if weight_hooks is None else list(weight_hooks)
+    if len(hooks) != len(seeds):
+        raise ValueError(f"{len(hooks)} weight hooks for {len(seeds)} seeds")
 
+    n, m, j = config.num_samples, problem.num_objectives, basis.size
     kk = config.num_iterations
-    trace = {name: np.empty(kk) for name in
-             ("lambda_min", "ztg_norm", "control_delta", "max_scalarized_grad",
-              "max_objective_grad", "max_basis_norm", "max_basis_sum_err")}
-    retries_used = np.zeros(kk, dtype=np.int64)
-    kept_weights = [] if config.record_weights else None
-    batch = None
+    trace = {name: np.empty((len(seeds), kk)) for name in TRACE_FIELDS}
+    retries_used = np.zeros((len(seeds), kk), dtype=np.int64)
+    kept_weights = [[] for _ in seeds] if config.record_weights else None
+    outcomes: list = [None] * len(seeds)
+
+    # Row p of the stacked state belongs to trial active[p]; rows leave the
+    # stack only when their trial aborts.
+    active = np.arange(len(seeds))
+    control = np.repeat(start[None], len(seeds), axis=0)
+    weights = np.empty((len(seeds), n, m))
+
+    def draw(p, k, retry):
+        i = active[p]
+        batch = sample_uniform_simplex(m, n, iteration_stream(seeds[i], k, retry))
+        if hooks[i] is not None:
+            batch = hooks[i](k, batch)
+        weights[p] = batch
+        retries_used[i, k - 1] = retry
+
+    def designs(rows):
+        return design_matrix(weights[rows].reshape(-1, m), basis).reshape(-1, n, j)
+
+    def drop(leaving, aborts):
+        nonlocal active, control, weights, design, u, s, vt
+        for p, abort in zip(leaving, aborts):
+            outcomes[active[p]] = abort
+        keep = np.ones(len(active), dtype=bool)
+        keep[leaving] = False
+        active, control, weights = active[keep], control[keep], weights[keep]
+        design, u, s, vt = design[keep], u[keep], s[keep], vt[keep]
 
     started = time.perf_counter()
-    for k in range(1, kk + 1):
-        design = None
-        last_singular = None
-        for retry in range(config.resample_retries + 1):
-            batch = sample_uniform_simplex(
-                problem.num_objectives, config.num_samples,
-                iteration_stream(config.seed, k, retry))
-            if weight_hook is not None:
-                batch = np.asarray(weight_hook(k, batch), dtype=np.float64)
-            candidate = design_matrix(batch, basis)
-            try:
-                smallest, _ = check_design(candidate)
-            except SingularFitError as err:
-                last_singular = err
-                continue
-            design = candidate
-            retries_used[k - 1] = retry
-            break
-        if design is None:
-            raise SolverAbort(
-                f"design matrix stayed singular after "
-                f"{config.resample_retries} resamples at iteration {k}",
-                payload={
-                    "iteration": k,
-                    "resample_retries": config.resample_retries,
-                    "smallest_singular_value": last_singular.smallest_singular_value
-                    if last_singular is not None else float("nan"),
-                    "seed": config.seed,
-                })
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, kk + 1):
+            if not active.size:
+                break
+            for p in range(len(active)):
+                draw(p, k, 0)
+            design = designs(slice(None))
+            u, s, vt, singular = factor_designs(design)
+            retrying = np.flatnonzero(singular)
+            for retry in range(1, config.resample_retries + 1):
+                if not retrying.size:
+                    break
+                for p in retrying:
+                    draw(p, k, retry)
+                design[retrying] = designs(retrying)
+                u[retrying], s[retrying], vt[retrying], singular = factor_designs(
+                    design[retrying])
+                retrying = retrying[singular]
+            if retrying.size:
+                drop(retrying, [SolverAbort(
+                    f"design matrix stayed singular after "
+                    f"{config.resample_retries} resamples at iteration {k}",
+                    payload={
+                        "iteration": k,
+                        "resample_retries": config.resample_retries,
+                        "smallest_singular_value": float(s[p, -1]),
+                        "seed": seeds[active[p]],
+                    }) for p in retrying])
+                if not active.size:
+                    break
 
-        surface_points = design @ control
-        stepped = batch_step(surface_points, batch, k)
-        a = alpha(k)
-        effective_grads = (surface_points - stepped) / a
-        new_control = solve_prepared(design, stepped)
+            surface_points = design @ control
+            rows = surface_points.reshape(-1, problem.num_vars)
+            flat_weights = weights.reshape(-1, m)
+            grads, objective_norms = gradient_batch_stats(problem, rows, flat_weights)
+            stepped = batch_step(rows, flat_weights, grads, k).reshape(surface_points.shape)
+            effective_grads = (surface_points - stepped) / alpha(k)
+            new_control = solve_factored(u, s, vt, stepped)
 
-        scalarized_grads, mu_batch = gradient_batch_stats(problem, surface_points, batch)
-        trace["lambda_min"][k - 1] = smallest * smallest
-        trace["ztg_norm"][k - 1] = np.linalg.norm(design.T @ effective_grads)
-        trace["control_delta"][k - 1] = np.linalg.norm(new_control - control)
-        trace["max_scalarized_grad"][k - 1] = np.sqrt(
-            (scalarized_grads * scalarized_grads).sum(axis=1)).max()
-        trace["max_objective_grad"][k - 1] = mu_batch
-        basis_norms = np.sqrt((design * design).sum(axis=1))
-        trace["max_basis_norm"][k - 1] = basis_norms.max()
-        trace["max_basis_sum_err"][k - 1] = np.abs(design.sum(axis=1) - 1.0).max()
-        if kept_weights is not None:
-            kept_weights.append(batch.copy())
-        control = new_control
+            values = {
+                "lambda_min": s[:, -1] * s[:, -1],
+                "ztg_norm": _frobenius(np.swapaxes(design, 1, 2) @ effective_grads),
+                "control_delta": _frobenius(new_control - control),
+                "max_scalarized_grad": np.sqrt(
+                    (grads * grads).sum(axis=1)).reshape(-1, n).max(axis=1),
+                "max_objective_grad": objective_norms.reshape(-1, n).max(axis=1),
+                "max_basis_norm": np.sqrt((design * design).sum(axis=2)).max(axis=1),
+                "max_basis_sum_err": np.abs(design.sum(axis=2) - 1.0).max(axis=1),
+            }
+            for name, value in values.items():
+                trace[name][active, k - 1] = value
+            if kept_weights is not None:
+                for p, i in enumerate(active):
+                    kept_weights[i].append(weights[p].copy())
+            control = new_control
 
-    record = RunRecord(
-        seed=config.seed,
-        config=config.echo(),
-        retries=retries_used,
-        final_weights=batch.copy(),
-        wall_clock=time.perf_counter() - started,
-        weights=kept_weights,
-        **trace,
-    )
-    return BezierSimplex(basis=basis, control_points=control), record
+            diverged = np.flatnonzero(~np.isfinite(control).all(axis=(1, 2)))
+            if diverged.size:
+                drop(diverged, [SolverAbort(
+                    f"control points became non-finite at iteration {k}",
+                    payload={
+                        "iteration": k,
+                        "control_delta": _last_finite(trace["control_delta"][active[p], :k - 1]),
+                        "seed": seeds[active[p]],
+                    }) for p in diverged])
+
+    wall_clock = time.perf_counter() - started
+    echo = config.echo()
+    for p, i in enumerate(active):
+        record = RunRecord(
+            seed=seeds[i],
+            config={**echo, "seed": seeds[i]},
+            retries=retries_used[i].copy(),
+            final_weights=weights[p].copy(),
+            wall_clock=wall_clock,
+            weights=None if kept_weights is None else kept_weights[i],
+            **{name: trace[name][i].copy() for name in TRACE_FIELDS},
+        )
+        outcomes[i] = (BezierSimplex(basis=basis, control_points=control[p].copy()), record)
+    return outcomes
+
+
+def _single(outcomes: list[TrialOutcome]) -> tuple[BezierSimplex, RunRecord]:
+    (outcome,) = outcomes
+    if isinstance(outcome, SolverAbort):
+        raise outcome
+    return outcome
 
 
 def run_generic(problem: Problem, rule: StepRule, config: SolverConfig,
                 weight_hook=None) -> tuple[BezierSimplex, RunRecord]:
     """Run the loop with an arbitrary per-point step rule."""
 
-    def batch_step(points, weights, k):
+    def batch_step(points, weights, grads, k):
         out = np.empty_like(points)
         for n in range(points.shape[0]):
             out[n] = rule(points[n], scalarize(problem, weights[n]), k)
         return out
 
-    return _run_loop(problem, batch_step, config, weight_hook)
+    return _single(_run_loop(problem, batch_step, config, [config.seed], [weight_hook]))
+
+
+def _gradient_batch_step(config: SolverConfig):
+    alpha = resolve_schedule(config.step_schedule)
+
+    def batch_step(points, weights, grads, k):
+        return points - alpha(k) * grads
+
+    return batch_step
 
 
 def run_surface_gd(problem: Problem, config: SolverConfig,
@@ -341,28 +439,20 @@ def run_surface_gd(problem: Problem, config: SolverConfig,
 
     Observationally identical to `run_generic(problem,
     gradient_step_rule(config.step_schedule), config)` with the same seed;
-    this path advances the whole batch vectorized.
+    this path advances the whole batch vectorized. Raises SolverAbort when
+    the run aborts.
     """
-    alpha = resolve_schedule(config.step_schedule)
-
-    def batch_step(points, weights, k):
-        grads, _ = gradient_batch_stats(problem, points, weights)
-        return points - alpha(k) * grads
-
-    return _run_loop(problem, batch_step, config, weight_hook)
+    return _single(_run_loop(problem, _gradient_batch_step(config), config,
+                             [config.seed], [weight_hook]))
 
 
-def closed_form_control_step(problem: Problem, control: np.ndarray, weights,
-                             alpha: float, basis) -> np.ndarray:
-    """One control update via the explicit normal-equation form.
+def run_surface_gd_trials(problem: Problem, config: SolverConfig, seeds,
+                          weight_hooks=None) -> list[TrialOutcome]:
+    """`run_surface_gd` for every seed in `seeds`, stepped in lockstep.
 
-    Computes P - alpha * (Z'Z)^(-1) Z'G for the given weight batch, where
-    G stacks the scalarized gradients at the current surface points. Kept
-    as an independent cross-check of the stepped-points-plus-refit path;
-    the two agree up to solver round-off.
+    `config.seed` is not used; trial i runs with `seeds[i]` and, when
+    given, `weight_hooks[i]`. Returns one outcome per seed: the (model,
+    record) pair `run_surface_gd` would return, bitwise, or the
+    SolverAbort it would raise.
     """
-    design = design_matrix(weights, basis)
-    surface_points = design @ control
-    grads, _ = gradient_batch_stats(problem, surface_points, np.asarray(weights, dtype=np.float64))
-    gram = design.T @ design
-    return control - alpha * np.linalg.solve(gram, design.T @ grads)
+    return _run_loop(problem, _gradient_batch_step(config), config, seeds, weight_hooks)

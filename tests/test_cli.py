@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from bezier_mopt import cli, solver
 from bezier_mopt.cli import main
 from bezier_mopt.bezier import load_model
 
@@ -159,6 +160,79 @@ def test_experiment_worker_pool_matches_serial(tmp_path, capsys):
     code, _, _ = run_cli(capsys, *base, "--threads", "2", "--out-dir", str(pooled))
     assert code == 0
     assert (serial / "trials.csv").read_bytes() == (pooled / "trials.csv").read_bytes()
+
+
+def test_solve_divergence_exits_3_with_json_error(tmp_path):
+    model_path = tmp_path / "m.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bezier_mopt.cli", "solve", "--problem",
+         "scaled-med", "--schedule", "const:1", "--k", "2000", "--out",
+         str(model_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "runtime"
+    detail = json.loads(error["message"])
+    assert detail["seed"] == 0
+    assert 1 < detail["iteration"] < 2000
+    assert isinstance(detail["control_delta"], float)
+    assert not model_path.exists()
+
+
+def test_experiment_fails_only_the_diverging_trial(tmp_path, capsys, monkeypatch):
+    base = ["experiment", "--problem", "scaled-med", "--n", "15", "--k", "10",
+            "--trials", "3", "--seed", "4", "--metrics", "mse,diagnostics",
+            "--threads", "1"]
+    code, _, _ = run_cli(capsys, *base, "--out-dir", str(tmp_path / "clean"))
+    assert code == 0
+
+    real = solver.gradient_batch_stats
+    calls = []
+
+    def poisoned(problem, points, weights):
+        grads, norms = real(problem, points, weights)
+        calls.append(len(points))
+        if len(calls) == 5:
+            grads[15:30] = np.inf  # trial 1's rows at iteration 5
+        return grads, norms
+
+    monkeypatch.setattr(solver, "gradient_batch_stats", poisoned)
+    code, _, _ = run_cli(capsys, *base, "--out-dir", str(tmp_path / "poisoned"))
+    assert code == 0
+    assert calls[:5] == [45] * 5
+
+    def rows(name):
+        lines = (tmp_path / name / "trials.csv").read_text().splitlines()[1:]
+        return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+    clean, poisoned_rows = rows("clean"), rows("poisoned")
+    assert [r["status"] for r in poisoned_rows] == ["ok", "failed", "ok"]
+    assert poisoned_rows[1]["error"] == "control points became non-finite at iteration 5"
+    assert poisoned_rows[0] == clean[0] and poisoned_rows[2] == clean[2]
+    agg = json.loads((tmp_path / "poisoned" / "aggregate.json").read_text())
+    assert agg["settings"][0]["completed"] == 2
+    assert agg["settings"][0]["failed"] == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mse-samples", "0"],
+    ["--metrics", "gd", "--validation-count", "0"],
+    ["--problem", "skew-3med"],
+])
+def test_experiment_bad_metric_config_exits_2_before_any_trial(flags, tmp_path, capsys,
+                                                               monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "run_surface_gd_trials", no_trials)
+    monkeypatch.setattr(cli, "pareto_set_sweep", no_trials)
+    code, _, err = run_cli(
+        capsys, "experiment", "--problem", "scaled-med", "--n", "15", "--k", "5",
+        "--trials", "2", "--metrics", "mse", "--threads", "1", *flags,
+        "--out-dir", str(tmp_path))
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "config"
+    assert not (tmp_path / "trials.csv").exists()
 
 
 def test_experiment_bad_n_exits_2(tmp_path, capsys):

@@ -1,13 +1,32 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+from bezier_mopt.bezier import design_matrix
 from bezier_mopt.metrics import loss_batch
-from bezier_mopt.problems import scaled_med, scalarize
+from bezier_mopt.problems import gradient_batch_stats, scaled_med, scalarize
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
-from bezier_mopt.solver import (SolverAbort, SolverConfig,
-                                closed_form_control_step, gradient_step_rule,
+from bezier_mopt.solver import (TRIAL_STREAM, RunRecord, SolverAbort,
+                                SolverConfig, derive_seed, gradient_step_rule,
                                 identity_step_rule, run_generic,
-                                run_surface_gd)
+                                run_surface_gd, run_surface_gd_trials)
+
+
+def closed_form_control_step(problem, control, weights, alpha, basis):
+    """One control update via the explicit normal-equation form.
+
+    Computes P - alpha * (Z'Z)^(-1) Z'G for the given weight batch, where
+    G stacks the scalarized gradients at the current surface points: an
+    independent cross-check of the solver's stepped-points-plus-refit path.
+    The two agree up to solver round-off.
+    """
+    design = design_matrix(weights, basis)
+    surface_points = design @ control
+    grads, _ = gradient_batch_stats(problem, surface_points, np.asarray(weights, dtype=np.float64))
+    gram = design.T @ design
+    return control - alpha * np.linalg.solve(gram, design.T @ grads)
 
 
 def central_jacobian(problem, x, h=1e-6):
@@ -213,3 +232,120 @@ def test_custom_initial_control_points_shape_checked():
                        initial_control_points=np.zeros((4, 3)))
     with pytest.raises(ValueError):
         run_surface_gd(problem, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep stacks of trials.
+# ---------------------------------------------------------------------------
+
+def assert_same_run(outcome, reference):
+    """Model and every RunRecord field but the wall clock are bitwise equal."""
+    (model, record), (ref_model, ref_record) = outcome, reference
+    assert model.control_points.tobytes() == ref_model.control_points.tobytes()
+    for field in dataclasses.fields(RunRecord):
+        if field.name == "wall_clock":
+            continue
+        value, expected = getattr(record, field.name), getattr(ref_record, field.name)
+        if isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes(), field.name
+        elif field.name == "weights" and expected is not None:
+            assert [w.tobytes() for w in value] == [w.tobytes() for w in expected]
+        else:
+            assert value == expected, field.name
+
+
+def trial_seeds(count):
+    return [derive_seed(2024, TRIAL_STREAM, t) for t in range(count)]
+
+
+def degenerate_first_draw_at(iteration):
+    """Weight hook whose first batch at `iteration` repeats one weight, so
+    that iteration needs one resample."""
+    calls = []
+
+    def hook(k, batch):
+        if k == iteration and not calls:
+            calls.append(k)
+            return np.tile(batch[:1], (batch.shape[0], 1))
+        return batch
+
+    return hook
+
+
+def always_degenerate_at(iteration):
+    def hook(k, batch):
+        if k == iteration:
+            return np.tile(batch[:1], (batch.shape[0], 1))
+        return batch
+
+    return hook
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_stacked_trials_equal_single_runs_bitwise(n):
+    problem = scaled_med()
+    config = SolverConfig(num_samples=n, num_iterations=50, degree=3, seed=0,
+                          record_weights=True)
+    seeds = trial_seeds(20)
+    singles = [run_surface_gd(problem, dataclasses.replace(config, seed=s)) for s in seeds]
+    stacked = run_surface_gd_trials(problem, config, seeds)
+    split = (run_surface_gd_trials(problem, config, seeds[:7])
+             + run_surface_gd_trials(problem, config, seeds[7:]))
+    for single, whole, part in zip(singles, stacked, split):
+        assert_same_run(whole, single)
+        assert_same_run(part, single)
+
+
+def test_stacked_trial_retries_alone():
+    problem = scaled_med()
+    config = SolverConfig(num_samples=30, num_iterations=20, degree=3, seed=0)
+    seeds = trial_seeds(6)
+    hooks = [None] * 6
+    hooks[4] = degenerate_first_draw_at(3)
+    stacked = run_surface_gd_trials(problem, config, seeds, hooks)
+    for i, seed in enumerate(seeds):
+        hook = degenerate_first_draw_at(3) if i == 4 else None
+        assert_same_run(stacked[i], run_surface_gd(
+            problem, dataclasses.replace(config, seed=seed), weight_hook=hook))
+    retries = np.array([outcome[1].retries for outcome in stacked])
+    assert retries[4, 2] == 1
+    assert retries.sum() == 1
+
+
+def test_stacked_trial_abort_leaves_the_others_running():
+    problem = scaled_med()
+    config = SolverConfig(num_samples=20, num_iterations=6, degree=3, seed=0,
+                          resample_retries=2)
+    seeds = trial_seeds(3)
+    stacked = run_surface_gd_trials(problem, config, seeds,
+                                    [None, always_degenerate_at(2), None])
+    with pytest.raises(SolverAbort) as alone:
+        run_surface_gd(problem, dataclasses.replace(config, seed=seeds[1]),
+                       weight_hook=always_degenerate_at(2))
+    assert isinstance(stacked[1], SolverAbort)
+    assert stacked[1].payload == alone.value.payload
+    assert str(stacked[1]) == str(alone.value)
+    assert stacked[1].payload["seed"] == seeds[1]
+    for i in (0, 2):
+        assert_same_run(stacked[i], run_surface_gd(
+            problem, dataclasses.replace(config, seed=seeds[i])))
+
+
+def test_divergence_aborts_at_the_first_non_finite_model():
+    problem = scaled_med()
+    config = SolverConfig(num_samples=30, num_iterations=2000, degree=3, seed=0,
+                          step_schedule="const:1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverAbort, match="non-finite") as err:
+            run_surface_gd(problem, config)
+    payload = err.value.payload
+    assert payload["seed"] == 0
+    assert 1 < payload["iteration"] < 2000
+    # Runs sharing a seed share every iteration prefix, so the run that
+    # stops one iteration earlier is the aborted run up to its last step.
+    model, record = run_surface_gd(
+        problem, dataclasses.replace(config, num_iterations=payload["iteration"] - 1))
+    assert np.all(np.isfinite(model.control_points))
+    finite = record.control_delta[np.isfinite(record.control_delta)]
+    assert payload["control_delta"] == finite[-1]
