@@ -93,14 +93,41 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _pick(args, cfg: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
+def _pick(args, cfg: dict, key: str, default=None, kind=None):
+    """Flag value if given, else config-file value, else default; passed
+    through `kind` when given, a value it rejects being a ConfigError."""
     value = getattr(args, key, None)
-    if value is not None:
+    if value is None:
+        value = cfg.get(key, default)
+    if kind is None or value is None:
         return value
-    if key in cfg:
-        return cfg[key]
-    return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from err
+
+
+def _root_seed(args, cfg) -> int:
+    seed = _pick(args, cfg, "seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _load_model_file(path) -> BezierSimplex:
+    try:
+        return load_model(path)
+    except (OSError, ValueError, TypeError) as err:
+        raise ConfigError(f"cannot load model {path}: {err}") from err
+
+
+def _initial_control_points(args, cfg):
+    """Control points of the --initial-model file, or None to start from
+    the zero model."""
+    initial = _pick(args, cfg, "initial_model")
+    if initial in (None, "zero"):
+        return None
+    return _load_model_file(initial).control_points
 
 
 def _thread_count(args, cfg) -> int:
@@ -110,7 +137,7 @@ def _thread_count(args, cfg) -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"BEZIER_MOPT_THREADS={env!r} is not an integer")
-    return max(1, int(_pick(args, cfg, "threads", os.cpu_count() or 1)))
+    return max(1, _pick(args, cfg, "threads", os.cpu_count() or 1, int))
 
 
 def _parse_int_list(text) -> list[int]:
@@ -141,18 +168,14 @@ def _resolve_problem(name):
 
 
 def _solver_config(args, cfg, seed, num_samples) -> SolverConfig:
-    initial = _pick(args, cfg, "initial_model")
-    control = None
-    if initial not in (None, "zero"):
-        control = load_model(initial).control_points
     return SolverConfig(
         num_samples=int(num_samples),
-        num_iterations=int(_pick(args, cfg, "iterations", 1000)),
-        degree=int(_pick(args, cfg, "degree", 3)),
+        num_iterations=_pick(args, cfg, "iterations", 1000, int),
+        degree=_pick(args, cfg, "degree", 3, int),
         seed=int(seed),
         step_schedule=str(_pick(args, cfg, "schedule", "1/k")),
-        initial_control_points=control,
-        resample_retries=int(_pick(args, cfg, "resample_retries", 5)),
+        initial_control_points=_initial_control_points(args, cfg),
+        resample_retries=_pick(args, cfg, "resample_retries", 5, int),
     )
 
 
@@ -170,8 +193,8 @@ def _model_payload(model: BezierSimplex, config_echo: dict) -> dict:
 def cmd_solve(args) -> int:
     cfg = _load_config_file(args.config)
     problem = _resolve_problem(_pick(args, cfg, "problem"))
-    seed = int(_pick(args, cfg, "seed", 0))
-    num_samples = int(_pick(args, cfg, "num_samples", 30))
+    seed = _pick(args, cfg, "seed", 0, int)
+    num_samples = _pick(args, cfg, "num_samples", 30, int)
     solver_cfg = _solver_config(args, cfg, seed, num_samples)
     try:
         solver_cfg.validate(problem)
@@ -210,6 +233,7 @@ def _experiment_trial(job: dict) -> list[dict]:
         degree=job["degree"],
         seed=0,
         step_schedule=job["schedule"],
+        initial_control_points=job["initial_control_points"],
         resample_retries=job["resample_retries"],
     )
     trials = job["trials"]
@@ -261,15 +285,16 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
                    metric_names, iterations: int = 1000, degree: int = 3,
                    schedule: str = "1/k", resample_retries: int = 5,
                    mse_samples: int = 10000, validation_count: int = 1000,
-                   threads: int = 1,
+                   threads: int = 1, initial_control_points=None,
                    sweep_grad_tol: float = DEFAULT_GRAD_TOL,
                    sweep_max_steps: int = DEFAULT_MAX_STEPS) -> dict:
     """Library entry point behind `experiment`: runs the full grid and
     returns {"rows": per-trial dicts, "aggregate": summary dict}.
 
-    The trials of each sample count run as one lockstep stack, or, with a
-    worker pool, as one contiguous chunk of the stack per worker; the rows
-    are the same either way."""
+    Every trial starts from `initial_control_points`, or from the zero
+    model when it is None. The trials of each sample count run as one
+    lockstep stack, or, with a worker pool, as one contiguous chunk of the
+    stack per worker; the rows are the same either way."""
     problem = _resolve_problem(problem_name)
     metric_names = _parse_metrics(metric_names)
     if trials < 1:
@@ -285,6 +310,7 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
     for n in n_values:
         probe = SolverConfig(num_samples=int(n), num_iterations=iterations,
                              degree=degree, seed=0, step_schedule=schedule,
+                             initial_control_points=initial_control_points,
                              resample_retries=resample_retries)
         try:
             probe.validate(problem)
@@ -309,6 +335,7 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
                 "degree": degree,
                 "schedule": schedule,
                 "resample_retries": resample_retries,
+                "initial_control_points": initial_control_points,
                 "trials": [trial_seeds[trial] for trial in chunk],
                 "metrics": metric_names,
                 "mse_samples": mse_samples,
@@ -347,9 +374,10 @@ def cmd_experiment(args) -> int:
     cfg = _load_config_file(args.config)
     problem_name = str(_pick(args, cfg, "problem"))
     n_values = _parse_int_list(_pick(args, cfg, "num_samples", "30"))
-    trials = int(_pick(args, cfg, "trials", 20))
-    root_seed = int(_pick(args, cfg, "seed", 0))
+    trials = _pick(args, cfg, "trials", 20, int)
+    root_seed = _root_seed(args, cfg)
     metric_names = _parse_metrics(_pick(args, cfg, "metrics", "mse"))
+    initial_control_points = _initial_control_points(args, cfg)
     out_dir = _pick(args, cfg, "out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -357,21 +385,24 @@ def cmd_experiment(args) -> int:
         "command": "experiment", "version": __version__,
         "problem": problem_name, "n_values": n_values, "trials": trials,
         "seed": root_seed, "metrics": metric_names,
-        "iterations": int(_pick(args, cfg, "iterations", 1000)),
-        "degree": int(_pick(args, cfg, "degree", 3)),
+        "iterations": _pick(args, cfg, "iterations", 1000, int),
+        "degree": _pick(args, cfg, "degree", 3, int),
         "schedule": str(_pick(args, cfg, "schedule", "1/k")),
-        "mse_samples": int(_pick(args, cfg, "mse_samples", 10000)),
-        "validation_count": int(_pick(args, cfg, "validation_count", 1000)),
+        "mse_samples": _pick(args, cfg, "mse_samples", 10000, int),
+        "validation_count": _pick(args, cfg, "validation_count", 1000, int),
     }
+    if initial_control_points is not None:
+        config_echo["initial_model"] = str(_pick(args, cfg, "initial_model"))
     try:
         result = run_experiment(
             problem_name, n_values, trials, root_seed, metric_names,
             iterations=config_echo["iterations"], degree=config_echo["degree"],
             schedule=config_echo["schedule"],
-            resample_retries=int(_pick(args, cfg, "resample_retries", 5)),
+            resample_retries=_pick(args, cfg, "resample_retries", 5, int),
             mse_samples=config_echo["mse_samples"],
             validation_count=config_echo["validation_count"],
-            threads=_thread_count(args, cfg))
+            threads=_thread_count(args, cfg),
+            initial_control_points=initial_control_points)
     except (SolverAbort, ValueError) as err:
         if isinstance(err, (ConfigError,)):
             raise
@@ -397,20 +428,34 @@ def cmd_experiment(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = _load_config_file(args.config)
     problem = _resolve_problem(_pick(args, cfg, "problem"))
-    population = int(_pick(args, cfg, "population", 100))
-    degree = int(_pick(args, cfg, "degree", 3))
-    seed = int(_pick(args, cfg, "seed", 0))
+    population = _pick(args, cfg, "population", 100, int)
+    degree = _pick(args, cfg, "degree", 3, int)
+    seed = _root_seed(args, cfg)
     metric_names = _parse_metrics(_pick(args, cfg, "metrics", "mse"))
     out_dir = _pick(args, cfg, "out_dir", ".")
     if population < 1:
         raise ConfigError("population must be >= 1")
+    validation_count = None
+    if "gd" in metric_names or "igd" in metric_names:
+        validation_count = _pick(args, cfg, "validation_count", 1000, int)
+        if validation_count < 1:
+            raise ConfigError("validation count must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
 
+    settings = {"grad_tol": _pick(args, cfg, "grad_tol", DEFAULT_GRAD_TOL, float),
+                "max_steps": _pick(args, cfg, "max_steps", DEFAULT_MAX_STEPS, int)}
     lattice = triangular_lattice(problem.num_objectives, population)
-    sweep = minimize_scalarizations(
-        problem, lattice,
-        grad_tol=float(_pick(args, cfg, "grad_tol", DEFAULT_GRAD_TOL)),
-        max_steps=int(_pick(args, cfg, "max_steps", DEFAULT_MAX_STEPS)))
+    # The validation set is always swept with the default settings. When the
+    # population lattice is too, both lattices descend in one call.
+    if validation_count is not None and settings == {"grad_tol": DEFAULT_GRAD_TOL,
+                                                     "max_steps": DEFAULT_MAX_STEPS}:
+        validation = triangular_lattice(problem.num_objectives, validation_count)
+        sweep, reference_sweep = minimize_scalarizations(
+            problem, np.vstack([lattice, validation]), **settings).split(population)
+    else:
+        sweep = minimize_scalarizations(problem, lattice, **settings)
+        if validation_count is not None:
+            reference_sweep = pareto_set_sweep(problem, validation_count)
 
     from .simplex import enumerate_multi_indices
     basis = enumerate_multi_indices(problem.num_objectives, degree)
@@ -442,11 +487,10 @@ def cmd_baseline(args) -> int:
             report["mse_note"] = "problem has no analytical map"
         else:
             report["mse"] = mse(model, problem.pareto_map,
-                                int(_pick(args, cfg, "mse_samples", 10000)),
+                                _pick(args, cfg, "mse_samples", 10000, int),
                                 seed=derive_seed(seed, METRIC_STREAM, 0))
-    if "gd" in metric_names or "igd" in metric_names:
-        validation_count = int(_pick(args, cfg, "validation_count", 1000))
-        reference = pareto_set_sweep(problem, validation_count).converged_points
+    if validation_count is not None:
+        reference = reference_sweep.converged_points
         samples = model_samples(model, validation_count,
                                 seed=derive_seed(seed, METRIC_STREAM, 1))
         if "gd" in metric_names:
@@ -472,21 +516,19 @@ def cmd_baseline(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
-    try:
-        model = load_model(args.model)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot load model {args.model}: {err}") from err
+    model = _load_model_file(args.model)
     count = int(args.n)
     if count < 1:
         raise ConfigError("sample count must be >= 1")
-    weights = sample_uniform_simplex(model.num_objectives, count, int(args.seed))
+    seed = _root_seed(args, {})
+    weights = sample_uniform_simplex(model.num_objectives, count, seed)
     points = model.evaluate_batch(weights)
     header = [f"t_{i+1}" for i in range(model.num_objectives)] + \
              [f"x_{i+1}" for i in range(model.ambient_dim)]
     rows = [list(w) + list(x) for w, x in zip(weights, points)]
     write_csv(args.out, header, rows,
               preamble={"command": "sample", "version": __version__,
-                        "model": str(args.model), "n": count, "seed": int(args.seed)})
+                        "model": str(args.model), "n": count, "seed": seed})
     print(f"wrote {args.out}")
     return 0
 
@@ -534,10 +576,11 @@ def cmd_metrics(args) -> int:
         problem = _resolve_problem(args.problem)
         if problem.pareto_map is None:
             raise ConfigError(f"problem {problem.name} has no analytical map for mse")
-        model = load_model(args.model)
-        value = mse(model, problem.pareto_map, int(args.count), seed=int(args.seed))
+        model = _load_model_file(args.model)
+        seed = _root_seed(args, {})
+        value = mse(model, problem.pareto_map, int(args.count), seed=seed)
         report.update({"model": args.model, "problem": problem.name,
-                       "count": int(args.count), "seed": int(args.seed),
+                       "count": int(args.count), "seed": seed,
                        "value": value})
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
@@ -553,8 +596,8 @@ def cmd_metrics(args) -> int:
 def cmd_diagnostics(args) -> int:
     cfg = _load_config_file(args.config)
     problem = _resolve_problem(_pick(args, cfg, "problem", "scaled-med"))
-    seed = int(_pick(args, cfg, "seed", 0))
-    num_samples = int(_pick(args, cfg, "num_samples", 30))
+    seed = _pick(args, cfg, "seed", 0, int)
+    num_samples = _pick(args, cfg, "num_samples", 30, int)
     solver_cfg = _solver_config(args, cfg, seed, num_samples)
     try:
         solver_cfg.validate(problem)
@@ -564,8 +607,8 @@ def cmd_diagnostics(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     if args.mode == "perturb":
-        k = int(_pick(args, cfg, "perturb_iteration", max(1, solver_cfg.num_iterations // 2)))
-        repeats = int(_pick(args, cfg, "repeats", 10))
+        k = _pick(args, cfg, "perturb_iteration", max(1, solver_cfg.num_iterations // 2), int)
+        repeats = _pick(args, cfg, "repeats", 10, int)
         grid_version = str(_pick(args, cfg, "grid_version", "v1"))
         try:
             reports = perturbation_experiment(problem, solver_cfg, k, repeats,
@@ -587,8 +630,8 @@ def cmd_diagnostics(args) -> int:
         return 0
 
     # gengap
-    holdout = int(_pick(args, cfg, "holdout", 10000))
-    trials = int(_pick(args, cfg, "trials", 20))
+    holdout = _pick(args, cfg, "holdout", 10000, int)
+    trials = _pick(args, cfg, "trials", 20, int)
     try:
         report = repeat_generalization_gap(problem, solver_cfg, holdout, trials)
     except ValueError as err:

@@ -17,10 +17,15 @@ Every per-trial quantity is computed from that trial's rows only, so a
 trial's model and trace are bitwise the same alone as in any stack. A single
 run is a stack of one.
 
-RNG discipline: every run owns a single integer seed. Iteration k draws its
-weight batch from the substream (WEIGHT_STREAM, k, retry), so a resample
-after a singular fit never perturbs later iterations, and runs that share a
-seed share every iteration prefix regardless of the total iteration count.
+RNG discipline: every run owns a single integer seed in [0, 2**128).
+Iteration k draws its weight batch from the substream (WEIGHT_STREAM, k,
+retry), the PCG64 stream of SeedSequence(seed, spawn_key=(WEIGHT_STREAM, k,
+retry)), so a resample after a singular fit never perturbs later
+iterations, and runs that share a seed share every iteration prefix
+regardless of the total iteration count. The engine does not build those
+SeedSequences: `iteration_states` computes their seed words for a block of
+iterations of every trial in one vectorized pass, and the stack's batches
+are drawn from the words; the streams are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from .bezier import (BezierSimplex, design_matrix, factor_designs,
                      solve_factored)
 from .problems import Problem, gradient_batch_stats, scalarize
-from .simplex import enumerate_multi_indices, sample_uniform_simplex
+from .simplex import enumerate_multi_indices, sample_uniform_simplex_stack
 
 # Substream domains under a run seed. Keyed into SeedSequence spawn keys so
 # the individual streams are independent and stable.
@@ -55,8 +60,74 @@ def derive_seed(root_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def iteration_stream(seed: int, k: int, retry: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=(WEIGHT_STREAM, int(k), int(retry)))
+# Run seeds must fit the four 32-bit entropy words that `iteration_states`
+# lays out; spawn-key words must fit one 32-bit word each.
+MAX_SEED = 2**128
+_MASK32 = 0xFFFFFFFF
+
+# numpy's SeedSequence hash: entropy words are hashed into a pool of four
+# 32-bit words with multipliers advanced from INIT_A by MULT_A, pool words
+# are combined by `_mix`, and output words are hashed from the pool with
+# multipliers advanced from INIT_B by MULT_B.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int):
+    """The (xor, multiply) constant pairs of successive hash calls; they
+    do not depend on the data, so every (trial, k) pair shares them."""
+    const = init
+    while True:
+        advanced = (const * mult) & _MASK32
+        yield np.uint32(const), np.uint32(advanced)
+        const = advanced
+
+
+def _hash(value: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def iteration_states(seeds, ks, retry: int) -> np.ndarray:
+    """Seed words of the weight substreams of every seed at every k.
+
+    Returns the (len(seeds), len(ks), 4) uint64 array whose [t, i] entry is
+    `SeedSequence(entropy=seeds[t], spawn_key=(WEIGHT_STREAM, ks[i],
+    retry)).generate_state(4, np.uint64)`, the words PCG64 seeds itself
+    from. The SeedSequence entropy of such a key is seven 32-bit words: the
+    seed as four little-endian words, then WEIGHT_STREAM, k and retry; the
+    hash runs on wrapping uint32 arrays over all (seed, k) pairs at once.
+    """
+    seeds = [int(seed) for seed in seeds]
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    outside = [seed for seed in seeds if not 0 <= seed < MAX_SEED]
+    if outside:
+        raise ValueError(f"run seeds must lie in [0, 2**128), got {outside}")
+    if np.any(ks < 0) or np.any(ks > _MASK32) or not 0 <= retry <= _MASK32:
+        raise ValueError("iterations and retries must lie in [0, 2**32)")
+    entropy = np.array([[(seed >> (32 * w)) & _MASK32 for w in range(4)] for seed in seeds],
+                       dtype=np.uint32).reshape(-1, 4)
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[:, w:w + 1], constants) for w in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
+    for word in (WEIGHT_STREAM, ks[None, :], retry):
+        word = np.array(word, dtype=np.uint32, ndmin=1)
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, constants))
+    pool = [np.broadcast_to(word, (len(seeds), len(ks))) for word in pool]
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    words = np.stack([_hash(pool[w % 4], constants) for w in range(8)], axis=-1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +182,10 @@ class SolverConfig:
     """Settings for one run.
 
     num_samples must cover the basis size; step sizes must stay in (0, 1]
-    over the whole horizon. `initial_control_points=None` starts from the
-    zero matrix. `resample_retries` bounds how many fresh weight batches an
-    iteration may draw after a numerically singular fit before aborting.
+    over the whole horizon; the seed must lie in [0, 2**128).
+    `initial_control_points=None` starts from the zero matrix.
+    `resample_retries` bounds how many fresh weight batches an iteration may
+    draw after a numerically singular fit before aborting.
     """
 
     num_samples: int
@@ -136,6 +208,14 @@ class SolverConfig:
                 f"{problem.num_objectives} objectives")
         if self.resample_retries < 0:
             raise ValueError("resample_retries must be >= 0")
+        if not 0 <= self.seed < MAX_SEED:
+            raise ValueError(f"seed {self.seed} is outside [0, 2**128)")
+        if self.initial_control_points is not None:
+            shape = np.shape(self.initial_control_points)
+            if shape != (basis.size, problem.num_vars):
+                raise ValueError(
+                    f"initial control points have shape {shape}, expected "
+                    f"({basis.size}, {problem.num_vars})")
         alpha = resolve_schedule(self.step_schedule)
         for k in range(1, self.num_iterations + 1):
             a = alpha(k)
@@ -165,8 +245,8 @@ class SolverConfig:
 
 class SolverAbort(RuntimeError):
     """Run aborted: its design stayed singular through every resampling
-    retry, or its control points stopped being finite. `payload` names the
-    iteration and the run seed."""
+    retry, or its control points or a trace value stopped being finite.
+    `payload` names the iteration and the run seed."""
 
     def __init__(self, message: str, payload: dict):
         super().__init__(message)
@@ -241,13 +321,12 @@ class RunRecord:
 def _initial_control_points(config: SolverConfig, basis, num_vars: int) -> np.ndarray:
     if config.initial_control_points is None:
         return np.zeros((basis.size, num_vars))
-    control = np.asarray(config.initial_control_points, dtype=np.float64)
-    if control.shape != (basis.size, num_vars):
-        raise ValueError(
-            f"initial control points have shape {control.shape}, expected "
-            f"({basis.size}, {num_vars})")
-    return control.copy()
+    return np.array(config.initial_control_points, dtype=np.float64)
 
+
+# The engine computes the seed words of this many iterations at a time, so
+# their memory stays O(T * STATE_BLOCK) for any iteration count.
+STATE_BLOCK = 256
 
 TRACE_FIELDS = ("lambda_min", "ztg_norm", "control_delta", "max_scalarized_grad",
                 "max_objective_grad", "max_basis_norm", "max_basis_sum_err")
@@ -301,13 +380,15 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
     control = np.repeat(start[None], len(seeds), axis=0)
     weights = np.empty((len(seeds), n, m))
 
-    def draw(p, k, retry):
-        i = active[p]
-        batch = sample_uniform_simplex(m, n, iteration_stream(seeds[i], k, retry))
-        if hooks[i] is not None:
-            batch = hooks[i](k, batch)
-        weights[p] = batch
-        retries_used[i, k - 1] = retry
+    def draw(rows, k, retry, states):
+        """Stack rows `rows` draw iteration k's batches from their seed
+        words `states`."""
+        weights[rows] = sample_uniform_simplex_stack(m, n, states)
+        for p in rows:
+            i = active[p]
+            if hooks[i] is not None:
+                weights[p] = hooks[i](k, weights[p].copy())
+            retries_used[i, k - 1] = retry
 
     def designs(rows):
         return design_matrix(weights[rows].reshape(-1, m), basis).reshape(-1, n, j)
@@ -326,16 +407,17 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
         for k in range(1, kk + 1):
             if not active.size:
                 break
-            for p in range(len(active)):
-                draw(p, k, 0)
+            if (k - 1) % STATE_BLOCK == 0:
+                block = iteration_states(seeds, range(k, min(k + STATE_BLOCK, kk + 1)), 0)
+            draw(np.arange(len(active)), k, 0, block[active, (k - 1) % STATE_BLOCK])
             design = designs(slice(None))
             u, s, vt, singular = factor_designs(design)
             retrying = np.flatnonzero(singular)
             for retry in range(1, config.resample_retries + 1):
                 if not retrying.size:
                     break
-                for p in retrying:
-                    draw(p, k, retry)
+                draw(retrying, k, retry,
+                     iteration_states([seeds[i] for i in active[retrying]], [k], retry)[:, 0])
                 design[retrying] = designs(retrying)
                 u[retrying], s[retrying], vt[retrying], singular = factor_designs(
                     design[retrying])
@@ -378,10 +460,13 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                     kept_weights[i].append(weights[p].copy())
             control = new_control
 
-            diverged = np.flatnonzero(~np.isfinite(control).all(axis=(1, 2)))
+            finite = np.isfinite(control).all(axis=(1, 2))
+            for value in values.values():
+                finite &= np.isfinite(value)
+            diverged = np.flatnonzero(~finite)
             if diverged.size:
                 drop(diverged, [SolverAbort(
-                    f"control points became non-finite at iteration {k}",
+                    f"non-finite values at iteration {k}",
                     payload={
                         "iteration": k,
                         "control_delta": _last_finite(trace["control_delta"][active[p], :k - 1]),

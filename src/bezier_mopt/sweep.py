@@ -76,6 +76,16 @@ class SweepResult:
     def converged_weights(self) -> np.ndarray:
         return self.weights[self.converged]
 
+    def split(self, count: int) -> tuple["SweepResult", "SweepResult"]:
+        """The results of the first `count` weights and of the rest. Every
+        weight descends on its own, so a sweep of stacked lattices splits
+        into the sweeps of the lattices, bit for bit."""
+        head, tail = slice(None, count), slice(count, None)
+        return tuple(SweepResult(weights=self.weights[part], points=self.points[part],
+                                 grad_norms=self.grad_norms[part], steps=self.steps[part],
+                                 converged=self.converged[part])
+                     for part in (head, tail))
+
 
 def _generic_descent(problem: Problem, weights, start, step0, decay_steps,
                      grad_tol, max_steps):

@@ -207,7 +207,7 @@ def test_experiment_fails_only_the_diverging_trial(tmp_path, capsys, monkeypatch
 
     clean, poisoned_rows = rows("clean"), rows("poisoned")
     assert [r["status"] for r in poisoned_rows] == ["ok", "failed", "ok"]
-    assert poisoned_rows[1]["error"] == "control points became non-finite at iteration 5"
+    assert poisoned_rows[1]["error"] == "non-finite values at iteration 5"
     assert poisoned_rows[0] == clean[0] and poisoned_rows[2] == clean[2]
     agg = json.loads((tmp_path / "poisoned" / "aggregate.json").read_text())
     assert agg["settings"][0]["completed"] == 2
@@ -243,6 +243,97 @@ def test_experiment_bad_n_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "config"
 
 
+def test_experiment_aborts_trials_whose_trace_stops_being_finite(tmp_path):
+    # Trials 0 and 2 keep finite control points near 1e300 while their
+    # design-weighted gradient overflows; they fail instead of reporting
+    # mse = inf, and no overflow warning reaches stderr.
+    out_dir = tmp_path / "exp"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bezier_mopt.cli", "experiment", "--problem",
+         "scaled-med", "--n", "15", "--k", "960", "--schedule", "const:0.6",
+         "--trials", "3", "--seed", "29", "--metrics", "mse,diagnostics",
+         "--threads", "1", "--out-dir", str(out_dir)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    lines = (out_dir / "trials.csv").read_text().splitlines()[1:]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [r["status"] for r in rows] == ["failed"] * 3
+    assert [r["error"] for r in rows] == [
+        f"non-finite values at iteration {k}" for k in (478, 474, 483)]
+    agg = json.loads((out_dir / "aggregate.json").read_text())
+    assert agg["settings"][0]["failed"] == 3
+
+
+def write_model(path, degree=3, fill=0.25):
+    from bezier_mopt.bezier import BezierSimplex, save_model
+    from bezier_mopt.simplex import enumerate_multi_indices
+    basis = enumerate_multi_indices(3, degree)
+    save_model(BezierSimplex(basis=basis, control_points=np.full((basis.size, 3), fill)), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+@pytest.mark.parametrize("case", ["empty-model", "missing-model", "wrong-degree-model",
+                                  "bad-n", "negative-seed"])
+def test_bad_solver_input_exits_2_with_json_error(command, case, tmp_path, capsys,
+                                                  monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_surface_gd", no_run)
+    monkeypatch.setattr(cli, "run_surface_gd_trials", no_run)
+    flags = {"n": "15", "seed": "1"}
+    if case == "empty-model":
+        (tmp_path / "bad.json").write_text("{}")
+        flags["initial-model"] = str(tmp_path / "bad.json")
+    elif case == "missing-model":
+        flags["initial-model"] = str(tmp_path / "absent.json")
+    elif case == "wrong-degree-model":
+        flags["initial-model"] = str(write_model(tmp_path / "d2.json", degree=2))
+    elif case == "bad-n":
+        flags["n"] = "abc"
+    else:
+        flags["seed"] = "-1"
+    argv = [command, "--problem", "scaled-med", "--k", "5"]
+    argv += [item for key, value in flags.items() for item in (f"--{key}", value)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "m.json")]
+    else:
+        argv += ["--trials", "2", "--metrics", "mse", "--out-dir", str(tmp_path / "exp")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "config"
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "exp" / "trials.csv").exists()
+
+
+def test_experiment_starts_every_trial_from_the_initial_model(tmp_path, capsys):
+    from bezier_mopt.metrics import mse
+    from bezier_mopt.problems import get_problem
+    model_path = write_model(tmp_path / "start.json")
+    out_dir = tmp_path / "exp"
+    code, _, _ = run_cli(
+        capsys, "experiment", "--problem", "scaled-med", "--n", "15", "--k", "5",
+        "--trials", "2", "--seed", "8", "--metrics", "mse", "--threads", "1",
+        "--initial-model", str(model_path), "--out-dir", str(out_dir))
+    assert code == 0
+    lines = (out_dir / "trials.csv").read_text().splitlines()
+    assert json.loads(lines[0][2:])["initial_model"] == str(model_path)
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    problem = get_problem("scaled-med")
+    start = load_model(model_path).control_points
+    for row in rows:
+        seed = int(row["seed"])
+        model, _ = solver.run_surface_gd(problem, solver.SolverConfig(
+            num_samples=15, num_iterations=5, degree=3, seed=seed,
+            initial_control_points=start))
+        expected = mse(model, problem.pareto_map, 10000,
+                       seed=solver.derive_seed(seed, solver.METRIC_STREAM, 0))
+        assert row["status"] == "ok"
+        assert row["mse"] == format(expected, ".17g")
+
+
 def test_baseline_small_population_exits_3(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "baseline", "--problem", "scaled-med", "--population", "9",
@@ -262,6 +353,37 @@ def test_baseline_writes_model_and_report(tmp_path, capsys):
     assert "substitute" in report["config"]["method"]
     model = load_model(tmp_path / "baseline_model.json")
     assert model.control_points.shape == (10, 3)
+
+
+def test_baseline_stacked_lattices_match_separate_sweeps(tmp_path, capsys, monkeypatch):
+    # With the default descent settings the population and validation
+    # lattices descend in one call; a max-steps no scaled-med weight reaches
+    # keeps them apart. The outputs are the same bytes, and the validation
+    # set is the default sweep's whatever the population sweep's settings.
+    from bezier_mopt.problems import get_problem
+    from bezier_mopt.sweep import pareto_set_sweep
+    references = []
+    real_gd = cli.gd
+
+    def recording_gd(samples, reference):
+        references.append(reference)
+        return real_gd(samples, reference)
+
+    monkeypatch.setattr(cli, "gd", recording_gd)
+    base = ["baseline", "--problem", "scaled-med", "--population", "60",
+            "--degree", "3", "--metrics", "mse,gd,igd", "--validation-count", "300"]
+    runs = {"stacked": [], "separate": ["--max-steps", "100001"],
+            "loose": ["--grad-tol", "1e-4"]}
+    for name, flags in runs.items():
+        code, _, _ = run_cli(capsys, *base, *flags, "--out-dir", str(tmp_path / name))
+        assert code == 0
+    for output in ("baseline_report.json", "baseline_model.json"):
+        assert ((tmp_path / "stacked" / output).read_bytes()
+                == (tmp_path / "separate" / output).read_bytes())
+    expected = pareto_set_sweep(get_problem("scaled-med"), 300).converged_points
+    assert len(references) == 3
+    for reference in references:
+        assert reference.tobytes() == expected.tobytes()
 
 
 def test_metrics_between_files(tmp_path, capsys):

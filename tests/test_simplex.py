@@ -4,7 +4,8 @@ import pytest
 from bezier_mopt.simplex import (bernstein_vector,
                                  enumerate_multi_indices,
                                  multinomial_coefficient,
-                                 sample_uniform_simplex, weight_vector)
+                                 sample_uniform_simplex,
+                                 sample_uniform_simplex_stack, weight_vector)
 
 
 def test_enumeration_m2_d2():
@@ -89,6 +90,38 @@ def test_sampling_deterministic():
     assert np.array_equal(a, b)
     c = sample_uniform_simplex(3, 50, 1235)
     assert not np.array_equal(a, c)
+
+
+def flat_dirichlet_oracle(num_objectives, count, seed_sequence):
+    """Normalized exponentials from a generator built on the SeedSequence
+    itself, as numpy builds it."""
+    rng = np.random.Generator(np.random.PCG64(seed_sequence))
+    draws = rng.standard_exponential((count, num_objectives))
+    return draws / draws.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("m, count", [(1, 3), (2, 1), (3, 30), (3, 100), (8, 7), (11, 5)])
+def test_sampling_matches_seed_sequence_generator_bitwise(m, count):
+    seeds = [np.random.SeedSequence(entropy=s, spawn_key=(0, k, r))
+             for s, k, r in [(0, 1, 0), (7, 256, 0), (2**64 - 1, 257, 3), (2**127, 2, 5)]]
+    for seed in seeds + [0, 5, 2**40]:
+        expected = flat_dirichlet_oracle(m, count, np.random.SeedSequence(seed)
+                                         if isinstance(seed, int) else seed)
+        assert sample_uniform_simplex(m, count, seed).tobytes() == expected.tobytes()
+    states = np.array([seed.generate_state(4, np.uint64) for seed in seeds])
+    stack = sample_uniform_simplex_stack(m, count, states)
+    assert stack.shape == (len(seeds), count, m)
+    for batch, seed in zip(stack, seeds):
+        assert batch.tobytes() == flat_dirichlet_oracle(m, count, seed).tobytes()
+
+
+def test_stack_sampler_validates_arguments():
+    states = np.random.SeedSequence(1).generate_state(4, np.uint64)[None]
+    with pytest.raises(ValueError):
+        sample_uniform_simplex_stack(0, 5, states)
+    with pytest.raises(ValueError):
+        sample_uniform_simplex_stack(3, 0, states)
+    assert sample_uniform_simplex_stack(3, 4, states[:0]).shape == (0, 4, 3)
 
 
 def test_sampling_m1_is_point():

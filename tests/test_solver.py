@@ -8,10 +8,18 @@ from bezier_mopt.bezier import design_matrix
 from bezier_mopt.metrics import loss_batch
 from bezier_mopt.problems import gradient_batch_stats, scaled_med, scalarize
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
-from bezier_mopt.solver import (TRIAL_STREAM, RunRecord, SolverAbort,
-                                SolverConfig, derive_seed, gradient_step_rule,
-                                identity_step_rule, run_generic,
-                                run_surface_gd, run_surface_gd_trials)
+from bezier_mopt.solver import (STATE_BLOCK, TRIAL_STREAM, WEIGHT_STREAM,
+                                RunRecord, SolverAbort, SolverConfig,
+                                derive_seed, gradient_step_rule,
+                                identity_step_rule, iteration_states,
+                                run_generic, run_surface_gd,
+                                run_surface_gd_trials)
+
+
+def iteration_stream(seed, k, retry):
+    """The SeedSequence of iteration k's weight substream under a run seed;
+    the engine draws from its seed words, computed by `iteration_states`."""
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=(WEIGHT_STREAM, int(k), int(retry)))
 
 
 def closed_form_control_step(problem, control, weights, alpha, basis):
@@ -114,7 +122,7 @@ def test_first_iteration_from_zero_matches_hand_computation():
     problem = scaled_med()
     cfg = SolverConfig(num_samples=12, num_iterations=1, degree=3, seed=31)
     model, _ = run_surface_gd(problem, cfg)
-    weights = sample_uniform_simplex(3, 12, np.random.SeedSequence(entropy=31, spawn_key=(0, 1, 0)))
+    weights = sample_uniform_simplex(3, 12, iteration_stream(31, 1, 0))
     jac0 = central_jacobian(problem, np.zeros(3))
     stepped = -1.0 * weights @ jac0  # alpha(1) = 1, rows J(0)' t_n
     assert np.abs(model.evaluate_batch(weights) - stepped).max() < 1e-6
@@ -129,7 +137,7 @@ def test_closed_form_control_update_cross_check():
                        step_schedule="const:0.5",
                        initial_control_points=control)
     model, _ = run_surface_gd(problem, cfg)
-    weights = sample_uniform_simplex(3, 40, np.random.SeedSequence(entropy=13, spawn_key=(0, 1, 0)))
+    weights = sample_uniform_simplex(3, 40, iteration_stream(13, 1, 0))
     reference = closed_form_control_step(problem, control, weights, 0.5, basis)
     assert np.linalg.norm(model.control_points - reference) < 1e-8
 
@@ -349,3 +357,70 @@ def test_divergence_aborts_at_the_first_non_finite_model():
     assert np.all(np.isfinite(model.control_points))
     finite = record.control_delta[np.isfinite(record.control_delta)]
     assert payload["control_delta"] == finite[-1]
+
+
+# ---------------------------------------------------------------------------
+# Weight substreams from precomputed seed words.
+# ---------------------------------------------------------------------------
+
+STATE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1]
+STATE_KS = [1, 255, 256, 257, 2**31]
+
+
+@pytest.mark.parametrize("retry", range(6))
+def test_iteration_states_equal_seed_sequence_words(retry):
+    states = iteration_states(STATE_SEEDS, STATE_KS, retry)
+    assert states.shape == (len(STATE_SEEDS), len(STATE_KS), 4)
+    assert states.dtype == np.uint64
+    for t, seed in enumerate(STATE_SEEDS):
+        for i, k in enumerate(STATE_KS):
+            expected = iteration_stream(seed, k, retry).generate_state(4, np.uint64)
+            assert states[t, i].tobytes() == expected.tobytes(), (seed, k, retry)
+
+
+def test_iteration_states_reject_seeds_outside_the_entropy_layout():
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            iteration_states([0, seed], [1], 0)
+        config = SolverConfig(num_samples=20, num_iterations=2, degree=3, seed=seed)
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            config.validate(scaled_med())
+        with pytest.raises(ValueError):
+            run_surface_gd(scaled_med(), config)
+        with pytest.raises(ValueError):
+            run_surface_gd_trials(scaled_med(), dataclasses.replace(config, seed=0), [3, seed])
+    with pytest.raises(ValueError):
+        iteration_states([0], [2**32], 0)
+
+
+def test_recorded_weights_equal_the_seed_sequence_streams():
+    # K crosses a seed-word block boundary without being a multiple of it,
+    # and trial 1 resamples once after the boundary.
+    num_iterations = 300
+    assert STATE_BLOCK < num_iterations and num_iterations % STATE_BLOCK
+    problem = scaled_med()
+    config = SolverConfig(num_samples=20, num_iterations=num_iterations, degree=3,
+                          seed=0, record_weights=True)
+    seeds = trial_seeds(3)
+    seen = []
+
+    def watching(k, batch):
+        seen.append((k, batch.copy()))
+        return batch
+
+    hooks = [watching, degenerate_first_draw_at(STATE_BLOCK + 5), None]
+    outcomes = run_surface_gd_trials(problem, config, seeds, hooks)
+    retries = [record.retries for _, record in outcomes]
+    assert retries[1][STATE_BLOCK + 4] == 1
+    assert sum(int(r.sum()) for r in retries) == 1
+    for seed, (_, record) in zip(seeds, outcomes):
+        assert len(record.weights) == num_iterations
+        for k, batch in enumerate(record.weights, start=1):
+            expected = sample_uniform_simplex(
+                3, 20, iteration_stream(seed, k, record.retries[k - 1]))
+            assert batch.tobytes() == expected.tobytes(), (seed, k)
+    # Hooks receive the normalized batch of their own trial.
+    assert [k for k, _ in seen] == list(range(1, num_iterations + 1))
+    for k, batch in seen:
+        assert batch.tobytes() == sample_uniform_simplex(
+            3, 20, iteration_stream(seeds[0], k, 0)).tobytes()

@@ -86,3 +86,23 @@ def test_generic_descent_path_matches_family_kernel():
     slow = minimize_scalarizations(stripped, weights, start=start.copy(), max_steps=2000)
     assert np.array_equal(fast.converged, slow.converged)
     assert np.abs(fast.points - slow.points).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", ["skew-3mmd", "scaled-med"])
+def test_stacked_lattices_split_into_their_own_sweeps_bitwise(name):
+    # The baseline descends its population and validation lattices in one
+    # call; each weight descends on its own, so the split results are those
+    # of separate calls, cusp weights that never converge included.
+    problem = get_problem(name)
+    population = triangular_lattice(problem.num_objectives, 100)
+    stacked = minimize_scalarizations(
+        problem, np.vstack([population, triangular_lattice(problem.num_objectives, 300)]),
+        max_steps=3000)
+    head, tail = stacked.split(100)
+    for part, alone in ((head, minimize_scalarizations(problem, population, max_steps=3000)),
+                        (tail, pareto_set_sweep(problem, 300, max_steps=3000))):
+        for field in ("weights", "points", "grad_norms", "steps", "converged"):
+            value, expected = getattr(part, field), getattr(alone, field)
+            assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes(), field
+    if name == "skew-3mmd":
+        assert not stacked.converged.all()
