@@ -1,8 +1,9 @@
 """Benchmark the jitted kernels against their pure-numpy fallbacks.
 
-Times the three hot loops on workload-shaped inputs and reports the speedup
-plus the worst relative deviation between the paths (expected: a few ulps
-from SIMD-vs-libm pow, exact zero for the distance kernel).
+Times the design-matrix and distance loops on workload-shaped inputs and
+reports the speedup plus the worst relative deviation between the paths
+(expected: a few ulps from SIMD-vs-libm pow, exact zero for the distance
+kernel). The descent sweep has only a numpy implementation.
 
     python3 benchmarks/kernel_bench.py [--repeats 5]
 
@@ -16,9 +17,7 @@ import time
 import numpy as np
 
 from bezier_mopt import _kernels as kern
-from bezier_mopt.problems import get_problem
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
-from bezier_mopt.sweep import triangular_lattice
 
 
 def best_of(fn, repeats):
@@ -85,23 +84,6 @@ def main():
         best_of(lambda: kern.min_distances_numpy(x, y), args.repeats),
         best_of(lambda: kern.min_distances_numba(x, y), args.repeats),
         rel_dev(d_np, d_nb)))
-
-    # Scalarization descent: the validation-set / baseline workload.
-    spec = get_problem("skew-3mmd").norm_power
-    lattice = triangular_lattice(3, 1000)
-    start = lattice @ spec.centers
-    sweep_args = (spec.scales_sq, spec.centers, spec.powers, lattice, start,
-                  0.2, 2000.0, 1e-8, 100_000)
-    kern.descent_sweep_numba(spec.scales_sq, spec.centers, spec.powers,
-                             lattice[:4], start[:4].copy(), 0.2, 2000.0, 1e-8, 100)
-    p_np, _, _, ok_np = kern.descent_sweep_numpy(*sweep_args)
-    p_nb, _, _, ok_nb = kern.descent_sweep_numba(*sweep_args)
-    assert np.array_equal(ok_np, ok_nb)
-    rows.append((
-        "descent_sweep (1000 weights)",
-        best_of(lambda: kern.descent_sweep_numpy(*sweep_args), max(1, args.repeats // 2)),
-        best_of(lambda: kern.descent_sweep_numba(*sweep_args), max(1, args.repeats // 2)),
-        rel_dev(p_np[ok_np], p_nb[ok_nb])))
 
     name_w = max(len(r[0]) for r in rows)
     print(f"{'kernel':<{name_w}}  {'numpy':>9}  {'numba':>9}  {'speedup':>7}  max rel dev")

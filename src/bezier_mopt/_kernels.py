@@ -1,4 +1,4 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels.
 
 Three inner loops dominate runtime in this package: Bernstein design-matrix
 assembly (called once per solver iteration and for every metric evaluation),
@@ -6,7 +6,8 @@ brute-force nearest-neighbour distances (GD/IGD indicators), and the
 per-weight gradient-descent sweep that builds validation sets and the
 baseline model.
 
-Path selection happens once at import time:
+The design and distance kernels are numba-jitted loops with pure-numpy
+fallbacks; path selection happens once at import time:
 
 * ``BEZIER_MOPT_NUMBA=0`` (also ``false``/``off``/``no``) forces the
   pure-numpy implementations.
@@ -17,12 +18,14 @@ a few ulps but not bitwise: numpy's vectorized ``pow`` uses SIMD kernels
 whose last-bit rounding can differ from libm's ``pow`` that numba emits.
 The benchmark in ``benchmarks/kernel_bench.py`` compares both paths.
 
-The numpy descent steps every weight of a sweep at once on
-coordinate-major arrays: the weight index is the innermost, contiguous
-axis, so each numpy call covers all active weights instead of an axis of
-length L or M. Its results are bitwise equal to a row-major formulation
-that the tests keep as a reference. ``perfbench/run.py --workload
-baseline-sweep`` measures it end to end and, with ``--trace 1``, as
+The descent sweep has one implementation, in numpy. It steps every weight
+of a sweep at once on coordinate-major arrays: the weight index is the
+innermost, contiguous axis, so each numpy call covers all active weights
+instead of an axis of length L or M. Its iterates are bitwise equal to a
+row-major formulation that the tests keep as a reference. Weights that
+cannot meet the gradient-norm rule stop early, at a certified cusp or on a
+non-finite gradient. ``perfbench/run.py --workload baseline-sweep``
+measures it end to end and, with ``--trace 1``, as
 ``kernels.descent.busy_s``.
 """
 
@@ -41,9 +44,9 @@ def _numba_requested() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Loop implementations. These are plain Python functions written so that
-# numba can compile them unchanged; the numpy fallbacks below replicate the
-# same per-element operation order.
+# Loop implementations of the design and distance kernels. These are plain
+# Python functions written so that numba can compile them unchanged; the
+# numpy fallbacks below replicate the same per-element operation order.
 # ---------------------------------------------------------------------------
 
 def _bernstein_design_loop(weights, exponents, coefficients):
@@ -85,58 +88,6 @@ def _min_distances_loop(points, references):
     return out
 
 
-def _descent_sweep_loop(scales_sq, centers, powers, weights, start,
-                        step0, decay_steps, grad_tol, max_steps):
-    """Plain gradient descent with a diminishing step on each weighted-sum
-    scalarization of a diagonal norm-power problem.
-
-    The objectives are f_m(x) = (sum_l scales_sq[m,l] (x_l - centers[m,l])^2
-    )^(powers[m]/2); the gradient is taken as zero exactly at a center.
-    Each row i of `weights` gets its own descent started from `start[i]`,
-    stepping x <- x - step0/(1 + k/decay_steps) * grad until the gradient
-    norm drops below grad_tol or max_steps is exhausted.
-
-    Returns (points, grad_norms, steps, converged).
-    """
-    n_w = weights.shape[0]
-    n_obj = scales_sq.shape[0]
-    dim = centers.shape[1]
-    points = start.copy()
-    grad_norms = np.empty(n_w)
-    steps = np.zeros(n_w, dtype=np.int64)
-    converged = np.zeros(n_w, dtype=np.bool_)
-    grad = np.empty(dim)
-    for i in range(n_w):
-        x = points[i]
-        g_norm = np.inf
-        for k in range(1, max_steps + 1):
-            for l in range(dim):
-                grad[l] = 0.0
-            for m in range(n_obj):
-                r2 = 0.0
-                for l in range(dim):
-                    diff = x[l] - centers[m, l]
-                    r2 += scales_sq[m, l] * diff * diff
-                if r2 > 0.0:
-                    w = weights[i, m] * powers[m] * r2 ** ((powers[m] - 2.0) / 2.0)
-                    for l in range(dim):
-                        grad[l] += w * scales_sq[m, l] * (x[l] - centers[m, l])
-            g2 = 0.0
-            for l in range(dim):
-                g2 += grad[l] * grad[l]
-            g_norm = math.sqrt(g2)
-            if g_norm < grad_tol:
-                converged[i] = True
-                steps[i] = k - 1
-                break
-            alpha = step0 / (1.0 + k / decay_steps)
-            for l in range(dim):
-                x[l] -= alpha * grad[l]
-            steps[i] = k
-        grad_norms[i] = g_norm
-    return points, grad_norms, steps, converged
-
-
 # ---------------------------------------------------------------------------
 # Pure-numpy fallbacks. Same arithmetic per element, vectorized.
 # ---------------------------------------------------------------------------
@@ -157,9 +108,25 @@ def min_distances_numpy(points, references):
     return np.sqrt(d2.min(axis=1))
 
 
+# ---------------------------------------------------------------------------
+# The descent sweep.
+# ---------------------------------------------------------------------------
+
+# Outcomes of a weight's descent; `descent_sweep` reports each weight's
+# index into STATUSES.
+STATUSES = ("converged", "cusp", "diverged", "stalled")
+CONVERGED, CUSP, DIVERGED, STALLED = range(len(STATUSES))
+
+# Every CHECK_STEPS steps a weight within scaled radius CUSP_RADIUS of a
+# center certified for it stops as a cusp, and one whose gradient norm is
+# not finite stops as diverged.
+CHECK_STEPS = 500
+CUSP_RADIUS = 0.05
+
+
 def _descent_workspace(scales_sq, centers, powers, width):
-    """Scratch arrays of `descent_sweep_numpy` for `width` active weights,
-    and its constants tiled to that width. With full-size constants only
+    """Scratch arrays of `descent_sweep` for `width` active weights, and its
+    constants tiled to that width. With full-size constants only
     x - centers and w * scales broadcast, which numpy runs more slowly."""
     n_obj, dim = scales_sq.shape
     scales = np.repeat(scales_sq.T[:, :, None], width, axis=2)
@@ -171,36 +138,52 @@ def _descent_workspace(scales_sq, centers, powers, width):
             np.empty((dim, width)))
 
 
-def descent_sweep_numpy(scales_sq, centers, powers, weights, start,
-                        step0, decay_steps, grad_tol, max_steps):
-    """All descents of `_descent_sweep_loop` stepped together.
+def descent_sweep(scales_sq, centers, powers, weights, start,
+                  step0, decay_steps, grad_tol, max_steps, certified):
+    """Plain gradient descent with a diminishing step on each weighted-sum
+    scalarization of a diagonal norm-power problem, all weights at once.
+
+    The objectives are f_m(x) = (sum_l scales_sq[m,l] (x_l - centers[m,l])^2
+    )^(powers[m]/2); the gradient is taken as zero exactly at a center.
+    Each row i of `weights` descends from `start[i]`, stepping
+    x <- x - step0/(1 + k/decay_steps) * grad until the gradient norm drops
+    below grad_tol (status CONVERGED, after k - 1 steps) or max_steps is
+    exhausted (STALLED, or DIVERGED if the last gradient norm is not
+    finite). Every CHECK_STEPS steps, a weight whose scaled radius
+    ||A_m (x - c_m)|| to some center m with certified[m, i] is below
+    CUSP_RADIUS stops as CUSP, and one with a non-finite gradient norm as
+    DIVERGED. A stopped weight reports its iterate at the check, the steps
+    taken and the gradient norm there.
+
+    Returns (points, grad_norms, steps, status), status indexing STATUSES.
 
     Arrays are coordinate-major: the weight index is the innermost axis, so
     every numpy call runs over all active weights at once instead of over
     axes of length L or M. Iterates are (L, n), scaled weights and radii
     (M, n), differences (L, M, n). The active set stays compact and is
-    re-compacted only on steps where some weight converges; iterates,
-    gradient norms and step counts reach the outputs when a weight
-    converges or the loop ends.
+    re-compacted only on steps where some weight stops; iterates, gradient
+    norms and step counts reach the outputs when a weight stops or the
+    loop ends.
 
     Per element the arithmetic and its order are those of a row-major
-    formulation that gathers one (n, M, L) array per step, so results are
+    formulation that gathers one (n, M, L) array per step, so iterates are
     bitwise reproducible against it: sums over L run in index order from
     +0.0, and the sum over M is numpy's reduction over M contiguous terms
-    from +0.0. Diverging iterates overflow to inf/NaN; they stay
-    non-converged and raise no floating-point warnings.
+    from +0.0. Diverging iterates overflow to inf/NaN without raising
+    floating-point warnings.
     """
     n_w = start.shape[0]
     points = start.copy()
     grad_norms = np.full(n_w, np.inf)
     steps = np.zeros(n_w, dtype=np.int64)
-    converged = np.zeros(n_w, dtype=np.bool_)
+    status = np.full(n_w, STALLED, dtype=np.int8)
     if n_w == 0 or max_steps < 1:
-        return points, grad_norms, steps, converged
+        return points, grad_norms, steps, status
     n_obj, dim = scales_sq.shape
     active = np.arange(n_w)
     x = start.T.copy()
     tp = weights.T * powers[:, None]
+    cert = np.asarray(certified, dtype=np.bool_)
     grad = np.empty((dim, n_w))
     g_norm = np.empty(n_w)
     scales, ctr, expo, diff, prod, r2, w, pos, gsq = _descent_workspace(
@@ -235,18 +218,28 @@ def descent_sweep_numpy(scales_sq, centers, powers, weights, start,
             for l in range(1, dim):
                 g_norm += gsq[l]
             np.sqrt(g_norm, out=g_norm)
-            done = g_norm < grad_tol
-            if np.count_nonzero(done):
-                idx = active[done]
-                converged[idx] = True
-                grad_norms[idx] = g_norm[done]
+            stop = g_norm < grad_tol
+            check = k % CHECK_STEPS == 1 and k > CHECK_STEPS
+            if check:
+                # k - 1 steps taken; r2 holds this iterate's squared scaled
+                # radii to the centers.
+                np.less(r2, CUSP_RADIUS * CUSP_RADIUS, out=pos)
+                pos &= cert
+                code = np.select([stop, pos.any(axis=0), ~np.isfinite(g_norm)],
+                                 [CONVERGED, CUSP, DIVERGED], STALLED)
+                stop = code != STALLED
+            if np.count_nonzero(stop):
+                idx = active[stop]
+                status[idx] = code[stop] if check else CONVERGED
+                grad_norms[idx] = g_norm[stop]
                 steps[idx] = k - 1
-                points[idx] = x[:, done].T
-                keep = ~done
+                points[idx] = x[:, stop].T
+                keep = ~stop
                 active = active[keep]
                 if active.size == 0:
-                    return points, grad_norms, steps, converged
+                    return points, grad_norms, steps, status
                 x, tp, grad, g_norm = x[:, keep], tp[:, keep], grad[:, keep], g_norm[keep]
+                cert = cert[:, keep]
                 scales, ctr, expo, diff, prod, r2, w, pos, gsq = _descent_workspace(
                     scales_sq, centers, powers, active.size)
             grad *= step0 / (1.0 + k / decay_steps)
@@ -254,17 +247,17 @@ def descent_sweep_numpy(scales_sq, centers, powers, weights, start,
     points[active] = x.T
     grad_norms[active] = g_norm
     steps[active] = max_steps
-    return points, grad_norms, steps, converged
+    status[active] = np.where(np.isfinite(g_norm), STALLED, DIVERGED)
+    return points, grad_norms, steps, status
 
 
 # ---------------------------------------------------------------------------
-# Dispatch.
+# Dispatch of the design and distance kernels.
 # ---------------------------------------------------------------------------
 
 NUMBA_ENABLED = False
 bernstein_design_numba = None
 min_distances_numba = None
-descent_sweep_numba = None
 
 if _numba_requested():
     try:
@@ -274,14 +267,11 @@ if _numba_requested():
     else:
         bernstein_design_numba = numba.njit(cache=True)(_bernstein_design_loop)
         min_distances_numba = numba.njit(cache=True)(_min_distances_loop)
-        descent_sweep_numba = numba.njit(cache=True)(_descent_sweep_loop)
         NUMBA_ENABLED = True
 
 if NUMBA_ENABLED:
     bernstein_design = bernstein_design_numba
     min_distances = min_distances_numba
-    descent_sweep = descent_sweep_numba
 else:
     bernstein_design = bernstein_design_numpy
     min_distances = min_distances_numpy
-    descent_sweep = descent_sweep_numpy

@@ -440,6 +440,14 @@ def cmd_baseline(args) -> int:
         validation_count = _pick(args, cfg, "validation_count", 1000, int)
         if validation_count < 1:
             raise ConfigError("validation count must be >= 1")
+    comparison = None
+    compare_with = _pick(args, cfg, "compare_with")
+    if compare_with is not None:
+        with open(compare_with) as fh:
+            try:
+                comparison = json.load(fh)
+            except ValueError as err:
+                raise ConfigError(f"cannot read comparison file {compare_with}: {err}") from err
     os.makedirs(out_dir, exist_ok=True)
 
     settings = {"grad_tol": _pick(args, cfg, "grad_tol", DEFAULT_GRAD_TOL, float),
@@ -481,6 +489,8 @@ def cmd_baseline(args) -> int:
         "non_converged_lattice_indices":
             np.nonzero(~sweep.converged)[0].tolist(),
     }
+    for status in ("cusp", "diverged", "stalled"):
+        report[f"{status}_lattice_indices"] = np.nonzero(sweep.status == status)[0].tolist()
     if "mse" in metric_names:
         if problem.pareto_map is None:
             report["mse"] = None
@@ -498,10 +508,8 @@ def cmd_baseline(args) -> int:
         if "igd" in metric_names:
             report["igd"] = igd(samples, reference)
 
-    compare_with = _pick(args, cfg, "compare_with")
-    if compare_with is not None:
-        with open(compare_with) as fh:
-            report["proposed_comparison"] = json.load(fh)
+    if comparison is not None:
+        report["proposed_comparison"] = comparison
 
     model_path = os.path.join(out_dir, "baseline_model.json")
     write_json(model_path, _model_payload(model, config_echo))
@@ -576,11 +584,13 @@ def cmd_metrics(args) -> int:
         problem = _resolve_problem(args.problem)
         if problem.pareto_map is None:
             raise ConfigError(f"problem {problem.name} has no analytical map for mse")
+        if args.count < 1:
+            raise ConfigError("mse sample count must be >= 1")
         model = _load_model_file(args.model)
         seed = _root_seed(args, {})
-        value = mse(model, problem.pareto_map, int(args.count), seed=seed)
+        value = mse(model, problem.pareto_map, args.count, seed=seed)
         report.update({"model": args.model, "problem": problem.name,
-                       "count": int(args.count), "seed": seed,
+                       "count": args.count, "seed": seed,
                        "value": value})
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out is not None:
@@ -660,8 +670,15 @@ def _add_solver_flags(parser):
                         help='model JSON to start from, or "zero"')
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command line it rejects as the JSON error object, exit 2."""
+
+    def error(self, message):
+        self.exit(2, _error_json("config", message) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bezier-mopt",
         description="Multi-objective optimization via iterative Bezier-simplex fitting")
     parser.add_argument("--version", action="version", version=__version__)

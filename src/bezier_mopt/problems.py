@@ -18,7 +18,10 @@ For q_m < 2 the gradient of f_m is singular at its center; the gradient is
 defined as exactly zero there (the correct "no move" update for the
 minimizer) and analytically elsewhere. Lipschitz continuity then holds on
 compact sets excluding centers, which is what the empirical Lipschitz
-estimates recorded by the solver reflect.
+estimates recorded by the solver reflect. A weighted sum minimized at a
+center with q_m <= 1 never meets a gradient-norm stopping rule; the
+scalarization sweep (`sweep.py`) certifies such centers and stops those
+weights there as `cusp` rather than running them to `max_steps`.
 """
 
 from __future__ import annotations

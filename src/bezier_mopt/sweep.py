@@ -7,8 +7,13 @@ purposes: the validation sets behind the GD/IGD indicators, and the
 baseline pipeline (sweep, then a single all-at-once fit).
 
 Scalarizations whose minimizer sits exactly at a non-smooth center (norm
-powers below 2 have cusps there) can never meet a gradient-norm stopping
-rule; such weights are reported as non-converged and excluded downstream.
+powers q_m <= 1 have cusps there) can never meet a gradient-norm stopping
+rule. Instead of running to `max_steps`, such a weight stops early as
+`cusp` once its iterate is near a center that `cusp_certificate` certifies
+as a local minimizer of its scalarization; a weight whose gradient becomes
+non-finite stops as `diverged`, and one that runs out of steps otherwise
+is `stalled`. None of these count as converged; they are excluded
+downstream, and `SweepResult.status` tells them apart.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import descent_sweep
-from .problems import Problem, gradient_batch_stats
+from ._kernels import CONVERGED, DIVERGED, STALLED, STATUSES, descent_sweep
+from .problems import (NormPowerSpec, Problem, _norm_power_jacobian,
+                       gradient_batch_stats)
 from .simplex import _descending_lex_exponents
 
 # Diminishing step schedule for the per-weight descents: effectively
@@ -58,6 +64,30 @@ def triangular_lattice(num_objectives: int, count: int) -> np.ndarray:
     return rows
 
 
+def cusp_certificate(spec: NormPowerSpec, weights) -> np.ndarray:
+    """(M, n) mask: center m is a certified local minimizer of the
+    scalarization sum_j t_ij f_j of weight row i.
+
+    With g_rest the gradient at c_m of the other weighted objectives,
+    sum_{j != m} t_ij grad f_j(c_m), the nonsmooth first-order condition
+    -g_rest in t_im A_m'(unit ball) (Clarke, Optimization and Nonsmooth
+    Analysis, 1983) holds for q_m < 1 whenever t_im > 0, since
+    ||A_m (x - c_m)||^q_m outgrows any linear term, and for q_m = 1 exactly
+    when ||A_m^{-1} g_rest|| <= t_im. Centers with q_m > 1 are smooth
+    points, left to the gradient-norm rule; a singular A_m certifies none.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    # jac[m, j] is grad f_j(c_m), zero for j == m (the center convention).
+    jac = np.stack([_norm_power_jacobian(spec, c) for c in spec.centers])
+    g_rest = weights @ jac                                        # (M, n, L)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dual = np.sqrt((g_rest * g_rest / spec.scales_sq[:, None, :]).sum(axis=2))
+    t = weights.T
+    powers = spec.powers[:, None]
+    regular = (spec.scales_sq > 0.0).all(axis=1)[:, None]
+    return regular & (((powers < 1.0) & (t > 0.0)) | ((powers == 1.0) & (dual <= t)))
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Outcome of one scalarization sweep."""
@@ -66,7 +96,12 @@ class SweepResult:
     points: np.ndarray       # (n, L) final iterates
     grad_norms: np.ndarray   # (n,) final scalarized gradient norms
     steps: np.ndarray        # (n,) descent steps consumed
-    converged: np.ndarray    # (n,) bool, gradient norm below tolerance
+    status: np.ndarray       # (n,) str: converged, cusp, diverged or stalled
+
+    @property
+    def converged(self) -> np.ndarray:
+        """(n,) bool, gradient norm below tolerance."""
+        return self.status == STATUSES[CONVERGED]
 
     @property
     def converged_points(self) -> np.ndarray:
@@ -83,7 +118,7 @@ class SweepResult:
         head, tail = slice(None, count), slice(count, None)
         return tuple(SweepResult(weights=self.weights[part], points=self.points[part],
                                  grad_norms=self.grad_norms[part], steps=self.steps[part],
-                                 converged=self.converged[part])
+                                 status=self.status[part])
                      for part in (head, tail))
 
 
@@ -94,7 +129,7 @@ def _generic_descent(problem: Problem, weights, start, step0, decay_steps,
     n = len(weights)
     grad_norms = np.full(n, np.inf)
     steps = np.zeros(n, dtype=np.int64)
-    converged = np.zeros(n, dtype=bool)
+    status = np.full(n, STALLED, dtype=np.int8)
     for i in range(n):
         x = points[i]
         for k in range(1, max_steps + 1):
@@ -102,13 +137,16 @@ def _generic_descent(problem: Problem, weights, start, step0, decay_steps,
             g = g[0]
             grad_norms[i] = float(np.linalg.norm(g))
             if grad_norms[i] < grad_tol:
-                converged[i] = True
+                status[i] = CONVERGED
                 steps[i] = k - 1
                 break
             x -= step0 / (1.0 + k / decay_steps) * g
             steps[i] = k
+        else:
+            if max_steps > 0 and not np.isfinite(grad_norms[i]):
+                status[i] = DIVERGED
         points[i] = x
-    return points, grad_norms, steps, converged
+    return points, grad_norms, steps, status
 
 
 def minimize_scalarizations(problem: Problem, weights, start=None,
@@ -121,6 +159,7 @@ def minimize_scalarizations(problem: Problem, weights, start=None,
     Starts each descent from `start` (default: the weight-convex
     combination of the objective centers for norm-power problems, the
     origin otherwise), a point already close to the target hypersurface.
+    Each weight's `status` says how its descent ended (module docstring).
     """
     weights = np.asarray(weights, dtype=np.float64)
     if start is None:
@@ -131,14 +170,15 @@ def minimize_scalarizations(problem: Problem, weights, start=None,
     start = np.asarray(start, dtype=np.float64)
     if problem.norm_power is not None:
         spec = problem.norm_power
-        points, grad_norms, steps, converged = descent_sweep(
+        points, grad_norms, steps, status = descent_sweep(
             spec.scales_sq, spec.centers, spec.powers, weights, start,
-            float(step0), float(decay_steps), float(grad_tol), int(max_steps))
+            float(step0), float(decay_steps), float(grad_tol), int(max_steps),
+            cusp_certificate(spec, weights))
     else:
-        points, grad_norms, steps, converged = _generic_descent(
+        points, grad_norms, steps, status = _generic_descent(
             problem, weights, start, step0, decay_steps, grad_tol, max_steps)
     return SweepResult(weights=weights, points=points, grad_norms=grad_norms,
-                       steps=steps, converged=converged)
+                       steps=steps, status=np.array(STATUSES)[status])
 
 
 def pareto_set_sweep(problem: Problem, count: int = 1000,

@@ -355,6 +355,36 @@ def test_baseline_writes_model_and_report(tmp_path, capsys):
     assert model.control_points.shape == (10, 3)
 
 
+@pytest.mark.parametrize("flags,status", [([], "cusp"), (["--max-steps", "300"], "stalled")])
+def test_baseline_report_lists_weights_by_status(flags, status, tmp_path, capsys):
+    # skew-3mmd's non-converged lattice weights sit at cusps; with fewer
+    # steps than one stop check they run out of steps instead.
+    code, _, _ = run_cli(
+        capsys, "baseline", "--problem", "skew-3mmd", "--population", "100",
+        "--degree", "3", "--metrics", "mse", "--out-dir", str(tmp_path), *flags)
+    assert code == 0
+    report = json.loads((tmp_path / "baseline_report.json").read_text())
+    lists = {name: report[f"{name}_lattice_indices"] for name in ("cusp", "diverged", "stalled")}
+    assert lists[status] == report["non_converged_lattice_indices"]
+    assert len(lists[status]) == report["non_converged"] > 0
+    assert sum(map(len, lists.values())) == report["non_converged"]
+
+
+def test_baseline_non_json_comparison_file_exits_2_before_the_sweep(tmp_path, capsys,
+                                                                     monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(cli, "minimize_scalarizations", no_sweep)
+    (tmp_path / "aggregate.json").write_text("trials,mse\n")
+    code, _, err = run_cli(
+        capsys, "baseline", "--problem", "scaled-med", "--population", "100",
+        "--compare-with", str(tmp_path / "aggregate.json"), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "config"
+    assert not (tmp_path / "out" / "baseline_report.json").exists()
+
+
 def test_baseline_stacked_lattices_match_separate_sweeps(tmp_path, capsys, monkeypatch):
     # With the default descent settings the population and validation
     # lattices descend in one call; a max-steps no scaled-med weight reaches
@@ -409,6 +439,31 @@ def test_metrics_mse_against_model(tmp_path, capsys):
                            "--count", "2000", "--seed", "3")
     assert code == 0
     assert json.loads(out)["value"] > 0.0
+
+
+def test_metrics_mse_zero_count_exits_2(tmp_path, capsys):
+    model_path = write_model(tmp_path / "m.json")
+    code, out, err = run_cli(capsys, "metrics", "--metric", "mse", "--model",
+                             str(model_path), "--problem", "scaled-med", "--count", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "scaled-med", "--k", "abc", "--out", "m.json"],
+    ["experiment", "--trials", "1.5"],
+    ["metrics", "--metric", "hv"],
+    ["sample", "--model", "m.json", "--out", "s.csv"],
+    ["no-such-command"],
+])
+def test_rejected_command_line_prints_json_error_and_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "config" and error["message"]
 
 
 def test_diagnostics_perturb_mode(tmp_path, capsys):

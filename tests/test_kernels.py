@@ -1,24 +1,24 @@
 """Cross-checks between the numba kernels and their numpy fallbacks, and
-between the coordinate-major numpy descent and its row-major reference.
+between the coordinate-major descent and its row-major reference.
 
 The numba and numpy paths share per-element arithmetic but SIMD pow can
 differ from libm pow in the last ulps, so agreement is asserted at rtol
 1e-12 rather than bitwise. Distance kernels involve no transcendentals
-beyond sqrt and agree exactly on low dimensions. The two numpy descents
-perform the same operations per element in the same order, so they must
-agree bit for bit.
+beyond sqrt and agree exactly on low dimensions. The descent performs the
+same operations per element in the same order as its reference, so the
+two must agree bit for bit; a weight the descent stops early agrees with
+the reference run for as many steps as it took.
 """
-
 import warnings
 
 import numpy as np
 import pytest
 
 from bezier_mopt import _kernels as kern
-from bezier_mopt.problems import (PROBLEM_NAMES, get_problem, scaled_med,
-                                  scaled_med_pareto, skew_mmmd_default)
+from bezier_mopt.problems import (PROBLEM_NAMES, NormPowerSpec, get_problem,
+                                  scaled_med, scaled_med_pareto)
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
-from bezier_mopt.sweep import triangular_lattice
+from bezier_mopt.sweep import cusp_certificate, triangular_lattice
 
 needs_numba = pytest.mark.skipif(not kern.NUMBA_ENABLED,
                                  reason="numba path not enabled")
@@ -49,24 +49,6 @@ def test_min_distances_paths_agree_exactly():
     assert np.array_equal(a, b)
 
 
-@needs_numba
-def test_descent_sweep_paths_agree():
-    # Non-converged iterates bounce around cusp minimizers, so ulp-level pow
-    # differences amplify there; downstream consumers only use converged
-    # points, which the two paths must agree on.
-    for problem in (scaled_med(), skew_mmmd_default(3)):
-        spec = problem.norm_power
-        weights = sample_uniform_simplex(3, 64, 3)
-        start = weights @ spec.centers
-        args = (spec.scales_sq, spec.centers, spec.powers, weights, start,
-                0.2, 2000.0, 1e-8, 5000)
-        pa, ga, sa, ca = kern.descent_sweep_numpy(*args)
-        pb, gb, sb, cb = kern.descent_sweep_numba(*args)
-        assert np.array_equal(ca, cb)
-        assert np.array_equal(sa[ca], sb[cb])
-        np.testing.assert_allclose(pa[ca], pb[cb], rtol=1e-9, atol=1e-12)
-
-
 def test_design_kernel_rows_sum_to_one():
     expf, coeff = _basis_arrays(3, 3)
     weights = sample_uniform_simplex(3, 300, 0)
@@ -87,18 +69,19 @@ def test_descent_sweep_reaches_quadratic_minimum():
     spec = scaled_med().norm_power
     weights = sample_uniform_simplex(3, 16, 10)
     start = weights @ spec.centers
-    points, grad_norms, steps, converged = kern.descent_sweep(
+    points, grad_norms, steps, status = kern.descent_sweep(
         spec.scales_sq, spec.centers, spec.powers, weights, start,
-        0.2, 2000.0, 1e-10, 100000)
-    assert converged.all()
+        0.2, 2000.0, 1e-10, 100000, cusp_certificate(spec, weights))
+    assert (status == kern.CONVERGED).all()
     assert grad_norms.max() < 1e-10
     assert steps.max() < 1000
 
 
 def _descent_sweep_rowmajor(scales_sq, centers, powers, weights, start,
                             step0, decay_steps, grad_tol, max_steps):
-    """Reference for `descent_sweep_numpy`: one (n, M, L) array per step,
-    gathered from and scattered back to the outputs on every step."""
+    """Reference for `descent_sweep` without its early stops: one (n, M, L)
+    array per step, gathered from and scattered back to the outputs on
+    every step."""
     n_w, dim = start.shape
     points = start.copy()
     grad_norms = np.full(n_w, np.inf)
@@ -155,51 +138,96 @@ def _sweep_args(problem, weights, max_steps, start=None):
             0.2, 2000.0, 1e-8, max_steps)
 
 
+def _descend_and_check(args):
+    """Runs `descent_sweep` on `args` and checks it against the reference:
+    every weight that ran to convergence or to max_steps bitwise in all four
+    outputs, every weight stopped early against the reference run for as
+    many steps as it took, in its iterate and step count. Returns the
+    kernel's outputs."""
+    scales_sq, centers, powers, weights, start = args[:5]
+    max_steps = args[-1]
+    certified = cusp_certificate(NormPowerSpec(scales_sq, centers, powers), weights)
+    got = kern.descent_sweep(*args, certified)
+    points, grad_norms, steps, status = got
+    stopped = (status == kern.CUSP) | ((status == kern.DIVERGED) & (steps < max_steps))
+    full = ~stopped
+    want = _descent_sweep_rowmajor(*args)
+    _assert_bitwise_equal((points[full], grad_norms[full], steps[full],
+                           status[full] == kern.CONVERGED),
+                          tuple(out[full] for out in want))
+    if max_steps > 0:
+        ran_out = full & (status != kern.CONVERGED)
+        assert np.array_equal(status[ran_out] == kern.DIVERGED,
+                              ~np.isfinite(grad_norms[ran_out]))
+    for count in np.unique(steps[stopped]):
+        rows = np.nonzero(stopped & (steps == count))[0]
+        assert count > 0 and count % kern.CHECK_STEPS == 0
+        ref = _descent_sweep_rowmajor(scales_sq, centers, powers, weights[rows],
+                                      start[rows], *args[5:8], int(count))
+        _assert_bitwise_equal((points[rows], steps[rows]), (ref[0], ref[2]))
+        assert not ref[3].any()
+        for i in rows:
+            diff = points[i] - centers
+            near = certified[:, i] & ((scales_sq * diff * diff).sum(axis=1)
+                                      < kern.CUSP_RADIUS ** 2)
+            if status[i] == kern.CUSP:
+                assert near.any()
+            else:
+                assert not near.any() and not np.isfinite(grad_norms[i])
+    return got
+
+
 # skew-mmd:9 has enough objectives for numpy to sum the M terms pairwise.
 @pytest.mark.parametrize("name", PROBLEM_NAMES + ("skew-mmd:4", "skew-med:2", "skew-mmd:9"))
 def test_descent_sweep_matches_rowmajor_reference_bitwise(name):
     problem = get_problem(name)
     weights = triangular_lattice(problem.num_objectives, 60)
-    args = _sweep_args(problem, weights, 3000)
-    got = kern.descent_sweep_numpy(*args)
-    _assert_bitwise_equal(got, _descent_sweep_rowmajor(*args))
-    # Converged and non-converged weights both occur, except on the
-    # quadratic problem, where every descent converges.
-    assert got[3].any() and (name == "scaled-med" or not got[3].all())
+    points, grad_norms, steps, status = _descend_and_check(_sweep_args(problem, weights, 3000))
+    # Converged and cusp weights both occur, except on the quadratic
+    # problem, where every descent converges.
+    converged = status == kern.CONVERGED
+    assert converged.any() and (name == "scaled-med" or not converged.all())
+    assert (status == kern.CUSP).any() == (name != "scaled-med")
 
 
 @pytest.mark.parametrize("count,max_steps", [(0, 100), (60, 0), (60, 1)])
 def test_descent_sweep_edge_sizes_match_reference(count, max_steps):
     problem = get_problem("skew-3mmd")
     weights = triangular_lattice(3, 60)[:count]
-    args = _sweep_args(problem, weights, max_steps)
-    got = kern.descent_sweep_numpy(*args)
-    _assert_bitwise_equal(got, _descent_sweep_rowmajor(*args))
-    steps, converged = got[2], got[3]
+    points, grad_norms, steps, status = _descend_and_check(
+        _sweep_args(problem, weights, max_steps))
+    converged = status == kern.CONVERGED
     assert (steps[converged] == 0).all() and (steps[~converged] == max_steps).all()
+    assert (status[~converged] == kern.STALLED).all()
     assert converged.any() == (count > 0 and max_steps > 0)
 
 
 def test_descent_sweep_started_at_minimizers_stops_at_step_zero():
     problem = scaled_med()
     weights = triangular_lattice(3, 60)
-    args = _sweep_args(problem, weights, 100, start=scaled_med_pareto(weights))
-    got = kern.descent_sweep_numpy(*args)
-    _assert_bitwise_equal(got, _descent_sweep_rowmajor(*args))
-    assert got[3].all() and (got[2] == 0).all()
+    points, grad_norms, steps, status = _descend_and_check(
+        _sweep_args(problem, weights, 100, start=scaled_med_pareto(weights)))
+    assert (status == kern.CONVERGED).all() and (steps == 0).all()
 
 
 def test_descent_sweep_diverging_weight_is_silent_and_unconverged():
     # Lattice weight 88 of 1000 on skew-med:2 (about [0.912, 0.088])
-    # overflows to NaN well within 1000 steps.
+    # overflows to NaN well within the first CHECK_STEPS steps.
     problem = get_problem("skew-med:2")
     weights = triangular_lattice(2, 1000)[86:91]
     args = _sweep_args(problem, weights, 1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = kern.descent_sweep_numpy(*args)
+        got = kern.descent_sweep(*args, cusp_certificate(problem.norm_power, weights))
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_bitwise_equal(got, _descent_sweep_rowmajor(*args))
-    points, grad_norms, steps, converged = got
+        _descend_and_check(args)
+    points, grad_norms, steps, status = got
     assert np.isnan(points[2]).all() and np.isnan(grad_norms[2])
-    assert not converged[2] and steps[2] == 1000
+    assert status[2] == kern.DIVERGED and steps[2] == kern.CHECK_STEPS
+    assert (status[[0, 1, 3, 4]] != kern.DIVERGED).all()
+    # Running out of steps before the first check, it still ends diverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        points, grad_norms, steps, status = _descend_and_check(
+            _sweep_args(problem, weights, kern.CHECK_STEPS - 200))
+    assert status[2] == kern.DIVERGED and steps[2] == kern.CHECK_STEPS - 200
+    assert (status[[0, 1, 3, 4]] != kern.DIVERGED).all()

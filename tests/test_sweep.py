@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from bezier_mopt.problems import (get_problem, scaled_med, scaled_med_pareto,
-                                  skew_mmed)
-from bezier_mopt.sweep import (minimize_scalarizations, pareto_set_sweep,
-                               triangular_lattice)
+from bezier_mopt._kernels import CHECK_STEPS
+from bezier_mopt.problems import (NormPowerSpec, _norm_power_problem, evaluate_batch,
+                                  get_problem, scaled_med, scaled_med_pareto, skew_mmed)
+from bezier_mopt.simplex import sample_uniform_simplex
+from bezier_mopt.sweep import (cusp_certificate, minimize_scalarizations,
+                               pareto_set_sweep, triangular_lattice)
 
 
 def test_lattice_exact_size_without_thinning():
@@ -101,8 +103,127 @@ def test_stacked_lattices_split_into_their_own_sweeps_bitwise(name):
     head, tail = stacked.split(100)
     for part, alone in ((head, minimize_scalarizations(problem, population, max_steps=3000)),
                         (tail, pareto_set_sweep(problem, 300, max_steps=3000))):
-        for field in ("weights", "points", "grad_norms", "steps", "converged"):
+        for field in ("weights", "points", "grad_norms", "steps", "status", "converged"):
             value, expected = getattr(part, field), getattr(alone, field)
             assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes(), field
     if name == "skew-3mmd":
         assert not stacked.converged.all()
+
+
+def test_sweep_reports_a_status_per_weight():
+    # skew-med:2 at count 1000: lattice weight 88 overflows to NaN within
+    # 200 steps; every other weight converges or stops at a certified cusp.
+    result = pareto_set_sweep(get_problem("skew-med:2"), 1000)
+    status = result.status
+    assert np.array_equal(result.converged, status == "converged")
+    assert np.nonzero(status == "diverged")[0].tolist() == [88]
+    assert np.isnan(result.points[88]).all()
+    cusp = status == "cusp"
+    assert cusp.sum() == 141 and not (status == "stalled").any()
+    assert (result.steps[cusp] % CHECK_STEPS == 0).all()
+    assert (result.steps[~result.converged] < 100_000).all()
+    for part in result.split(500):
+        assert np.array_equal(part.converged, part.status == "converged")
+
+
+@pytest.mark.parametrize("max_steps,expected", [
+    (0, ["stalled", "stalled", "stalled"]),
+    (5, ["stalled", "stalled", "stalled"]),
+    (400, ["diverged", "converged", "converged"]),
+])
+def test_generic_descent_reports_the_family_kernels_statuses(max_steps, expected):
+    # Two quadratics on the line; the step 0.2 overshoots the steep one,
+    # so its weight's iterates grow like 39^k and overflow to NaN.
+    spec = NormPowerSpec(scales_sq=[[100.0], [1.0]], centers=[[0.0], [1.0]],
+                         powers=[2.0, 2.0])
+    problem = _spec_problem(spec)
+    stripped = problem.__class__(
+        name=problem.name, num_objectives=2, num_vars=1,
+        evaluate=problem.evaluate, jacobian=problem.jacobian, norm_power=None)
+    weights = np.array([[1.0, 0.0], [0.0, 1.0], [0.001, 0.999]])
+    start = np.array([[1.0], [0.0], [0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = minimize_scalarizations(problem, weights, start=start, max_steps=max_steps)
+        slow = minimize_scalarizations(stripped, weights, start=start, max_steps=max_steps)
+    assert fast.status.tolist() == slow.status.tolist() == expected
+
+
+def _is_local_minimizer(spec, t, x, eps=1e-7, count=2000, seed=0):
+    """Brute-force probe: f(x) <= f(x + eps d) for `count` unit directions d
+    (random ones plus the coordinate axes), f the scalarization sum_m t_m f_m."""
+    problem = _spec_problem(spec)
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(count, len(x)))
+    dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                      np.eye(len(x)), -np.eye(len(x))])
+    here = evaluate_batch(problem, x[None, :]) @ t
+    return bool((evaluate_batch(problem, x + eps * dirs) @ t >= here).all())
+
+
+def _spec_problem(spec):
+    return _norm_power_problem("probe", spec)
+
+
+def _dual_ratio(spec, t, m):
+    """||A_m^{-1} g_rest(c_m)|| / t_m, computed per objective."""
+    problem = _spec_problem(spec)
+    jac = problem.jacobian(spec.centers[m])
+    g_rest = sum(t[j] * jac[j] for j in range(len(t)) if j != m)
+    return np.linalg.norm(g_rest / np.sqrt(spec.scales_sq[m])) / t[m] if t[m] > 0 else np.inf
+
+
+# Centers with q <= 1 of each case, and the outcomes the weights below reach
+# there: certified at q < 1 and at q = 1 (pass), not certified at t_m = 0,
+# at q = 1 (fail) and where A_m is singular.
+CERTIFICATE_CASES = {
+    "skew-3mmd": (None, {"q<1", "t=0", "q=1 pass", "q=1 fail"}),
+    "skew-3med": (None, {"q<1", "t=0"}),
+    "anisotropic": (NormPowerSpec(scales_sq=[[1.0, 4.0], [0.25, 1.0]],
+                                  centers=[[0.0, 0.0], [1.0, 1.0]], powers=[1.0, 0.5]),
+                    {"q<1", "t=0", "q=1 pass", "q=1 fail"}),
+    "singular": (NormPowerSpec(scales_sq=[[1.0, 0.0], [1.0, 1.0]],
+                               centers=[[0.0, 0.0], [1.0, 1.0]], powers=[0.5, 1.0]),
+                 {"singular", "t=0", "q=1 pass", "q=1 fail"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_CASES))
+def test_cusp_certificate_matches_brute_force_local_minimality(name):
+    spec, expected_cases = CERTIFICATE_CASES[name]
+    if spec is None:
+        spec = get_problem(name).norm_power
+    m_obj = spec.powers.size
+    weights = np.vstack([sample_uniform_simplex(m_obj, 60, 5),
+                         np.eye(m_obj),                                  # t_m = 1
+                         (1.0 - np.eye(m_obj)) / (m_obj - 1)])           # t_m = 0
+    cert = cusp_certificate(spec, weights)
+    assert cert.shape == (m_obj, len(weights))
+    assert not cert[spec.powers > 1.0].any()
+    seen = set()
+    for i, t in enumerate(weights):
+        for m in np.nonzero(spec.powers <= 1.0)[0]:
+            # For q < 1, t_m r^q outgrows the other terms' linear growth
+            # only for r < (t_m / |g_rest|)^(1 / (1 - q)): probe closer.
+            eps = 1e-12 if spec.powers[m] < 1.0 else 1e-7
+            if (spec.scales_sq[m] == 0.0).any():
+                case = "singular"
+                if t[m] == 1.0:
+                    # f_m alone is flat along the null space of A_m: a
+                    # minimizer, but not an isolated one.
+                    assert not cert[m, i]
+                    continue
+            elif t[m] == 0.0:
+                case = "t=0"
+            elif spec.powers[m] < 1.0:
+                if t[m] < 0.05:
+                    continue  # basin narrower than the probe step
+                case = "q<1"
+            else:
+                ratio = _dual_ratio(spec, t, m)
+                if abs(ratio - 1.0) < 0.2:
+                    continue  # too close to the boundary for a finite probe
+                case = "q=1 pass" if ratio < 1.0 else "q=1 fail"
+            assert cert[m, i] == _is_local_minimizer(spec, t, spec.centers[m], eps), (i, m, case)
+            assert cert[m, i] == (case in ("q<1", "q=1 pass")), (i, m, case)
+            seen.add(case)
+    assert seen == expected_cases
