@@ -227,20 +227,12 @@ def _experiment_trial(job: dict) -> list[dict]:
     each trial's requested metrics. Returns one plain dict per trial so the
     worker pool can ship the rows across processes."""
     problem = get_problem(job["problem"])
-    solver_cfg = SolverConfig(
-        num_samples=job["num_samples"],
-        num_iterations=job["iterations"],
-        degree=job["degree"],
-        seed=0,
-        step_schedule=job["schedule"],
-        initial_control_points=job["initial_control_points"],
-        resample_retries=job["resample_retries"],
-    )
+    solver_cfg = job["config"]
     trials = job["trials"]
     outcomes = run_surface_gd_trials(problem, solver_cfg, [seed for _, seed in trials])
     rows = []
     for (trial, seed), outcome in zip(trials, outcomes):
-        row = {"problem": job["problem"], "n": job["num_samples"],
+        row = {"problem": job["problem"], "n": solver_cfg.num_samples,
                "trial": trial, "seed": seed, "status": "ok", "error": ""}
         rows.append(row)
         if isinstance(outcome, SolverAbort):
@@ -307,15 +299,19 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
         raise ConfigError("validation count must be >= 1")
     if "mse" in metric_names and problem.pareto_map is None:
         raise ConfigError(f"problem {problem.name} has no analytical map for mse")
+    # One validated configuration per sample count; its seed is unused, as
+    # each trial runs with its own.
+    cell_configs = []
     for n in n_values:
-        probe = SolverConfig(num_samples=int(n), num_iterations=iterations,
-                             degree=degree, seed=0, step_schedule=schedule,
-                             initial_control_points=initial_control_points,
-                             resample_retries=resample_retries)
+        config = SolverConfig(num_samples=int(n), num_iterations=iterations,
+                              degree=degree, seed=0, step_schedule=schedule,
+                              initial_control_points=initial_control_points,
+                              resample_retries=resample_retries)
         try:
-            probe.validate(problem)
+            config.validate(problem)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        cell_configs.append(config)
     validation_points = None
     if "gd" in metric_names or "igd" in metric_names:
         sweep = pareto_set_sweep(problem, validation_count,
@@ -326,16 +322,11 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
                    for trial in range(trials)]
     chunks = np.array_split(np.arange(trials), min(max(threads, 1), trials))
     jobs = []
-    for n in n_values:
+    for config in cell_configs:
         for chunk in chunks:
             jobs.append({
                 "problem": problem.name,
-                "num_samples": int(n),
-                "iterations": iterations,
-                "degree": degree,
-                "schedule": schedule,
-                "resample_retries": resample_retries,
-                "initial_control_points": initial_control_points,
+                "config": config,
                 "trials": [trial_seeds[trial] for trial in chunk],
                 "metrics": metric_names,
                 "mse_samples": mse_samples,
@@ -435,6 +426,12 @@ def cmd_baseline(args) -> int:
     out_dir = _pick(args, cfg, "out_dir", ".")
     if population < 1:
         raise ConfigError("population must be >= 1")
+    settings = {"grad_tol": _pick(args, cfg, "grad_tol", DEFAULT_GRAD_TOL, float),
+                "max_steps": _pick(args, cfg, "max_steps", DEFAULT_MAX_STEPS, int)}
+    if not 0.0 < settings["grad_tol"] < np.inf:
+        raise ConfigError(f"grad_tol must be positive and finite, got {settings['grad_tol']}")
+    if settings["max_steps"] < 1:
+        raise ConfigError(f"max_steps must be >= 1, got {settings['max_steps']}")
     validation_count = None
     if "gd" in metric_names or "igd" in metric_names:
         validation_count = _pick(args, cfg, "validation_count", 1000, int)
@@ -450,8 +447,6 @@ def cmd_baseline(args) -> int:
                 raise ConfigError(f"cannot read comparison file {compare_with}: {err}") from err
     os.makedirs(out_dir, exist_ok=True)
 
-    settings = {"grad_tol": _pick(args, cfg, "grad_tol", DEFAULT_GRAD_TOL, float),
-                "max_steps": _pick(args, cfg, "max_steps", DEFAULT_MAX_STEPS, int)}
     lattice = triangular_lattice(problem.num_objectives, population)
     # The validation set is always swept with the default settings. When the
     # population lattice is too, both lattices descend in one call.
@@ -558,8 +553,12 @@ def _read_points_csv(path) -> np.ndarray:
     if not cols:
         cols = list(range(len(header)))
     rows = []
-    for parsed in reader:
-        rows.append([float(parsed[i]) for i in cols])
+    for number, parsed in enumerate(reader, start=1):
+        try:
+            rows.append([float(parsed[i]) for i in cols])
+        except (IndexError, ValueError) as err:
+            raise ConfigError(f"{path}: data row {number} is not {len(cols)} "
+                              f"numbers: {err}") from err
     if not rows:
         raise ConfigError(f"{path} holds no data rows")
     return np.array(rows)

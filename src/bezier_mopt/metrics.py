@@ -42,21 +42,9 @@ def _as_points(value) -> np.ndarray:
 
 
 def _apply_map(pareto_map, weights: np.ndarray) -> np.ndarray:
-    """Evaluate a weight-to-minimizer map on a batch.
-
-    Prefers one vectorized call when the map handles (n, M) input; the
-    batch result is accepted only if it matches a per-point evaluation on
-    the first row, otherwise every row is mapped individually.
-    """
-    try:
-        out = np.asarray(pareto_map(weights), dtype=np.float64)
-    except Exception:
-        out = None
-    if (out is not None and out.ndim == 2 and out.shape[0] == weights.shape[0]
-            and np.allclose(out[0], np.asarray(pareto_map(weights[0]), dtype=np.float64),
-                            rtol=1e-12, atol=1e-12)):
-        return out
-    return np.stack([np.asarray(pareto_map(t), dtype=np.float64) for t in weights])
+    """Evaluate a weight-to-minimizer map on an (n, M) batch in one call;
+    `Problem.pareto_map` accepts batches."""
+    return np.asarray(pareto_map(weights), dtype=np.float64)
 
 
 def loss(model: BezierSimplex, t, pareto_map) -> float:

@@ -63,7 +63,7 @@ class Problem:
     `pareto_map`, when present, sends a weight vector to the minimizer of
     the corresponding weighted-sum scalarization; it accepts a single
     weight (M,) or a batch (n, M). `norm_power` carries the family
-    parameters that enable vectorized and jitted fast paths.
+    parameters that enable the vectorized fast paths.
     """
 
     name: str

@@ -385,6 +385,23 @@ def test_baseline_non_json_comparison_file_exits_2_before_the_sweep(tmp_path, ca
     assert not (tmp_path / "out" / "baseline_report.json").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grad-tol", "nan"], ["--grad-tol", "0"], ["--grad-tol=-1e-8"],
+    ["--grad-tol", "inf"], ["--max-steps", "0"], ["--max-steps=-1"],
+], ids=["tol-nan", "tol-0", "tol-negative", "tol-inf", "steps-0", "steps-negative"])
+def test_baseline_bad_descent_settings_exit_2_before_the_sweep(flags, tmp_path, capsys,
+                                                               monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(cli, "minimize_scalarizations", no_sweep)
+    code, out, err = run_cli(
+        capsys, "baseline", "--problem", "scaled-med", "--population", "100",
+        "--out-dir", str(tmp_path), *flags)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "config"
+
+
 def test_baseline_stacked_lattices_match_separate_sweeps(tmp_path, capsys, monkeypatch):
     # With the default descent settings the population and validation
     # lattices descend in one call; a max-steps no scaled-med weight reaches
@@ -428,6 +445,21 @@ def test_metrics_between_files(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "metrics", "--metric", "igd", "--x-file",
                            str(x), "--y-file", str(y))
     assert json.loads(out)["value"] == 0.0
+
+
+@pytest.mark.parametrize("metric", ["gd", "igd"])
+@pytest.mark.parametrize("text", [
+    "x_1,x_2\n0.0,0.0\n1,abc\n", "x_1,x_2\n0.0,0.0\n1\n", "a,b\n0.0,\n",
+], ids=["non-numeric", "short-row", "empty-cell"])
+def test_metrics_malformed_csv_exits_2(metric, text, tmp_path, capsys):
+    x = tmp_path / "x.csv"
+    y = tmp_path / "y.csv"
+    x.write_text(text)
+    y.write_text("x_1,x_2\n0.0,0.0\n")
+    code, out, err = run_cli(capsys, "metrics", "--metric", metric, "--x-file",
+                             str(x), "--y-file", str(y))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "config"
 
 
 def test_metrics_mse_against_model(tmp_path, capsys):
@@ -502,8 +534,7 @@ def test_console_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "bezier_mopt.cli", "solve", "--problem",
          "scaled-med", "--n", "15", "--k", "5", "--seed", "0", "--out",
          str(model_path)],
-        capture_output=True, text=True,
-        env={**os.environ, "BEZIER_MOPT_NUMBA": "0"})
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert model_path.exists()
 

@@ -1,14 +1,16 @@
-"""Cross-checks between the numba kernels and their numpy fallbacks, and
-between the coordinate-major descent and its row-major reference.
+"""Checks of the numpy kernels against plain per-element loops, and of the
+coordinate-major descent against its row-major reference.
 
-The numba and numpy paths share per-element arithmetic but SIMD pow can
-differ from libm pow in the last ulps, so agreement is asserted at rtol
-1e-12 rather than bitwise. Distance kernels involve no transcendentals
-beyond sqrt and agree exactly on low dimensions. The descent performs the
-same operations per element in the same order as its reference, so the
-two must agree bit for bit; a weight the descent stops early agrees with
-the reference run for as many steps as it took.
+The design oracle multiplies the same factors in the same order, but numpy's
+vectorized ``pow`` may round the last bit differently from Python's scalar
+``pow``, so agreement is asserted at rtol 1e-12 rather than bitwise. The
+distance oracle sums the same squares in the same order and involves no
+transcendental beyond sqrt, so it agrees exactly. The descent performs the
+same operations per element in the same order as its reference, so the two
+must agree bit for bit; a weight the descent stops early agrees with the
+reference run for as many steps as it took.
 """
+import math
 import warnings
 
 import numpy as np
@@ -20,33 +22,51 @@ from bezier_mopt.problems import (PROBLEM_NAMES, NormPowerSpec, get_problem,
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
 from bezier_mopt.sweep import cusp_certificate, triangular_lattice
 
-needs_numba = pytest.mark.skipif(not kern.NUMBA_ENABLED,
-                                 reason="numba path not enabled")
-
 
 def _basis_arrays(m, d):
     basis = enumerate_multi_indices(m, d)
     return basis.exponents.astype(np.float64), basis.coefficients
 
 
-@needs_numba
-def test_bernstein_design_paths_agree():
+def _bernstein_design_loop(weights, exponents, coefficients):
+    out = np.empty((weights.shape[0], exponents.shape[0]))
+    for n in range(weights.shape[0]):
+        for j in range(exponents.shape[0]):
+            acc = coefficients[j]
+            for m in range(weights.shape[1]):
+                acc *= weights[n, m] ** exponents[j, m]
+            out[n, j] = acc
+    return out
+
+
+def _min_distances_loop(points, references):
+    out = np.empty(points.shape[0])
+    for i in range(points.shape[0]):
+        best = math.inf
+        for j in range(references.shape[0]):
+            d2 = 0.0
+            for l in range(points.shape[1]):
+                diff = points[i, l] - references[j, l]
+                d2 += diff * diff
+            best = min(best, d2)
+        out[i] = math.sqrt(best)
+    return out
+
+
+def test_bernstein_design_matches_loop_oracle():
     for m, d in [(2, 2), (3, 3), (4, 5)]:
         expf, coeff = _basis_arrays(m, d)
         weights = np.vstack([sample_uniform_simplex(m, 500, 42 + m), np.eye(m)])
-        a = kern.bernstein_design_numpy(weights, expf, coeff)
-        b = kern.bernstein_design_numba(weights, expf, coeff)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(kern.bernstein_design(weights, expf, coeff),
+                                   _bernstein_design_loop(weights, expf, coeff),
+                                   rtol=1e-12, atol=1e-300)
 
 
-@needs_numba
-def test_min_distances_paths_agree_exactly():
+def test_min_distances_matches_loop_oracle_exactly():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(200, 3))
     y = rng.normal(size=(150, 3))
-    a = kern.min_distances_numpy(x, y)
-    b = kern.min_distances_numba(x, y)
-    assert np.array_equal(a, b)
+    assert np.array_equal(kern.min_distances(x, y), _min_distances_loop(x, y))
 
 
 def test_design_kernel_rows_sum_to_one():

@@ -66,9 +66,9 @@ def test_loss_invariant_under_joint_row_permutation():
 
 def test_mse_exact_model_is_zero():
     model = fitted_to_map()
-    # the analytic map is not polynomial, but a model interpolating its own
-    # samples has zero mse against itself as the map
-    value = mse(model, lambda t: model.evaluate(t), count=500, seed=1)
+    # the analytic map is not polynomial, but a model has zero mse against
+    # itself as the map (maps take (n, M) batches)
+    value = mse(model, model.evaluate_batch, count=500, seed=1)
     assert value < 1e-28
 
 
