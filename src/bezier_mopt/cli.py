@@ -3,9 +3,15 @@
 Subcommands: solve (one optimizer run), experiment (multi-trial metric
 sweeps), baseline (scalarization-sweep pipeline), sample (draw points from
 a model file), metrics (indicators between files), diagnostics (stability
-probes). Batch-oriented: configuration comes from an optional JSON config
-file plus flags, flags win. Exit codes: 0 success, 2 configuration error,
-3 runtime or numerical failure; failures emit one JSON object on stderr.
+probes). Every option is declared once, in OPTIONS: its flag, its
+config-file key, its type, its default, its lowest allowed value and the
+subcommands that read it. solve, experiment, baseline and diagnostics also
+take `--config`, a JSON object keyed by option names (`iterations` for
+`--k`, `num_samples` for `--n`). A value comes from the flag if given, else
+from the config file, else from the table; a config value is parsed as the
+same text given as the flag would be, and an unknown key is rejected. Exit
+codes: 0 success, 2 configuration error, 3 runtime or numerical failure;
+failures emit one JSON object on stderr.
 
 The trials of each experiment sample count run as one lockstep stack. With
 a worker pool the stack is split into one contiguous chunk per worker; the
@@ -30,13 +36,15 @@ from .diagnostics import (perturbation_csv_rows, perturbation_experiment,
                           repeat_generalization_gap, stability_summary)
 from .metrics import gd, igd, model_samples, mse
 from .problems import get_problem
-from .simplex import sample_uniform_simplex
+from .simplex import enumerate_multi_indices, sample_uniform_simplex
 from .solver import (METRIC_STREAM, TRIAL_STREAM, SolverAbort, SolverConfig,
                      derive_seed, run_surface_gd, run_surface_gd_trials)
 from .sweep import (DEFAULT_GRAD_TOL, DEFAULT_MAX_STEPS, pareto_set_sweep,
                     triangular_lattice, minimize_scalarizations)
 
-KNOWN_METRICS = ("mse", "gd", "igd", "diagnostics")
+# Each metric an experiment can report, with the trials.csv columns it fills.
+METRIC_COLUMNS = {"mse": ["mse"], "gd": ["gd"], "igd": ["igd"], "diagnostics": [
+    "lambda_min_min", "ztg_norm_max", "ztg_bound_ok", "basis_norm_ok"]}
 
 
 class ConfigError(ValueError):
@@ -80,38 +88,19 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
+def _read_json(path, what: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from err
+            return json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+
+
+def _load_config_file(path) -> dict:
+    doc = {} if path is None else _read_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
-
-
-def _pick(args, cfg: dict, key: str, default=None, kind=None):
-    """Flag value if given, else config-file value, else default; passed
-    through `kind` when given, a value it rejects being a ConfigError."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = cfg.get(key, default)
-    if kind is None or value is None:
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from err
-
-
-def _root_seed(args, cfg) -> int:
-    seed = _pick(args, cfg, "seed", 0, int)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 def _load_model_file(path) -> BezierSimplex:
@@ -121,42 +110,32 @@ def _load_model_file(path) -> BezierSimplex:
         raise ConfigError(f"cannot load model {path}: {err}") from err
 
 
-def _initial_control_points(args, cfg):
-    """Control points of the --initial-model file, or None to start from
-    the zero model."""
-    initial = _pick(args, cfg, "initial_model")
-    if initial in (None, "zero"):
-        return None
-    return _load_model_file(initial).control_points
+def _initial_control_points(path):
+    """Control points of an --initial-model file; None for "zero"."""
+    return None if path == "zero" else _load_model_file(path).control_points
 
 
-def _thread_count(args, cfg) -> int:
+def _thread_count(threads: int) -> int:
     env = os.environ.get("BEZIER_MOPT_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"BEZIER_MOPT_THREADS={env!r} is not an integer")
-    return max(1, _pick(args, cfg, "threads", os.cpu_count() or 1, int))
+    return threads
 
 
-def _parse_int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    try:
-        return [int(part) for part in str(text).split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_metrics(value) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        names = [str(v).strip().lower() for v in value]
-    else:
-        names = [part.strip().lower() for part in str(value).split(",") if part.strip()]
+def _parse_metrics(value, known=METRIC_COLUMNS) -> list[str]:
+    """Metric names from a comma list or a sequence, each one of `known`."""
+    parts = value.split(",") if isinstance(value, str) else value
+    names = [str(part).strip().lower() for part in parts if str(part).strip()]
     for name in names:
-        if name not in KNOWN_METRICS:
-            raise ConfigError(f"unknown metric {name!r}; known: {', '.join(KNOWN_METRICS)}")
+        if name not in known:
+            raise ConfigError(f"unknown metric {name!r}; known: {', '.join(known)}")
     return names
 
 
@@ -167,16 +146,116 @@ def _resolve_problem(name):
         raise ConfigError(str(err)) from err
 
 
-def _solver_config(args, cfg, seed, num_samples) -> SolverConfig:
-    return SolverConfig(
-        num_samples=int(num_samples),
-        num_iterations=_pick(args, cfg, "iterations", 1000, int),
-        degree=_pick(args, cfg, "degree", 3, int),
-        seed=int(seed),
-        step_schedule=str(_pick(args, cfg, "schedule", "1/k")),
-        initial_control_points=_initial_control_points(args, cfg),
-        resample_retries=_pick(args, cfg, "resample_retries", 5, int),
-    )
+# ---------------------------------------------------------------------------
+# The option table and its resolver.
+# ---------------------------------------------------------------------------
+
+SOLVERS = ("solve", "experiment", "diagnostics")
+CONFIGURED = SOLVERS + ("baseline",)
+# One row per option: flag, config-file key (the argparse dest), type,
+# default, lowest allowed value (None: unchecked), subcommands, help. The
+# int and float flags are typed by argparse; any other type converts the
+# flag text after parsing, and a tuple type lists the choices. A default of
+# ... marks a required flag, which a config file cannot give.
+OPTIONS = (
+    ("--config", "config", str, None, None, CONFIGURED, "JSON config file; flags override it"),
+    ("--mode", "mode", ("perturb", "gengap"), ..., None, ("diagnostics",), "probe to run"),
+    ("--metric", "metric", ("gd", "igd", "mse"), ..., None, ("metrics",), "indicator"),
+    ("--problem", "problem", str, None, None, ("solve", "experiment", "baseline", "metrics"),
+     "problem registry name"),
+    ("--problem", "problem", str, "scaled-med", None, ("diagnostics",), "problem registry name"),
+    ("--n", "num_samples", _int_list, [30], None, SOLVERS,
+     "samples per iteration; experiment takes a comma list"),
+    ("--n", "n", int, ..., 1, ("sample",), "rows to draw"),
+    ("--k", "iterations", int, 1000, 1, SOLVERS, "iteration count"),
+    ("--degree", "degree", int, 3, 1, CONFIGURED, "model degree"),
+    ("--seed", "seed", int, 0, 0, CONFIGURED + ("sample", "metrics"), "root seed"),
+    ("--schedule", "schedule", str, "1/k", None, SOLVERS, 'step schedule: "1/k" or "const:<v>"'),
+    ("--resample-retries", "resample_retries", int, 5, 0, SOLVERS, "redraws of a singular sample"),
+    ("--initial-model", "initial_model", str, "zero", None, SOLVERS, 'start model JSON or "zero"'),
+    ("--trials", "trials", int, 20, 1, ("experiment", "diagnostics"), "seeded trials"),
+    ("--metrics", "metrics", _parse_metrics, ["mse"], None, ("experiment", "baseline"),
+     "comma list of mse, gd, igd and (experiment only) diagnostics"),
+    ("--mse-samples", "mse_samples", int, 10000, 1, ("experiment", "baseline"), "mse weights"),
+    ("--validation-count", "validation_count", int, 1000, 1, ("experiment", "baseline"),
+     "weights of the gd/igd validation sweep"),
+    ("--threads", "threads", int, os.cpu_count() or 1, 1, ("experiment",), "worker processes"),
+    ("--population", "population", int, 100, 1, ("baseline",), "lattice size"),
+    ("--grad-tol", "grad_tol", float, DEFAULT_GRAD_TOL, np.finfo(float).tiny, ("baseline",),
+     "gradient norm at which a weight's descent has converged"),
+    ("--max-steps", "max_steps", int, DEFAULT_MAX_STEPS, 1, ("baseline",), "steps per weight"),
+    ("--compare-with", "compare_with", str, None, None, ("baseline",), "aggregate JSON to embed"),
+    ("--perturb-iteration", "perturb_iteration", int, None, 1, ("diagnostics",),
+     "iteration whose sample gets one weight replaced (default: k // 2)"),
+    ("--repeats", "repeats", int, 10, 1, ("diagnostics",), "perturbations"),
+    ("--grid-version", "grid_version", str, "v1", None, ("diagnostics",), "sup-gap weight grid"),
+    ("--holdout", "holdout", int, 10000, 1, ("diagnostics",), "held-out weights"),
+    ("--model", "model", str, ..., None, ("sample",), "model JSON"),
+    ("--model", "model", str, None, None, ("metrics",), "model JSON"),
+    ("--x-file", "x_file", str, None, None, ("metrics",), "points CSV"),
+    ("--y-file", "y_file", str, None, None, ("metrics",), "reference points CSV"),
+    ("--count", "count", int, 10000, 1, ("metrics",), "mse weights"),
+    ("--out", "out", str, ..., None, ("solve", "sample"), "output path"),
+    ("--out", "out", str, None, None, ("metrics",), "report JSON output path"),
+    ("--trace", "trace", str, None, None, ("solve",), "trace JSON output path"),
+    ("--out-dir", "out_dir", str, ".", None, ("experiment", "baseline", "diagnostics"),
+     "output directory"),
+)
+# Table defaults by config key; run_experiment takes its defaults from here.
+DEFAULTS = {dest: default for _, dest, _, default, *_ in OPTIONS}
+
+
+def _flag_text(key, value) -> str:
+    """A config-file value as flag text: a string as it is, a list of
+    sample counts or metrics as a comma list, anything else as JSON."""
+    if isinstance(value, list) and key in ("num_samples", "metrics"):
+        return ",".join(_flag_text(None, item) for item in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Sets every option of `args.command` to its flag value if given, else
+    its config-file value, else its table default. A given value is
+    converted by the row's type and checked against its lowest value."""
+    rows = [row for row in OPTIONS if args.command in row[5]]
+    cfg = _load_config_file(getattr(args, "config", None))
+    keys = sorted(row[1] for row in rows if row[1] != "config" and row[3] is not ...)
+    unknown = sorted(set(cfg).difference(keys))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown} for {args.command}; "
+                          f"known: {', '.join(keys)}")
+    for _, dest, kind, default, lowest, *_ in rows:
+        value = getattr(args, dest)
+        if value is None and dest in cfg:
+            value = _flag_text(dest, cfg[dest])
+        if isinstance(value, str) and "\0" in value:
+            raise ConfigError(f"{dest} holds a NUL character")
+        if value is None:
+            value = default
+        elif not isinstance(kind, tuple):
+            try:
+                value = kind(value)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"{dest}: cannot read {value!r}: {err}") from err
+            if lowest is not None and not lowest <= value < np.inf:
+                raise ConfigError(f"{dest} must be a finite number >= {lowest}, got {value!r}")
+        setattr(args, dest, value)
+    return args
+
+
+def _solver_config(ns, problem) -> SolverConfig:
+    """The validated configuration of a single run (solve, diagnostics)."""
+    if len(ns.num_samples) != 1:
+        raise ConfigError(f"{ns.command} takes one sample count, got {ns.num_samples}")
+    config = SolverConfig(
+        num_samples=ns.num_samples[0], num_iterations=ns.iterations, degree=ns.degree,
+        seed=ns.seed, step_schedule=ns.schedule, resample_retries=ns.resample_retries,
+        initial_control_points=_initial_control_points(ns.initial_model))
+    try:
+        config.validate(problem)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return config
 
 
 def _model_payload(model: BezierSimplex, config_echo: dict) -> dict:
@@ -190,17 +269,9 @@ def _model_payload(model: BezierSimplex, config_echo: dict) -> dict:
 # solve
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args) -> int:
-    cfg = _load_config_file(args.config)
-    problem = _resolve_problem(_pick(args, cfg, "problem"))
-    seed = _pick(args, cfg, "seed", 0, int)
-    num_samples = _pick(args, cfg, "num_samples", 30, int)
-    solver_cfg = _solver_config(args, cfg, seed, num_samples)
-    try:
-        solver_cfg.validate(problem)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
+def cmd_solve(ns) -> int:
+    problem = _resolve_problem(ns.problem)
+    solver_cfg = _solver_config(ns, problem)
     try:
         model, record = run_surface_gd(problem, solver_cfg)
     except SolverAbort as err:
@@ -208,13 +279,13 @@ def cmd_solve(args) -> int:
 
     echo = solver_cfg.echo()
     echo["problem"] = problem.name
-    write_json(args.out, _model_payload(model, echo))
-    if args.trace is not None:
+    write_json(ns.out, _model_payload(model, echo))
+    if ns.trace is not None:
         trace = record.to_dict()
         trace["version"] = __version__
         trace["footer"]["problem"] = problem.name
-        write_json(args.trace, trace)
-    print(f"wrote model to {args.out}")
+        write_json(ns.trace, trace)
+    print(f"wrote model to {ns.out}")
     return 0
 
 
@@ -253,33 +324,17 @@ def _experiment_trial(job: dict) -> list[dict]:
                 row["igd"] = igd(samples, reference)
         if "diagnostics" in job["metrics"]:
             summary = stability_summary(record)
-            row["lambda_min_min"] = summary["lambda_min_min"]
-            row["ztg_norm_max"] = summary["ztg_norm_max"]
-            row["ztg_bound_ok"] = summary["ztg_bound_ok"]
-            row["basis_norm_ok"] = summary["basis_norm_ok"]
+            row.update({column: summary[column] for column in METRIC_COLUMNS["diagnostics"]})
     return rows
 
 
-def _metric_columns(metric_names) -> list[str]:
-    cols = []
-    if "mse" in metric_names:
-        cols.append("mse")
-    if "gd" in metric_names:
-        cols.append("gd")
-    if "igd" in metric_names:
-        cols.append("igd")
-    if "diagnostics" in metric_names:
-        cols += ["lambda_min_min", "ztg_norm_max", "ztg_bound_ok", "basis_norm_ok"]
-    return cols
-
-
 def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
-                   metric_names, iterations: int = 1000, degree: int = 3,
-                   schedule: str = "1/k", resample_retries: int = 5,
-                   mse_samples: int = 10000, validation_count: int = 1000,
-                   threads: int = 1, initial_control_points=None,
-                   sweep_grad_tol: float = DEFAULT_GRAD_TOL,
-                   sweep_max_steps: int = DEFAULT_MAX_STEPS) -> dict:
+                   metric_names, iterations: int = DEFAULTS["iterations"],
+                   degree: int = DEFAULTS["degree"], schedule: str = DEFAULTS["schedule"],
+                   resample_retries: int = DEFAULTS["resample_retries"],
+                   mse_samples: int = DEFAULTS["mse_samples"],
+                   validation_count: int = DEFAULTS["validation_count"],
+                   threads: int = 1, initial_control_points=None) -> dict:
     """Library entry point behind `experiment`: runs the full grid and
     returns {"rows": per-trial dicts, "aggregate": summary dict}.
 
@@ -289,14 +344,10 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
     stack per worker; the rows are the same either way."""
     problem = _resolve_problem(problem_name)
     metric_names = _parse_metrics(metric_names)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if not n_values:
-        raise ConfigError("at least one sample count is required")
-    if mse_samples < 1:
-        raise ConfigError("mse samples must be >= 1")
-    if validation_count < 1:
-        raise ConfigError("validation count must be >= 1")
+    for name, count in (("trials", trials), ("sample counts", len(n_values)),
+                        ("mse_samples", mse_samples), ("validation_count", validation_count)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count}")
     if "mse" in metric_names and problem.pareto_map is None:
         raise ConfigError(f"problem {problem.name} has no analytical map for mse")
     # One validated configuration per sample count; its seed is unused, as
@@ -314,9 +365,7 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
         cell_configs.append(config)
     validation_points = None
     if "gd" in metric_names or "igd" in metric_names:
-        sweep = pareto_set_sweep(problem, validation_count,
-                                 grad_tol=sweep_grad_tol, max_steps=sweep_max_steps)
-        validation_points = sweep.converged_points.tolist()
+        validation_points = pareto_set_sweep(problem, validation_count).converged_points.tolist()
 
     trial_seeds = [(trial, derive_seed(root_seed, TRIAL_STREAM, trial))
                    for trial in range(trials)]
@@ -361,50 +410,35 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
     return {"rows": rows, "aggregate": aggregate}
 
 
-def cmd_experiment(args) -> int:
-    cfg = _load_config_file(args.config)
-    problem_name = str(_pick(args, cfg, "problem"))
-    n_values = _parse_int_list(_pick(args, cfg, "num_samples", "30"))
-    trials = _pick(args, cfg, "trials", 20, int)
-    root_seed = _root_seed(args, cfg)
-    metric_names = _parse_metrics(_pick(args, cfg, "metrics", "mse"))
-    initial_control_points = _initial_control_points(args, cfg)
-    out_dir = _pick(args, cfg, "out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
-
-    config_echo = {
-        "command": "experiment", "version": __version__,
-        "problem": problem_name, "n_values": n_values, "trials": trials,
-        "seed": root_seed, "metrics": metric_names,
-        "iterations": _pick(args, cfg, "iterations", 1000, int),
-        "degree": _pick(args, cfg, "degree", 3, int),
-        "schedule": str(_pick(args, cfg, "schedule", "1/k")),
-        "mse_samples": _pick(args, cfg, "mse_samples", 10000, int),
-        "validation_count": _pick(args, cfg, "validation_count", 1000, int),
-    }
+def cmd_experiment(ns) -> int:
+    initial_control_points = _initial_control_points(ns.initial_model)
+    os.makedirs(ns.out_dir, exist_ok=True)
+    config_echo = {key: getattr(ns, key) for key in (
+        "problem", "trials", "seed", "metrics", "iterations", "degree", "schedule",
+        "mse_samples", "validation_count")}
+    config_echo.update(command="experiment", version=__version__, n_values=ns.num_samples)
     if initial_control_points is not None:
-        config_echo["initial_model"] = str(_pick(args, cfg, "initial_model"))
+        config_echo["initial_model"] = ns.initial_model
     try:
         result = run_experiment(
-            problem_name, n_values, trials, root_seed, metric_names,
-            iterations=config_echo["iterations"], degree=config_echo["degree"],
-            schedule=config_echo["schedule"],
-            resample_retries=_pick(args, cfg, "resample_retries", 5, int),
-            mse_samples=config_echo["mse_samples"],
-            validation_count=config_echo["validation_count"],
-            threads=_thread_count(args, cfg),
+            ns.problem, ns.num_samples, ns.trials, ns.seed, ns.metrics,
+            iterations=ns.iterations, degree=ns.degree, schedule=ns.schedule,
+            resample_retries=ns.resample_retries, mse_samples=ns.mse_samples,
+            validation_count=ns.validation_count, threads=_thread_count(ns.threads),
             initial_control_points=initial_control_points)
     except (SolverAbort, ValueError) as err:
         if isinstance(err, (ConfigError,)):
             raise
         raise PipelineError(str(err)) from err
 
-    columns = ["problem", "n", "trial", "seed", "status"] + _metric_columns(metric_names) + ["error"]
-    csv_path = os.path.join(out_dir, "trials.csv")
+    columns = ["problem", "n", "trial", "seed", "status"]
+    columns += [column for name, names in METRIC_COLUMNS.items() if name in ns.metrics
+                for column in names] + ["error"]
+    csv_path = os.path.join(ns.out_dir, "trials.csv")
     write_csv(csv_path, columns,
               [[row.get(c, "") for c in columns] for row in result["rows"]],
               preamble=config_echo)
-    agg_path = os.path.join(out_dir, "aggregate.json")
+    agg_path = os.path.join(ns.out_dir, "aggregate.json")
     payload = result["aggregate"]
     payload["config"] = config_echo
     write_json(agg_path, payload)
@@ -416,57 +450,34 @@ def cmd_experiment(args) -> int:
 # baseline
 # ---------------------------------------------------------------------------
 
-def cmd_baseline(args) -> int:
-    cfg = _load_config_file(args.config)
-    problem = _resolve_problem(_pick(args, cfg, "problem"))
-    population = _pick(args, cfg, "population", 100, int)
-    degree = _pick(args, cfg, "degree", 3, int)
-    seed = _root_seed(args, cfg)
-    metric_names = _parse_metrics(_pick(args, cfg, "metrics", "mse"))
-    out_dir = _pick(args, cfg, "out_dir", ".")
-    if population < 1:
-        raise ConfigError("population must be >= 1")
-    settings = {"grad_tol": _pick(args, cfg, "grad_tol", DEFAULT_GRAD_TOL, float),
-                "max_steps": _pick(args, cfg, "max_steps", DEFAULT_MAX_STEPS, int)}
-    if not 0.0 < settings["grad_tol"] < np.inf:
-        raise ConfigError(f"grad_tol must be positive and finite, got {settings['grad_tol']}")
-    if settings["max_steps"] < 1:
-        raise ConfigError(f"max_steps must be >= 1, got {settings['max_steps']}")
-    validation_count = None
-    if "gd" in metric_names or "igd" in metric_names:
-        validation_count = _pick(args, cfg, "validation_count", 1000, int)
-        if validation_count < 1:
-            raise ConfigError("validation count must be >= 1")
-    comparison = None
-    compare_with = _pick(args, cfg, "compare_with")
-    if compare_with is not None:
-        with open(compare_with) as fh:
-            try:
-                comparison = json.load(fh)
-            except ValueError as err:
-                raise ConfigError(f"cannot read comparison file {compare_with}: {err}") from err
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_baseline(ns) -> int:
+    problem = _resolve_problem(ns.problem)
+    metric_names = _parse_metrics(ns.metrics, known=("mse", "gd", "igd"))
+    settings = {"grad_tol": ns.grad_tol, "max_steps": ns.max_steps}
+    validation_count = ns.validation_count if {"gd", "igd"} & set(metric_names) else None
+    comparison = (None if ns.compare_with is None
+                  else _read_json(ns.compare_with, "comparison file"))
+    os.makedirs(ns.out_dir, exist_ok=True)
 
-    lattice = triangular_lattice(problem.num_objectives, population)
+    lattice = triangular_lattice(problem.num_objectives, ns.population)
     # The validation set is always swept with the default settings. When the
     # population lattice is too, both lattices descend in one call.
     if validation_count is not None and settings == {"grad_tol": DEFAULT_GRAD_TOL,
                                                      "max_steps": DEFAULT_MAX_STEPS}:
         validation = triangular_lattice(problem.num_objectives, validation_count)
         sweep, reference_sweep = minimize_scalarizations(
-            problem, np.vstack([lattice, validation]), **settings).split(population)
+            problem, np.vstack([lattice, validation]), **settings).split(ns.population)
     else:
         sweep = minimize_scalarizations(problem, lattice, **settings)
         if validation_count is not None:
             reference_sweep = pareto_set_sweep(problem, validation_count)
 
-    from .simplex import enumerate_multi_indices
-    basis = enumerate_multi_indices(problem.num_objectives, degree)
+    basis = enumerate_multi_indices(problem.num_objectives, ns.degree)
     n_ok = int(sweep.converged.sum())
     if n_ok < basis.size:
         raise PipelineError(
-            f"only {n_ok} of {population} sweep points converged; "
-            f"fitting degree {degree} needs at least {basis.size}")
+            f"only {n_ok} of {ns.population} sweep points converged; "
+            f"fitting degree {ns.degree} needs at least {basis.size}")
 
     model = fit_least_squares(sweep.converged_weights, sweep.converged_points, basis)
 
@@ -474,13 +485,13 @@ def cmd_baseline(args) -> int:
         "command": "baseline", "version": __version__,
         "method": "scalarization-sweep baseline (deterministic substitute "
                   "for an evolutionary baseline)",
-        "problem": problem.name, "population": population, "degree": degree,
-        "seed": seed, "metrics": metric_names,
+        "problem": problem.name, "population": ns.population, "degree": ns.degree,
+        "seed": ns.seed, "metrics": metric_names,
     }
     report = {
         "config": config_echo,
         "converged": n_ok,
-        "non_converged": population - n_ok,
+        "non_converged": ns.population - n_ok,
         "non_converged_lattice_indices":
             np.nonzero(~sweep.converged)[0].tolist(),
     }
@@ -491,13 +502,12 @@ def cmd_baseline(args) -> int:
             report["mse"] = None
             report["mse_note"] = "problem has no analytical map"
         else:
-            report["mse"] = mse(model, problem.pareto_map,
-                                _pick(args, cfg, "mse_samples", 10000, int),
-                                seed=derive_seed(seed, METRIC_STREAM, 0))
+            report["mse"] = mse(model, problem.pareto_map, ns.mse_samples,
+                                seed=derive_seed(ns.seed, METRIC_STREAM, 0))
     if validation_count is not None:
         reference = reference_sweep.converged_points
         samples = model_samples(model, validation_count,
-                                seed=derive_seed(seed, METRIC_STREAM, 1))
+                                seed=derive_seed(ns.seed, METRIC_STREAM, 1))
         if "gd" in metric_names:
             report["gd"] = gd(samples, reference)
         if "igd" in metric_names:
@@ -506,9 +516,9 @@ def cmd_baseline(args) -> int:
     if comparison is not None:
         report["proposed_comparison"] = comparison
 
-    model_path = os.path.join(out_dir, "baseline_model.json")
+    model_path = os.path.join(ns.out_dir, "baseline_model.json")
     write_json(model_path, _model_payload(model, config_echo))
-    report_path = os.path.join(out_dir, "baseline_report.json")
+    report_path = os.path.join(ns.out_dir, "baseline_report.json")
     write_json(report_path, report)
     print(f"wrote {model_path} and {report_path}")
     return 0
@@ -518,21 +528,17 @@ def cmd_baseline(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def cmd_sample(args) -> int:
-    model = _load_model_file(args.model)
-    count = int(args.n)
-    if count < 1:
-        raise ConfigError("sample count must be >= 1")
-    seed = _root_seed(args, {})
-    weights = sample_uniform_simplex(model.num_objectives, count, seed)
+def cmd_sample(ns) -> int:
+    model = _load_model_file(ns.model)
+    weights = sample_uniform_simplex(model.num_objectives, ns.n, ns.seed)
     points = model.evaluate_batch(weights)
     header = [f"t_{i+1}" for i in range(model.num_objectives)] + \
              [f"x_{i+1}" for i in range(model.ambient_dim)]
     rows = [list(w) + list(x) for w, x in zip(weights, points)]
-    write_csv(args.out, header, rows,
+    write_csv(ns.out, header, rows,
               preamble={"command": "sample", "version": __version__,
-                        "model": str(args.model), "n": count, "seed": seed})
-    print(f"wrote {args.out}")
+                        "model": ns.model, "n": ns.n, "seed": ns.seed})
+    print(f"wrote {ns.out}")
     return 0
 
 
@@ -542,7 +548,8 @@ def cmd_sample(args) -> int:
 
 def _read_points_csv(path) -> np.ndarray:
     """Points from a CSV file: uses the x_* columns when present (sample
-    output format), otherwise every column."""
+    output format), otherwise every column. Every cell read must hold a
+    finite number."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     if not lines:
@@ -556,44 +563,49 @@ def _read_points_csv(path) -> np.ndarray:
     for number, parsed in enumerate(reader, start=1):
         try:
             rows.append([float(parsed[i]) for i in cols])
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError("a cell is not finite")
         except (IndexError, ValueError) as err:
             raise ConfigError(f"{path}: data row {number} is not {len(cols)} "
-                              f"numbers: {err}") from err
+                              f"finite numbers: {err}") from err
     if not rows:
         raise ConfigError(f"{path} holds no data rows")
     return np.array(rows)
 
 
-def cmd_metrics(args) -> int:
-    metric = args.metric
+def cmd_metrics(ns) -> int:
+    metric = ns.metric
     report = {"command": "metrics", "version": __version__, "metric": metric}
     if metric in ("gd", "igd"):
-        if args.x_file is None or args.y_file is None:
+        if ns.x_file is None or ns.y_file is None:
             raise ConfigError(f"{metric} needs --x-file and --y-file")
-        x = _read_points_csv(args.x_file)
-        y = _read_points_csv(args.y_file)
+        x = _read_points_csv(ns.x_file)
+        y = _read_points_csv(ns.y_file)
         try:
-            value = gd(x, y) if metric == "gd" else igd(x, y)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+                value = gd(x, y) if metric == "gd" else igd(x, y)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        report.update({"x_file": args.x_file, "y_file": args.y_file, "value": value})
+        report.update({"x_file": ns.x_file, "y_file": ns.y_file, "value": value})
     else:
-        if args.model is None or args.problem is None:
+        if ns.model is None or ns.problem is None:
             raise ConfigError("mse needs --model and --problem")
-        problem = _resolve_problem(args.problem)
+        problem = _resolve_problem(ns.problem)
         if problem.pareto_map is None:
             raise ConfigError(f"problem {problem.name} has no analytical map for mse")
-        if args.count < 1:
-            raise ConfigError("mse sample count must be >= 1")
-        model = _load_model_file(args.model)
-        seed = _root_seed(args, {})
-        value = mse(model, problem.pareto_map, args.count, seed=seed)
-        report.update({"model": args.model, "problem": problem.name,
-                       "count": args.count, "seed": seed,
-                       "value": value})
+        model = _load_model_file(ns.model)
+        if (model.num_objectives, model.ambient_dim) != (problem.num_objectives,
+                                                         problem.num_vars):
+            raise ConfigError(f"model {ns.model} does not fit problem {problem.name}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = mse(model, problem.pareto_map, ns.count, seed=ns.seed)
+        report.update({"model": ns.model, "problem": problem.name,
+                       "count": ns.count, "seed": ns.seed, "value": value})
+    if not np.isfinite(value):  # finite inputs can still overflow
+        raise PipelineError(f"{metric} overflowed to {value}")
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out is not None:
-        write_json(args.out, report)
+    if ns.out is not None:
+        write_json(ns.out, report)
     print(text)
     return 0
 
@@ -602,51 +614,39 @@ def cmd_metrics(args) -> int:
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def cmd_diagnostics(args) -> int:
-    cfg = _load_config_file(args.config)
-    problem = _resolve_problem(_pick(args, cfg, "problem", "scaled-med"))
-    seed = _pick(args, cfg, "seed", 0, int)
-    num_samples = _pick(args, cfg, "num_samples", 30, int)
-    solver_cfg = _solver_config(args, cfg, seed, num_samples)
-    try:
-        solver_cfg.validate(problem)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    out_dir = _pick(args, cfg, "out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_diagnostics(ns) -> int:
+    problem = _resolve_problem(ns.problem)
+    solver_cfg = _solver_config(ns, problem)
+    os.makedirs(ns.out_dir, exist_ok=True)
 
-    if args.mode == "perturb":
-        k = _pick(args, cfg, "perturb_iteration", max(1, solver_cfg.num_iterations // 2), int)
-        repeats = _pick(args, cfg, "repeats", 10, int)
-        grid_version = str(_pick(args, cfg, "grid_version", "v1"))
+    if ns.mode == "perturb":
+        k = ns.perturb_iteration or max(1, solver_cfg.num_iterations // 2)
         try:
-            reports = perturbation_experiment(problem, solver_cfg, k, repeats,
-                                              grid_version=grid_version)
+            reports = perturbation_experiment(problem, solver_cfg, k, ns.repeats,
+                                              grid_version=ns.grid_version)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         echo = {"command": "diagnostics", "mode": "perturb", "version": __version__,
-                "problem": problem.name, "perturb_iteration": k, "repeats": repeats,
-                "grid_version": grid_version, "config": solver_cfg.echo()}
-        csv_path = os.path.join(out_dir, "perturbation.csv")
+                "problem": problem.name, "perturb_iteration": k, "repeats": ns.repeats,
+                "grid_version": ns.grid_version, "config": solver_cfg.echo()}
+        csv_path = os.path.join(ns.out_dir, "perturbation.csv")
         write_csv(csv_path,
                   ["k", "n", "repeat", "sup_gap", "frob_gap", "bound_value"],
                   perturbation_csv_rows(reports, solver_cfg.num_samples),
                   preamble=echo)
-        json_path = os.path.join(out_dir, "perturbation.json")
+        json_path = os.path.join(ns.out_dir, "perturbation.json")
         write_json(json_path, {"config": echo,
                                "reports": [r.to_dict() for r in reports]})
         print(f"wrote {csv_path} and {json_path}")
         return 0
 
     # gengap
-    holdout = _pick(args, cfg, "holdout", 10000, int)
-    trials = _pick(args, cfg, "trials", 20, int)
     try:
-        report = repeat_generalization_gap(problem, solver_cfg, holdout, trials)
+        report = repeat_generalization_gap(problem, solver_cfg, ns.holdout, ns.trials)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     report["version"] = __version__
-    json_path = os.path.join(out_dir, "generalization_gap.json")
+    json_path = os.path.join(ns.out_dir, "generalization_gap.json")
     write_json(json_path, report)
     print(f"wrote {json_path}")
     return 0
@@ -656,19 +656,6 @@ def cmd_diagnostics(args) -> int:
 # Argument parsing and dispatch.
 # ---------------------------------------------------------------------------
 
-def _add_solver_flags(parser):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--problem", help="problem registry name")
-    parser.add_argument("--n", dest="num_samples", help="samples per iteration")
-    parser.add_argument("--k", dest="iterations", type=int, help="iteration count")
-    parser.add_argument("--degree", type=int, help="model degree")
-    parser.add_argument("--seed", type=int, help="root seed")
-    parser.add_argument("--schedule", help='step schedule: "1/k" or "const:<v>"')
-    parser.add_argument("--resample-retries", dest="resample_retries", type=int)
-    parser.add_argument("--initial-model", dest="initial_model",
-                        help='model JSON to start from, or "zero"')
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a command line it rejects as the JSON error object, exit 2."""
 
@@ -677,72 +664,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, holding the OPTIONS rows it reads."""
     parser = _Parser(
         prog="bezier-mopt",
         description="Multi-objective optimization via iterative Bezier-simplex fitting")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="one optimizer run; writes a model file")
-    _add_solver_flags(p)
-    p.add_argument("--out", required=True, help="model JSON output path")
-    p.add_argument("--trace", help="trace JSON output path")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("experiment", help="multi-trial metric sweep")
-    _add_solver_flags(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--metrics", help="comma list: mse,gd,igd,diagnostics")
-    p.add_argument("--mse-samples", dest="mse_samples", type=int)
-    p.add_argument("--validation-count", dest="validation_count", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("baseline", help="scalarization-sweep baseline pipeline")
-    _add_solver_flags(p)
-    p.add_argument("--population", type=int, help="lattice size")
-    p.add_argument("--metrics", help="comma list: mse,gd,igd")
-    p.add_argument("--mse-samples", dest="mse_samples", type=int)
-    p.add_argument("--validation-count", dest="validation_count", type=int)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--compare-with", dest="compare_with",
-                   help="experiment aggregate JSON to embed side by side")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("sample", help="draw (weight, point) rows from a model file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("metrics", help="indicators between existing files")
-    p.add_argument("--metric", choices=("gd", "igd", "mse"), required=True)
-    p.add_argument("--x-file", dest="x_file")
-    p.add_argument("--y-file", dest="y_file")
-    p.add_argument("--model")
-    p.add_argument("--problem")
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("diagnostics", help="stability probes")
-    p.add_argument("--mode", choices=("perturb", "gengap"), required=True)
-    _add_solver_flags(p)
-    p.add_argument("--perturb-iteration", dest="perturb_iteration", type=int,
-                   help="iteration whose sample gets one weight replaced")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--grid-version", dest="grid_version",
-                   help="versioned sup-gap weight grid (default v1)")
-    p.add_argument("--holdout", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_diagnostics)
-
+    for name, func, about in (
+            ("solve", cmd_solve, "one optimizer run; writes a model file"),
+            ("experiment", cmd_experiment, "multi-trial metric sweep"),
+            ("baseline", cmd_baseline, "scalarization-sweep baseline pipeline"),
+            ("sample", cmd_sample, "draw (weight, point) rows from a model file"),
+            ("metrics", cmd_metrics, "indicators between existing files"),
+            ("diagnostics", cmd_diagnostics, "stability probes")):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func)
+        for flag, dest, kind, default, _, commands, text in OPTIONS:
+            if name in commands:
+                p.add_argument(flag, dest=dest, help=text, required=default is ...,
+                               type=kind if kind in (int, float) else None,
+                               choices=kind if isinstance(kind, tuple) else None)
     return parser
 
 
@@ -752,10 +693,9 @@ def _error_json(kind: str, message: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except ConfigError as err:
         print(_error_json("config", str(err)), file=sys.stderr)
         return 2

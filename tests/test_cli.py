@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -388,7 +389,9 @@ def test_baseline_non_json_comparison_file_exits_2_before_the_sweep(tmp_path, ca
 @pytest.mark.parametrize("flags", [
     ["--grad-tol", "nan"], ["--grad-tol", "0"], ["--grad-tol=-1e-8"],
     ["--grad-tol", "inf"], ["--max-steps", "0"], ["--max-steps=-1"],
-], ids=["tol-nan", "tol-0", "tol-negative", "tol-inf", "steps-0", "steps-negative"])
+    ["--mse-samples", "0"], ["--metrics", "diagnostics"],
+], ids=["tol-nan", "tol-0", "tol-negative", "tol-inf", "steps-0", "steps-negative",
+        "mse-samples-0", "metrics-diagnostics"])
 def test_baseline_bad_descent_settings_exit_2_before_the_sweep(flags, tmp_path, capsys,
                                                                monkeypatch):
     def no_sweep(*args, **kwargs):
@@ -450,7 +453,8 @@ def test_metrics_between_files(tmp_path, capsys):
 @pytest.mark.parametrize("metric", ["gd", "igd"])
 @pytest.mark.parametrize("text", [
     "x_1,x_2\n0.0,0.0\n1,abc\n", "x_1,x_2\n0.0,0.0\n1\n", "a,b\n0.0,\n",
-], ids=["non-numeric", "short-row", "empty-cell"])
+    "x_1,x_2\n0.0,nan\n", "x_1,x_2\ninf,0.0\n",
+], ids=["non-numeric", "short-row", "empty-cell", "nan-cell", "inf-cell"])
 def test_metrics_malformed_csv_exits_2(metric, text, tmp_path, capsys):
     x = tmp_path / "x.csv"
     y = tmp_path / "y.csv"
@@ -458,6 +462,33 @@ def test_metrics_malformed_csv_exits_2(metric, text, tmp_path, capsys):
     y.write_text("x_1,x_2\n0.0,0.0\n")
     code, out, err = run_cli(capsys, "metrics", "--metric", metric, "--x-file",
                              str(x), "--y-file", str(y))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "config"
+
+
+@pytest.mark.parametrize("metric", ["gd", "mse"])
+def test_metrics_overflow_exits_3_without_warnings(metric, tmp_path, capsys):
+    x = tmp_path / "x.csv"
+    x.write_text("x_1,x_2,x_3\n1e308,-1e308,1e308\n")
+    (tmp_path / "y.csv").write_text("x_1,x_2,x_3\n-1e308,1e308,-1e308\n")
+    files = {"gd": ["--x-file", str(x), "--y-file", str(tmp_path / "y.csv")],
+             "mse": ["--model", str(write_model(tmp_path / "m.json", fill=1e200)),
+                     "--problem", "scaled-med", "--count", "10"]}[metric]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "metrics", "--metric", metric, *files)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "runtime"
+
+
+def test_metrics_mse_model_of_another_shape_exits_2(tmp_path, capsys):
+    from bezier_mopt.bezier import BezierSimplex, save_model
+    from bezier_mopt.simplex import enumerate_multi_indices
+    basis = enumerate_multi_indices(2, 3)
+    save_model(BezierSimplex(basis=basis, control_points=np.zeros((basis.size, 2))),
+               tmp_path / "m2.json")
+    code, out, err = run_cli(capsys, "metrics", "--metric", "mse", "--model",
+                             str(tmp_path / "m2.json"), "--problem", "scaled-med")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "config"
 
@@ -563,3 +594,61 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     agg = json.loads((out_dir / "aggregate.json").read_text())
     assert agg["trials"] == 2  # flag wins
     assert agg["config"]["seed"] == 3  # config file value used
+
+
+def exit_code(argv):
+    """main()'s exit code, whether returned or raised as SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
+TINY = {"experiment": ["--problem=scaled-med", "--n=15", "--k=5", "--trials=1",
+                       "--mse-samples=10", "--threads=1"],
+        "baseline": ["--problem=scaled-med", "--population=100"]}
+
+
+@pytest.mark.parametrize("command,key,value,flag,text,expected", [
+    ("experiment", "num_samples", [30, "x"], "--n", "30,x", 2),
+    ("experiment", "out_dir", 5, "--out-dir", "5", 0),
+    ("experiment", "out_dir", "a\0b", "--out-dir", "a\0b", 2),
+    ("baseline", "compare_with", 5, "--compare-with", "5", 2),
+    ("experiment", "iterations", 1.5, "--k", "1.5", 2),
+    ("experiment", "seed", True, "--seed", "true", 2),
+    ("experiment", "metrics", ["mse", "hv"], "--metrics", "mse,hv", 2),
+], ids=["n-list", "out-dir-number", "out-dir-nul", "compare-with-number", "k-float",
+        "seed-bool", "metrics-list"])
+def test_config_value_exits_like_the_same_flag_text(command, key, value, flag, text,
+                                                    expected, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "minimize_scalarizations", None)  # no baseline sweep runs
+    base = [command] + [arg for arg in TINY[command] if not arg.startswith(flag + "=")]
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    for argv in (base + ["--config", "cfg.json"], base + [f"{flag}={text}"]):
+        assert exit_code(argv) == expected, argv
+        err = capsys.readouterr().err
+        if expected:
+            assert json.loads(err)["error"]["type"] == "config"
+            assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["iteraions", "k"])
+def test_unknown_config_key_exits_2_naming_it(key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_surface_gd", None)  # no run starts
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 5, "num_samples": 15}))
+    code, out, err = run_cli(capsys, "solve", "--problem", "scaled-med", "--config", str(cfg),
+                             "--out", str(tmp_path / "m.json"))
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert repr(key) in message and "iterations" in message
+
+
+@pytest.mark.parametrize("flag", ["--n=xyz", "--k=5", "--schedule=bogus",
+                                  "--resample-retries=1", "--initial-model=/nonexistent.json"])
+def test_baseline_rejects_solver_flags_it_never_reads(flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["baseline", "--problem", "scaled-med", flag])
+    assert err.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"

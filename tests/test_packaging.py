@@ -1,4 +1,5 @@
-"""The declared runtime dependencies are exactly what the package imports."""
+"""The declared dependencies are exactly what the package imports, and
+every third-party module the tests import is declared."""
 import ast
 import re
 import sys
@@ -11,9 +12,9 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _third_party_imports() -> set[str]:
+def _third_party_imports(directory: Path) -> set[str]:
     names = set()
-    for path in (ROOT / "src" / "bezier_mopt").glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -23,9 +24,22 @@ def _third_party_imports() -> set[str]:
             if name not in sys.stdlib_module_names and name != "bezier_mopt"}
 
 
-def test_runtime_dependencies_match_imports():
+def _names(specs) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+            for spec in specs}
+
+
+def _project() -> dict:
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        declared = tomllib.load(fh)["project"]["dependencies"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
-             for spec in declared}
-    assert names == _third_party_imports()
+        return tomllib.load(fh)["project"]
+
+
+def test_runtime_dependencies_match_imports():
+    declared = _names(_project()["dependencies"])
+    assert declared == _third_party_imports(ROOT / "src" / "bezier_mopt")
+
+
+def test_test_imports_are_declared():
+    project = _project()
+    declared = _names(project["dependencies"]) | _names(project["optional-dependencies"]["test"])
+    assert _third_party_imports(ROOT / "tests") <= declared
