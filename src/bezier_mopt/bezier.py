@@ -4,8 +4,12 @@ A Bezier simplex of degree D maps the probability simplex into R^L as a
 convex-weighted combination of control points: b(t) = P' z(t) where z(t) is
 the Bernstein basis vector and P stacks one control point per multi-index,
 in canonical order. Fitting a batch of (weight, point) pairs is an ordinary
-linear least-squares problem in P, solved through one thin SVD of the
-design matrix that also serves as the singularity gate.
+linear least-squares problem in P. Each design matrix Z is factored through
+its Gram matrix Z'Z, whose smallest eigenvalue is the stability quantity of
+the method; the few designs whose Gram matrix is too ill-conditioned for
+that are refactored by a thin SVD, which also serves as the singularity
+gate. Both paths yield the design's pseudo-inverse, so the solve is one
+matrix product.
 """
 
 from __future__ import annotations
@@ -23,6 +27,15 @@ from .simplex import MultiIndexSet, enumerate_multi_indices, weight_vector
 # batches are nonsingular with probability one, but finite precision needs
 # a concrete threshold; the solver reacts to this error by resampling.
 SINGULARITY_RTOL = 1e-10
+
+# A design is factored through its Gram matrix only when the Gram matrix's
+# smallest eigenvalue exceeds this fraction of its largest, i.e. cond(Z) is
+# below about 1e3. The Gram solve's relative error grows like cond(Z)^2 *
+# eps, so above the threshold it stays under about 1e-10; every other design
+# is refactored by SVD. A design the singularity gate rejects has
+# s_min/s_max < SINGULARITY_RTOL, far below this threshold, so the gate only
+# ever sees SVD-factored designs.
+GRAM_RTOL = 1e-6
 
 
 class SingularFitError(ValueError):
@@ -136,22 +149,39 @@ def design_matrix(weights, basis: MultiIndexSet) -> np.ndarray:
     return bernstein_design(arr, basis._exponents_f64, basis.coefficients)
 
 
-def factor_designs(designs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Thin SVD of one (N, J) design matrix or a stack (T, N, J) of them.
+def factor_designs(designs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor a stack (T, N, J) of design matrices for least squares.
 
-    Returns (u, s, vt, singular): the factors of `np.linalg.svd` and a flag
-    per design that is set when its smallest singular value falls below
-    SINGULARITY_RTOL times its largest. Each design of a stack is factored
-    on its own, so its factors do not depend on the rest of the stack.
+    Returns (pinv, lambda_min, singular): each design's (J, N)
+    pseudo-inverse, the smallest eigenvalue of its Gram matrix Z'Z, and a
+    flag set when its smallest singular value falls below SINGULARITY_RTOL
+    times its largest. Designs are factored through the eigendecomposition
+    of Z'Z; those with lambda_min <= GRAM_RTOL * lambda_max are refactored
+    by thin SVD, their lambda_min being the squared smallest singular
+    value. Each design is factored on its own, so its factors do not depend
+    on the rest of the stack. The pseudo-inverse of a singular design is
+    not meaningful.
     """
-    u, s, vt = np.linalg.svd(designs, full_matrices=False)
-    return u, s, vt, s[..., -1] < SINGULARITY_RTOL * s[..., 0]
+    transposed = np.swapaxes(designs, 1, 2)
+    eigvals, eigvecs = np.linalg.eigh(transposed @ designs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pinv = (eigvecs / eigvals[:, None, :]) @ (np.swapaxes(eigvecs, 1, 2) @ transposed)
+    lambda_min = eigvals[:, 0].copy()
+    singular = np.zeros(len(designs), dtype=bool)
+    refactor = np.flatnonzero(~(lambda_min > GRAM_RTOL * eigvals[:, -1]))
+    if refactor.size:
+        u, s, vt = np.linalg.svd(designs[refactor], full_matrices=False)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pinv[refactor] = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+        lambda_min[refactor] = s[:, -1] * s[:, -1]
+        singular[refactor] = s[:, -1] < SINGULARITY_RTOL * s[:, 0]
+    return pinv, lambda_min, singular
 
 
-def solve_factored(u, s, vt, targets: np.ndarray) -> np.ndarray:
-    """Least-squares solution V diag(1/s) U' X of factored, full-rank
-    designs; works on one design or a stack, like `factor_designs`."""
-    return np.swapaxes(vt, -1, -2) @ ((np.swapaxes(u, -1, -2) @ targets) / s[..., None])
+def solve_factored(pinv: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least-squares solutions of factored, nonsingular designs: each
+    design's pseudo-inverse from `factor_designs` times its (N, L) targets."""
+    return pinv @ targets
 
 
 def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
@@ -171,10 +201,11 @@ def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
         raise SingularFitError(
             f"{n_rows} samples cannot determine {n_basis} control points",
             smallest_singular_value=0.0)
-    u, s, vt, singular = factor_designs(design)
+    (pinv,), (lambda_min,), (singular,) = factor_designs(design[None])
     if singular:
+        smallest = np.sqrt(lambda_min)
         raise SingularFitError(
             f"design matrix is numerically singular "
-            f"(smallest singular value {s[-1]:.3e})",
-            smallest_singular_value=s[-1])
-    return BezierSimplex(basis=basis, control_points=solve_factored(u, s, vt, pts))
+            f"(smallest singular value {smallest:.3e})",
+            smallest_singular_value=smallest)
+    return BezierSimplex(basis=basis, control_points=solve_factored(pinv, pts))

@@ -412,7 +412,6 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
 
 def cmd_experiment(ns) -> int:
     initial_control_points = _initial_control_points(ns.initial_model)
-    os.makedirs(ns.out_dir, exist_ok=True)
     config_echo = {key: getattr(ns, key) for key in (
         "problem", "trials", "seed", "metrics", "iterations", "degree", "schedule",
         "mse_samples", "validation_count")}
@@ -431,6 +430,7 @@ def cmd_experiment(ns) -> int:
             raise
         raise PipelineError(str(err)) from err
 
+    os.makedirs(ns.out_dir, exist_ok=True)
     columns = ["problem", "n", "trial", "seed", "status"]
     columns += [column for name, names in METRIC_COLUMNS.items() if name in ns.metrics
                 for column in names] + ["error"]
@@ -617,7 +617,6 @@ def cmd_metrics(ns) -> int:
 def cmd_diagnostics(ns) -> int:
     problem = _resolve_problem(ns.problem)
     solver_cfg = _solver_config(ns, problem)
-    os.makedirs(ns.out_dir, exist_ok=True)
 
     if ns.mode == "perturb":
         k = ns.perturb_iteration or max(1, solver_cfg.num_iterations // 2)
@@ -626,6 +625,7 @@ def cmd_diagnostics(ns) -> int:
                                               grid_version=ns.grid_version)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        os.makedirs(ns.out_dir, exist_ok=True)
         echo = {"command": "diagnostics", "mode": "perturb", "version": __version__,
                 "problem": problem.name, "perturb_iteration": k, "repeats": ns.repeats,
                 "grid_version": ns.grid_version, "config": solver_cfg.echo()}
@@ -646,6 +646,7 @@ def cmd_diagnostics(ns) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     report["version"] = __version__
+    os.makedirs(ns.out_dir, exist_ok=True)
     json_path = os.path.join(ns.out_dir, "generalization_gap.json")
     write_json(json_path, report)
     print(f"wrote {json_path}")

@@ -120,16 +120,47 @@ def norm_power_gradient_batch(spec: NormPowerSpec, points: np.ndarray,
 
     Returns (G, mu) where row n of G is J_f(points[n])' weights[n] and
     mu[n] is the largest single-objective gradient norm at points[n].
+
+    Arrays are coordinate-major, as in `_kernels.descent_sweep`: the row
+    index is innermost, so every numpy call runs over all N rows at once.
+    Differences and per-objective gradients are (L, M, N), radii (M, N).
+    Sums over L and over M run in index order from +0.0. mu is the square
+    root of the largest squared norm, which has the same bits as the
+    largest norm. Against a row-major formulation that sums r2 with einsum,
+    which rounds about a quarter of those sums differently, the results are
+    bitwise equal where every power is 2, as in scaled-med, since r2 then
+    enters only through its sign; elsewhere they differ by about 1e-16
+    relative per term.
     """
-    diff = points[:, None, :] - spec.centers[None, :, :]
-    r2 = np.einsum("ml,nml->nm", spec.scales_sq, diff * diff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(r2 > 0.0, spec.powers * r2 ** ((spec.powers - 2.0) / 2.0), 0.0)
-    scaled = spec.scales_sq[None, :, :] * diff          # (N, M, L)
-    grads = factor[:, :, None] * scaled                 # per-objective gradients
-    g = np.einsum("nm,nml->nl", weights, grads)
-    mu = np.sqrt((grads * grads).sum(axis=2)).max(axis=1)
-    return g, mu
+    n_obj, dim = spec.scales_sq.shape
+    scales = spec.scales_sq.T[:, :, None]
+    diff = np.ascontiguousarray(points.T)[:, None, :] - spec.centers.T[:, :, None]
+    scaled = scales * diff
+    prod = scales * (diff * diff)
+    r2 = prod[0].copy()
+    for l in range(1, dim):
+        r2 += prod[l]
+    factor = spec.powers[:, None]
+    expo = (spec.powers - 2.0) / 2.0
+    if expo.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = factor * r2 ** expo[:, None]
+    # Where every power is 2, r2 ** 0 is 1 and the pow is skipped. The
+    # gradient is zero exactly at a center (r2 == 0); a NaN radius gets the
+    # same treatment, which the mask keeps even though NaN ** 0 is 1.
+    factor = np.where(r2 > 0.0, factor, 0.0)
+    grads = factor * scaled
+    # The sum over M starts from +0.0, so terms that are all -0.0 (a NaN
+    # radius makes every gradient +-0.0 off the NaN coordinate) sum to +0.0.
+    wt = np.ascontiguousarray(weights.T)
+    g = np.zeros((dim, points.shape[0]))
+    for m in range(n_obj):
+        g += wt[m] * grads[:, m]
+    sq = grads * grads
+    norms_sq = sq[0].copy()
+    for l in range(1, dim):
+        norms_sq += sq[l]
+    return g.T, np.sqrt(norms_sq.max(axis=0))
 
 
 def gradient_batch_stats(problem: Problem, points: np.ndarray,

@@ -9,13 +9,14 @@ descent specialization uses one plain gradient step per point.
 
 The engine steps a stack of trials that share one configuration in
 lockstep. Each iteration assembles the designs and the scalarized gradients
-of all T trials at once over their T*N rows, and one batched thin SVD of the
-(T, N, J) designs gives every trial its singularity gate, its smallest Gram
-eigenvalue and its least-squares refit. A trial whose design is singular
-resamples alone; a trial that aborts leaves the stack and the others go on.
-Every per-trial quantity is computed from that trial's rows only, so a
-trial's model and trace are bitwise the same alone as in any stack. A single
-run is a stack of one.
+of all T trials at once over their T*N rows, and one batched factorization
+of the (T, N, J) designs (`bezier.factor_designs`: Gram eigendecomposition,
+thin SVD where that is ill-conditioned) gives every trial its singularity
+gate, its smallest Gram eigenvalue and its least-squares refit. A trial
+whose design is singular resamples alone; a trial that aborts leaves the
+stack and the others go on. Every per-trial quantity is computed from that
+trial's rows only, so a trial's model and trace are bitwise the same alone
+as in any stack. A single run is a stack of one.
 
 RNG discipline: every run owns a single integer seed in [0, 2**128).
 Iteration k draws its weight batch from the substream (WEIGHT_STREAM, k,
@@ -394,13 +395,13 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
         return design_matrix(weights[rows].reshape(-1, m), basis).reshape(-1, n, j)
 
     def drop(leaving, aborts):
-        nonlocal active, control, weights, design, u, s, vt
+        nonlocal active, control, weights, design, pinv, lambda_min
         for p, abort in zip(leaving, aborts):
             outcomes[active[p]] = abort
         keep = np.ones(len(active), dtype=bool)
         keep[leaving] = False
         active, control, weights = active[keep], control[keep], weights[keep]
-        design, u, s, vt = design[keep], u[keep], s[keep], vt[keep]
+        design, pinv, lambda_min = design[keep], pinv[keep], lambda_min[keep]
 
     started = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -411,7 +412,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                 block = iteration_states(seeds, range(k, min(k + STATE_BLOCK, kk + 1)), 0)
             draw(np.arange(len(active)), k, 0, block[active, (k - 1) % STATE_BLOCK])
             design = designs(slice(None))
-            u, s, vt, singular = factor_designs(design)
+            pinv, lambda_min, singular = factor_designs(design)
             retrying = np.flatnonzero(singular)
             for retry in range(1, config.resample_retries + 1):
                 if not retrying.size:
@@ -419,7 +420,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                 draw(retrying, k, retry,
                      iteration_states([seeds[i] for i in active[retrying]], [k], retry)[:, 0])
                 design[retrying] = designs(retrying)
-                u[retrying], s[retrying], vt[retrying], singular = factor_designs(
+                pinv[retrying], lambda_min[retrying], singular = factor_designs(
                     design[retrying])
                 retrying = retrying[singular]
             if retrying.size:
@@ -429,7 +430,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                     payload={
                         "iteration": k,
                         "resample_retries": config.resample_retries,
-                        "smallest_singular_value": float(s[p, -1]),
+                        "smallest_singular_value": float(np.sqrt(lambda_min[p])),
                         "seed": seeds[active[p]],
                     }) for p in retrying])
                 if not active.size:
@@ -441,10 +442,10 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
             grads, objective_norms = gradient_batch_stats(problem, rows, flat_weights)
             stepped = batch_step(rows, flat_weights, grads, k).reshape(surface_points.shape)
             effective_grads = (surface_points - stepped) / alpha(k)
-            new_control = solve_factored(u, s, vt, stepped)
+            new_control = solve_factored(pinv, stepped)
 
             values = {
-                "lambda_min": s[:, -1] * s[:, -1],
+                "lambda_min": lambda_min,
                 "ztg_norm": _frobenius(np.swapaxes(design, 1, 2) @ effective_grads),
                 "control_delta": _frobenius(new_control - control),
                 "max_scalarized_grad": np.sqrt(

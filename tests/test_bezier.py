@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from bezier_mopt.bezier import (BezierSimplex, SingularFitError, design_matrix,
-                                fit_least_squares, load_model, save_model)
+from bezier_mopt.bezier import (SINGULARITY_RTOL, BezierSimplex, SingularFitError,
+                                design_matrix, factor_designs, fit_least_squares,
+                                load_model, save_model, solve_factored)
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
 
 
@@ -16,6 +17,19 @@ def fit_normal_equations(weights, points, basis):
     gram = design.T @ design
     control = np.linalg.solve(gram, design.T @ np.asarray(points, dtype=np.float64))
     return BezierSimplex(basis=basis, control_points=control)
+
+
+def svd_factor_designs(designs):
+    """Reference factorization: one thin SVD of every design of a stack,
+    gated at SINGULARITY_RTOL. `factor_designs` must flag the same designs
+    and match its solutions."""
+    u, s, vt = np.linalg.svd(designs, full_matrices=False)
+    return u, s, vt, s[..., -1] < SINGULARITY_RTOL * s[..., 0]
+
+
+def svd_solve_factored(u, s, vt, targets):
+    """Least-squares solution V diag(1/s) U' X of the reference factors."""
+    return np.swapaxes(vt, -1, -2) @ ((np.swapaxes(u, -1, -2) @ targets) / s[..., None])
 
 
 def random_model(rng, m=3, d=3, ambient=3):
@@ -202,3 +216,69 @@ def test_rejects_nonfinite_control_points():
     bad[1, 1] = np.inf
     with pytest.raises(ValueError):
         BezierSimplex(basis=basis, control_points=bad)
+
+
+def random_designs(basis, rows, count, first_seed):
+    return np.stack([design_matrix(sample_uniform_simplex(basis.num_objectives, rows, seed), basis)
+                     for seed in range(first_seed, first_seed + count)])
+
+
+def check_against_svd(designs, rng):
+    """`factor_designs` flags the designs the reference SVD gate flags, is
+    bitwise the same for every design factored alone, refits within the
+    Gram path's cond^2 * eps error bound, and refits the designs it sends
+    to SVD like the reference. Returns every design's condition number and
+    relative solution gap."""
+    pinv, lambda_min, singular = factor_designs(designs)
+    u, s, vt, ref_singular = svd_factor_designs(designs)
+    assert np.array_equal(singular, ref_singular)
+    for i in range(len(designs)):
+        alone = factor_designs(designs[i:i + 1])
+        assert alone[0][0].tobytes() == pinv[i].tobytes()
+        assert alone[1][0].tobytes() == lambda_min[i].tobytes()
+        assert alone[2][0] == singular[i]
+
+    ok = ~singular
+    cond = s[ok, 0] / s[ok, -1]
+    targets = rng.normal(size=(int(ok.sum()), designs.shape[1], 3))
+    reference = svd_solve_factored(u[ok], s[ok], vt[ok], targets)
+    gap = (np.abs(solve_factored(pinv[ok], targets) - reference).max(axis=(1, 2))
+           / np.abs(reference).max(axis=(1, 2)))
+    # Forming Z'Z squares the condition number; GRAM_RTOL caps the Gram
+    # path at cond(Z) of about 1e3, where this bound is about 1e-9.
+    assert np.all(gap <= 1e-15 * cond**2)
+    # Well beyond that cap every design takes the SVD path: its lambda_min
+    # is the squared smallest singular value and its refit is the
+    # reference's.
+    beyond = cond > 3e3
+    assert np.array_equal(lambda_min[ok][beyond], s[ok][beyond, -1] ** 2)
+    assert np.all(gap[beyond] <= 1e-13)
+    return cond, gap
+
+
+def test_factor_designs_falls_back_to_svd_for_ill_conditioned_designs():
+    rng = np.random.default_rng(11)
+    basis = enumerate_multi_indices(3, 3)
+    sampled = random_designs(basis, 30, 20, 400)
+    # N = J = 10 designs are often ill-conditioned. Zero rows pad them to
+    # the stack's 30 rows without changing Z'Z or the singular values.
+    square = np.zeros((30, 30, basis.size))
+    square[:, :basis.size] = random_designs(basis, basis.size, 30, 500)
+    rank_one = np.tile(design_matrix(sample_uniform_simplex(3, 1, 7), basis), (30, 1))
+    stack = np.concatenate([sampled, square, rank_one[None]])
+
+    cond, gap = check_against_svd(stack, rng)
+    _, _, singular = factor_designs(stack)
+    assert singular[-1] and not singular[:-1].any()
+    # The sampled designs stay on the Gram path within 1e-12; the square
+    # ones fall on both sides of the SVD cap.
+    assert cond[:20].max() < 1e3 and gap[:20].max() <= 1e-12
+    assert (cond[20:] < 1e3).any() and (cond[20:] > 3e3).any()
+
+
+def test_factor_designs_square_degree_5_designs_against_svd():
+    basis = enumerate_multi_indices(3, 5)
+    assert basis.size == 21
+    cond, _ = check_against_svd(random_designs(basis, basis.size, 30, 600),
+                                np.random.default_rng(12))
+    assert (cond > 3e3).any()

@@ -244,6 +244,18 @@ def test_experiment_bad_n_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--problem", "nope"],
+    ["diagnostics", "--mode", "perturb", "--n", "12", "--k", "3", "--perturb-iteration", "9"],
+], ids=["experiment-unknown-problem", "diagnostics-late-perturbation"])
+def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys):
+    out_dir = tmp_path / "never"
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "config"
+    assert not out_dir.exists()
+
+
 def test_experiment_aborts_trials_whose_trace_stops_being_finite(tmp_path):
     # Trials 0 and 2 keep finite control points near 1e300 while their
     # design-weighted gradient overflows; they fail instead of reporting

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bezier_mopt.problems import (evaluate_batch, get_problem,
-                                  gradient_batch_stats, scalarize, scaled_med,
-                                  scaled_med_pareto, skew_mmed, skew_mmmd,
-                                  skew_mmmd_default, skewed_powers)
+                                  gradient_batch_stats, norm_power_gradient_batch,
+                                  scalarize, scaled_med, scaled_med_pareto,
+                                  skew_mmed, skew_mmmd, skew_mmmd_default,
+                                  skewed_powers)
 from bezier_mopt.simplex import sample_uniform_simplex
 
 SQRT2 = np.sqrt(2.0)
@@ -196,6 +197,61 @@ def test_gradient_batch_stats_matches_per_point():
         jac = problem.jacobian(points[n])
         assert np.allclose(grads[n], jac.T @ weights[n], rtol=1e-12)
         assert np.isclose(mu[n], np.linalg.norm(jac, axis=1).max(), rtol=1e-12)
+
+
+def einsum_gradient_batch(spec, points, weights):
+    """Reference `norm_power_gradient_batch` on row-major (N, M, L) arrays,
+    with the sums over L and M taken by einsum."""
+    diff = points[:, None, :] - spec.centers[None, :, :]
+    r2 = np.einsum("ml,nml->nm", spec.scales_sq, diff * diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(r2 > 0.0, spec.powers * r2 ** ((spec.powers - 2.0) / 2.0), 0.0)
+    scaled = spec.scales_sq[None, :, :] * diff
+    grads = factor[:, :, None] * scaled
+    g = np.einsum("nm,nml->nl", weights, grads)
+    mu = np.sqrt((grads * grads).sum(axis=2)).max(axis=1)
+    return g, mu
+
+
+def oracle_batch(problem, seed):
+    """Rows around the centers, one row exactly at each center and one NaN
+    row, with weights drawn on the simplex."""
+    spec = problem.norm_power
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.5, 1.5, size=(500, problem.num_vars))
+    points[:problem.num_objectives] = spec.centers
+    points[problem.num_objectives, 0] = np.nan
+    return points, sample_uniform_simplex(problem.num_objectives, 500, seed)
+
+
+def test_gradient_batch_is_bitwise_the_einsum_reference_on_scaled_med():
+    problem = scaled_med()
+    points, weights = oracle_batch(problem, 21)
+    grads, mu = norm_power_gradient_batch(problem.norm_power, points, weights)
+    ref_grads, ref_mu = einsum_gradient_batch(problem.norm_power, points, weights)
+    assert np.ascontiguousarray(grads).tobytes() == ref_grads.tobytes()
+    assert mu.tobytes() == ref_mu.tobytes()
+
+
+@pytest.mark.parametrize("name", ["skew-3med", "skew-3mmd", "skew-mmd:4"])
+def test_gradient_batch_matches_the_einsum_reference_on_skew_problems(name):
+    # einsum rounds some of the radii r2 differently and the powers carry
+    # that into G, so the results are not bitwise. Each entry of G agrees
+    # to 1e-13 of the summed magnitudes of its terms, which bounds the
+    # rounding of a cancelling sum.
+    problem = get_problem(name)
+    points, weights = oracle_batch(problem, 22)
+    grads, mu = norm_power_gradient_batch(problem.norm_power, points, weights)
+    ref_grads, ref_mu = einsum_gradient_batch(problem.norm_power, points, weights)
+    assert np.array_equal(np.isnan(grads), np.isnan(ref_grads))
+    assert np.array_equal(np.isnan(mu), np.isnan(ref_mu))
+    # At a center its objective's gradient is zero, not 0 * inf.
+    assert np.all(np.isfinite(grads[:problem.num_objectives]))
+    finite = np.isfinite(ref_mu)
+    magnitudes = np.stack([np.abs(problem.jacobian(x)).T @ w
+                           for x, w in zip(points[finite], weights[finite])])
+    assert np.all(np.abs(grads[finite] - ref_grads[finite]) <= 1e-13 * magnitudes)
+    np.testing.assert_allclose(mu[finite], ref_mu[finite], rtol=1e-13, atol=0.0)
 
 
 def test_evaluate_batch_matches_per_point():

@@ -320,6 +320,41 @@ def test_stacked_trial_retries_alone():
     assert retries.sum() == 1
 
 
+def counted_svd_calls(monkeypatch):
+    """Record the shape of every `np.linalg.svd` call from here on."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_well_conditioned_trial_stack_makes_no_svd_call(monkeypatch):
+    calls = counted_svd_calls(monkeypatch)
+    config = SolverConfig(num_samples=30, num_iterations=100, degree=3, seed=0)
+    outcomes = run_surface_gd_trials(scaled_med(), config, trial_seeds(20))
+    assert not any(isinstance(outcome, SolverAbort) for outcome in outcomes)
+    assert calls == []
+
+
+def test_degenerate_draw_alone_takes_the_svd_path(monkeypatch):
+    calls = counted_svd_calls(monkeypatch)
+    config = SolverConfig(num_samples=30, num_iterations=20, degree=3, seed=0)
+    hooks = [None] * 6
+    hooks[4] = degenerate_first_draw_at(3)
+    stacked = run_surface_gd_trials(scaled_med(), config, trial_seeds(6), hooks)
+    # Only the rank-one design of trial 4 at iteration 3 is refactored by
+    # SVD; its resample is well-conditioned again.
+    assert calls == [(1, 30, 10)]
+    retries = np.array([outcome[1].retries for outcome in stacked])
+    assert retries[4, 2] == 1
+    assert retries.sum() == 1
+
+
 def test_stacked_trial_abort_leaves_the_others_running():
     problem = scaled_med()
     config = SolverConfig(num_samples=20, num_iterations=6, degree=3, seed=0,
