@@ -2,11 +2,22 @@
 
 Three inner loops dominate runtime in this package: Bernstein design-matrix
 assembly (called once per solver iteration and for every metric evaluation),
-brute-force nearest-neighbour distances (GD/IGD indicators), and the
+blocked brute-force nearest-neighbour distances (GD/IGD indicators), and the
 per-weight gradient-descent sweep that builds validation sets and the
 baseline model. Each has one implementation, in numpy, and its results are
 deterministic. The tests keep plain per-element loops as reference oracles
 for the design and distance kernels.
+
+The distance kernel walks the points in row blocks whose scratch arrays
+hold at most DISTANCE_BLOCK float64 values each (256 KiB), so its memory
+does not grow with len(points) * len(references). Each pair's squares are
+summed in the same order as in one unblocked (N, R) sum and the min is
+exact, so the distances are bitwise those of the unblocked form. On a
+2-vCPU x86-64 VM, 1000x1000 points in 3-D take about 7 ms instead of 24 ms,
+and the tracemalloc peak on 2000x1500 falls from 68.8 MiB to 0.65 MiB. A
+k-d tree (`scipy.spatial.cKDTree`) is not used: importing it costs more than
+the baseline's GD/IGD pair, and it sums squares in 4-wide partial sums, so
+its distances are not bitwise equal from dimension 8 up.
 
 The descent sweep steps every weight of a sweep at once on coordinate-major
 arrays: the weight index is the innermost, contiguous axis, so each numpy
@@ -41,15 +52,44 @@ def bernstein_design(weights, exponents, coefficients):
     return out
 
 
+# Float64 values per scratch array of `min_distances` (256 KiB, sized for
+# L2); a block is never less than one row.
+DISTANCE_BLOCK = 1 << 15
+
+
 def min_distances(points, references):
     """For each row of `points`, the Euclidean distance to the nearest row
     of `references`; squared differences are summed over coordinates in
-    index order from +0.0. Returns (len(points),)."""
-    d2 = np.zeros((points.shape[0], references.shape[0]))
-    for l in range(points.shape[1]):
-        diff = points[:, l:l + 1] - references[None, :, l]
-        d2 += diff * diff
-    return np.sqrt(d2.min(axis=1))
+    index order from +0.0. Returns (len(points),).
+
+    Blocked brute force: `points` is walked in blocks of
+    max(1, DISTANCE_BLOCK // len(references)) rows, through two scratch
+    arrays of that many rows reused for every block, so memory is
+    O(DISTANCE_BLOCK) rather than O(len(points) * len(references)). Each
+    block's row minima go straight into the output, and one sqrt runs at
+    the end. Every pair's squares are summed in the same order as an
+    unblocked sum, and the min is exact, so the distances do not depend on
+    the block height. NaN propagates through the min.
+    """
+    n_pts, n_ref = points.shape[0], references.shape[0]
+    out = np.empty(n_pts)
+    rows = max(1, min(n_pts, DISTANCE_BLOCK // max(n_ref, 1)))
+    refs = np.ascontiguousarray(references.T)
+    d2 = np.zeros((rows, n_ref))
+    diff = np.empty((rows, n_ref))
+    for lo in range(0, n_pts, rows):
+        block = points[lo:lo + rows]
+        acc, tmp = d2[:block.shape[0]], diff[:block.shape[0]]
+        # The first square overwrites acc: squares are >= +0.0 or NaN, so
+        # that equals adding it to +0.0. With no coordinates acc stays 0.
+        for l in range(refs.shape[0]):
+            sq = tmp if l else acc
+            np.subtract(block[:, l:l + 1], refs[l], out=sq)
+            np.multiply(sq, sq, out=sq)
+            if l:
+                acc += sq
+        np.min(acc, axis=1, out=out[lo:lo + rows])
+    return np.sqrt(out, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ The design oracle multiplies the same factors in the same order, but numpy's
 vectorized ``pow`` may round the last bit differently from Python's scalar
 ``pow``, so agreement is asserted at rtol 1e-12 rather than bitwise. The
 distance oracle sums the same squares in the same order and involves no
-transcendental beyond sqrt, so it agrees exactly. The descent performs the
-same operations per element in the same order as its reference, so the two
-must agree bit for bit; a weight the descent stops early agrees with the
-reference run for as many steps as it took.
+transcendental beyond sqrt, so it agrees exactly, whatever the row blocks
+the kernel walks the points in. The descent performs the same operations per
+element in the same order as its reference, so the two must agree bit for
+bit; a weight the descent stops early agrees with the reference run for as
+many steps as it took.
 """
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,7 +50,8 @@ def _min_distances_loop(points, references):
             for l in range(points.shape[1]):
                 diff = points[i, l] - references[j, l]
                 d2 += diff * diff
-            best = min(best, d2)
+            if d2 < best or math.isnan(d2):
+                best = d2
         out[i] = math.sqrt(best)
     return out
 
@@ -62,11 +65,46 @@ def test_bernstein_design_matches_loop_oracle():
                                    rtol=1e-12, atol=1e-300)
 
 
-def test_min_distances_matches_loop_oracle_exactly():
+# (points, references, dimension, poisoned). With DISTANCE_BLOCK = 2**15
+# floats, the 150 and 130 reference cases run blocks of 218 and 252 rows,
+# which 777, 1000, 300 and 600 points do not fill evenly; 33000 references
+# exceed the budget and force one-row blocks. A poisoned case has a NaN row
+# and an inf row: NaN propagates through the min, inf stays inf. Points
+# without coordinates are all at distance 0.
+_DISTANCE_CASES = [(200, 150, 3, False), (777, 150, 3, False),
+                   (1000, 150, 1, False), (4, 33000, 1, False),
+                   (300, 130, 9, False), (600, 150, 3, True), (5, 4, 0, False)]
+
+
+@pytest.mark.parametrize(
+    "n_pts,n_ref,dim,poisoned", _DISTANCE_CASES,
+    ids=[f"{n}x{r}x{d}" + ("-nan-inf" if bad else "") for n, r, d, bad in _DISTANCE_CASES])
+def test_min_distances_matches_loop_oracle_exactly(n_pts, n_ref, dim, poisoned):
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(200, 3))
-    y = rng.normal(size=(150, 3))
-    assert np.array_equal(kern.min_distances(x, y), _min_distances_loop(x, y))
+    x = rng.normal(size=(n_pts, dim))
+    y = rng.normal(size=(n_ref, dim))
+    if poisoned:
+        x[5, 1] = np.nan
+        x[400, 2] = np.inf
+    got = kern.min_distances(x, y)
+    if poisoned:
+        assert np.isnan(got[5]) and got[400] == np.inf
+    assert np.array_equal(got, _min_distances_loop(x, y), equal_nan=True)
+
+
+def test_min_distances_scratch_stays_within_block_budget():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(2000, 3))
+    y = rng.normal(size=(1500, 3))
+    tracemalloc.start()
+    try:
+        kern.min_distances(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two 256 KiB scratch arrays plus the output; an unblocked (2000, 1500)
+    # float64 temporary alone takes 23 MiB.
+    assert peak < 4 * 2**20
 
 
 def test_design_kernel_rows_sum_to_one():
