@@ -4,12 +4,11 @@ A Bezier simplex of degree D maps the probability simplex into R^L as a
 convex-weighted combination of control points: b(t) = P' z(t) where z(t) is
 the Bernstein basis vector and P stacks one control point per multi-index,
 in canonical order. Fitting a batch of (weight, point) pairs is an ordinary
-linear least-squares problem in P. Each design matrix Z is factored through
-its Gram matrix Z'Z, whose smallest eigenvalue is the stability quantity of
-the method; the few designs whose Gram matrix is too ill-conditioned for
-that are refactored by a thin SVD, which also serves as the singularity
-gate. Both paths yield the design's pseudo-inverse, so the solve is one
-matrix product.
+linear least-squares problem in P, solved from the normal equations of each
+design matrix Z. Only the eigenvalues of Z'Z are computed; the smallest is
+the stability quantity of the method. The few designs whose Gram matrix is
+too ill-conditioned fall back to a thin SVD, which also serves as the
+singularity gate, and to its pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -82,10 +81,7 @@ class BezierSimplex:
 
     def evaluate(self, t) -> np.ndarray:
         """Point on the hypersurface at weight t, an (L,) vector."""
-        arr = weight_vector(t, dim=self.basis.num_objectives)
-        z = bernstein_design(arr[None, :], self.basis._exponents_f64,
-                             self.basis.coefficients)
-        return (z @ self.control_points)[0]
+        return self.evaluate_batch(weight_vector(t, dim=self.num_objectives)[None, :])[0]
 
     def evaluate_batch(self, weights) -> np.ndarray:
         """Evaluate at every row of `weights`; returns (N, L)."""
@@ -149,39 +145,43 @@ def design_matrix(weights, basis: MultiIndexSet) -> np.ndarray:
     return bernstein_design(arr, basis._exponents_f64, basis.coefficients)
 
 
-def factor_designs(designs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def factor_designs(designs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Factor a stack (T, N, J) of design matrices for least squares.
 
-    Returns (pinv, lambda_min, singular): each design's (J, N)
-    pseudo-inverse, the smallest eigenvalue of its Gram matrix Z'Z, and a
-    flag set when its smallest singular value falls below SINGULARITY_RTOL
-    times its largest. Designs are factored through the eigendecomposition
-    of Z'Z; those with lambda_min <= GRAM_RTOL * lambda_max are refactored
-    by thin SVD, their lambda_min being the squared smallest singular
-    value. Each design is factored on its own, so its factors do not depend
-    on the rest of the stack. The pseudo-inverse of a singular design is
-    not meaningful.
+    Returns (grams, lambda_min, singular, fallback): each design's Gram
+    matrix Z'Z and its smallest eigenvalue (only eigenvalues are computed),
+    a flag set when its smallest singular value falls below
+    SINGULARITY_RTOL times its largest, and a flag set when lambda_min <=
+    GRAM_RTOL * lambda_max, for a design that falls back to a thin SVD and
+    takes the squared smallest singular value as lambda_min. Each design
+    is factored on its own, independently of the rest of the stack.
     """
-    transposed = np.swapaxes(designs, 1, 2)
-    eigvals, eigvecs = np.linalg.eigh(transposed @ designs)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pinv = (eigvecs / eigvals[:, None, :]) @ (np.swapaxes(eigvecs, 1, 2) @ transposed)
+    grams = np.swapaxes(designs, 1, 2) @ designs
+    eigvals = np.linalg.eigvalsh(grams)
     lambda_min = eigvals[:, 0].copy()
     singular = np.zeros(len(designs), dtype=bool)
-    refactor = np.flatnonzero(~(lambda_min > GRAM_RTOL * eigvals[:, -1]))
-    if refactor.size:
-        u, s, vt = np.linalg.svd(designs[refactor], full_matrices=False)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            pinv[refactor] = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
-        lambda_min[refactor] = s[:, -1] * s[:, -1]
-        singular[refactor] = s[:, -1] < SINGULARITY_RTOL * s[:, 0]
-    return pinv, lambda_min, singular
+    fallback = ~(lambda_min > GRAM_RTOL * eigvals[:, -1])
+    if fallback.any():
+        s = np.linalg.svd(designs[fallback], full_matrices=False)[1]
+        lambda_min[fallback] = s[:, -1] * s[:, -1]
+        singular[fallback] = s[:, -1] < SINGULARITY_RTOL * s[:, 0]
+    return grams, lambda_min, singular, fallback
 
 
-def solve_factored(pinv: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares solutions of factored, nonsingular designs: each
-    design's pseudo-inverse from `factor_designs` times its (N, L) targets."""
-    return pinv @ targets
+def solve_factored(designs: np.ndarray, grams: np.ndarray, fallback: np.ndarray,
+                   targets: np.ndarray) -> np.ndarray:
+    """Least-squares solutions, each design's on its own, of nonsingular
+    designs factored by `factor_designs` for their (N, L) targets: the
+    normal equations (Z'Z) P = Z'X by LU, or for fallback designs, rare
+    enough to redo their thin SVD here, the pseudo-inverse V diag(1/s) U'."""
+    rhs = np.swapaxes(designs, 1, 2) @ targets
+    solution = np.empty_like(rhs)
+    solution[~fallback] = np.linalg.solve(grams[~fallback], rhs[~fallback])
+    if fallback.any():
+        u, s, vt = np.linalg.svd(designs[fallback], full_matrices=False)
+        pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+        solution[fallback] = pinv @ targets[fallback]
+    return solution
 
 
 def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
@@ -201,11 +201,11 @@ def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
         raise SingularFitError(
             f"{n_rows} samples cannot determine {n_basis} control points",
             smallest_singular_value=0.0)
-    (pinv,), (lambda_min,), (singular,) = factor_designs(design[None])
+    grams, (lambda_min,), (singular,), fallback = factor_designs(design[None])
     if singular:
         smallest = np.sqrt(lambda_min)
         raise SingularFitError(
             f"design matrix is numerically singular "
             f"(smallest singular value {smallest:.3e})",
             smallest_singular_value=smallest)
-    return BezierSimplex(basis=basis, control_points=solve_factored(pinv, pts))
+    return BezierSimplex(basis, solve_factored(design[None], grams, fallback, pts[None])[0])

@@ -318,6 +318,3 @@ def get_problem(name: str) -> Problem:
                 raise ValueError(f"bad objective count in problem name {name!r}") from None
             return factory(m)
     raise ValueError(f"unknown problem {name!r}")
-
-
-PROBLEM_NAMES = ("scaled-med", "skew-3med", "skew-3mmd")

@@ -10,9 +10,9 @@ descent specialization uses one plain gradient step per point.
 The engine steps a stack of trials that share one configuration in
 lockstep. Each iteration assembles the designs and the scalarized gradients
 of all T trials at once over their T*N rows, and one batched factorization
-of the (T, N, J) designs (`bezier.factor_designs`: Gram eigendecomposition,
-thin SVD where that is ill-conditioned) gives every trial its singularity
-gate, its smallest Gram eigenvalue and its least-squares refit. A trial
+of the (T, N, J) designs (`bezier.factor_designs`: Gram eigenvalues, thin
+SVD where Z'Z is ill-conditioned) gives every trial its singularity gate and
+smallest Gram eigenvalue, then one batched refit (`solve_factored`). A trial
 whose design is singular resamples alone; a trial that aborts leaves the
 stack and the others go on. Every per-trial quantity is computed from that
 trial's rows only, so a trial's model and trace are bitwise the same alone
@@ -169,11 +169,6 @@ def gradient_step_rule(schedule="1/k") -> StepRule:
     return rule
 
 
-def identity_step_rule() -> StepRule:
-    """Leaves every point unchanged; useful for fixed-point checks."""
-    return lambda x, scalarized, k: x
-
-
 # ---------------------------------------------------------------------------
 # Configuration and run records.
 # ---------------------------------------------------------------------------
@@ -225,21 +220,17 @@ class SolverConfig:
 
     def echo(self) -> dict:
         """JSON-ready snapshot of the resolved configuration."""
-        if callable(self.step_schedule):
-            schedule = getattr(self.step_schedule, "__name__", "<callable>")
-        else:
-            schedule = self.step_schedule
-        if self.initial_control_points is None:
-            initial = "zero"
-        else:
-            initial = np.asarray(self.initial_control_points).tolist()
+        schedule = self.step_schedule
+        if callable(schedule):
+            schedule = getattr(schedule, "__name__", "<callable>")
+        initial = self.initial_control_points
         return {
             "num_samples": self.num_samples,
             "num_iterations": self.num_iterations,
             "degree": self.degree,
             "seed": self.seed,
             "step_schedule": schedule,
-            "initial_control_points": initial,
+            "initial_control_points": "zero" if initial is None else np.asarray(initial).tolist(),
             "resample_retries": self.resample_retries,
         }
 
@@ -252,6 +243,11 @@ class SolverAbort(RuntimeError):
     def __init__(self, message: str, payload: dict):
         super().__init__(message)
         self.payload = payload
+
+
+# The per-iteration trace fields of a RunRecord, in trace-file order.
+TRACE_FIELDS = ("lambda_min", "ztg_norm", "control_delta", "max_scalarized_grad",
+                "max_objective_grad", "max_basis_norm", "max_basis_sum_err")
 
 
 @dataclass
@@ -291,17 +287,9 @@ class RunRecord:
     def to_dict(self) -> dict:
         iterations = []
         for k in range(len(self)):
-            entry = {
-                "iteration": k + 1,
-                "lambda_min": float(self.lambda_min[k]),
-                "ztg_norm": float(self.ztg_norm[k]),
-                "control_delta": float(self.control_delta[k]),
-                "max_scalarized_grad": float(self.max_scalarized_grad[k]),
-                "max_objective_grad": float(self.max_objective_grad[k]),
-                "max_basis_norm": float(self.max_basis_norm[k]),
-                "max_basis_sum_err": float(self.max_basis_sum_err[k]),
-                "retries": int(self.retries[k]),
-            }
+            entry = {"iteration": k + 1,
+                     **{name: float(getattr(self, name)[k]) for name in TRACE_FIELDS},
+                     "retries": int(self.retries[k])}
             if self.weights is not None:
                 entry["weights"] = self.weights[k].tolist()
             iterations.append(entry)
@@ -328,9 +316,6 @@ def _initial_control_points(config: SolverConfig, basis, num_vars: int) -> np.nd
 # The engine computes the seed words of this many iterations at a time, so
 # their memory stays O(T * STATE_BLOCK) for any iteration count.
 STATE_BLOCK = 256
-
-TRACE_FIELDS = ("lambda_min", "ztg_norm", "control_delta", "max_scalarized_grad",
-                "max_objective_grad", "max_basis_norm", "max_basis_sum_err")
 
 # What the engine returns per trial: the fitted model and its trace, or the
 # abort that ended the trial.
@@ -370,10 +355,11 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
 
     n, m, j = config.num_samples, problem.num_objectives, basis.size
     kk = config.num_iterations
-    trace = {name: np.empty((len(seeds), kk)) for name in TRACE_FIELDS}
+    trace = np.empty((len(TRACE_FIELDS), len(seeds), kk))
     retries_used = np.zeros((len(seeds), kk), dtype=np.int64)
     kept_weights = [[] for _ in seeds] if config.record_weights else None
     outcomes: list = [None] * len(seeds)
+    hooked = any(hook is not None for hook in hooks)
 
     # Row p of the stacked state belongs to trial active[p]; rows leave the
     # stack only when their trial aborts.
@@ -385,23 +371,24 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
         """Stack rows `rows` draw iteration k's batches from their seed
         words `states`."""
         weights[rows] = sample_uniform_simplex_stack(m, n, states)
-        for p in rows:
-            i = active[p]
-            if hooks[i] is not None:
-                weights[p] = hooks[i](k, weights[p].copy())
-            retries_used[i, k - 1] = retry
+        retries_used[active[rows], k - 1] = retry
+        if hooked:
+            for p in rows:
+                if hooks[active[p]] is not None:
+                    weights[p] = hooks[active[p]](k, weights[p].copy())
 
     def designs(rows):
         return design_matrix(weights[rows].reshape(-1, m), basis).reshape(-1, n, j)
 
     def drop(leaving, aborts):
-        nonlocal active, control, weights, design, pinv, lambda_min
+        nonlocal active, control, weights, design, grams, lambda_min, fallback
         for p, abort in zip(leaving, aborts):
             outcomes[active[p]] = abort
         keep = np.ones(len(active), dtype=bool)
         keep[leaving] = False
         active, control, weights = active[keep], control[keep], weights[keep]
-        design, pinv, lambda_min = design[keep], pinv[keep], lambda_min[keep]
+        design, grams = design[keep], grams[keep]
+        lambda_min, fallback = lambda_min[keep], fallback[keep]
 
     started = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,7 +399,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                 block = iteration_states(seeds, range(k, min(k + STATE_BLOCK, kk + 1)), 0)
             draw(np.arange(len(active)), k, 0, block[active, (k - 1) % STATE_BLOCK])
             design = designs(slice(None))
-            pinv, lambda_min, singular = factor_designs(design)
+            grams, lambda_min, singular, fallback = factor_designs(design)
             retrying = np.flatnonzero(singular)
             for retry in range(1, config.resample_retries + 1):
                 if not retrying.size:
@@ -420,8 +407,8 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                 draw(retrying, k, retry,
                      iteration_states([seeds[i] for i in active[retrying]], [k], retry)[:, 0])
                 design[retrying] = designs(retrying)
-                pinv[retrying], lambda_min[retrying], singular = factor_designs(
-                    design[retrying])
+                (grams[retrying], lambda_min[retrying], singular,
+                 fallback[retrying]) = factor_designs(design[retrying])
                 retrying = retrying[singular]
             if retrying.size:
                 drop(retrying, [SolverAbort(
@@ -442,35 +429,33 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
             grads, objective_norms = gradient_batch_stats(problem, rows, flat_weights)
             stepped = batch_step(rows, flat_weights, grads, k).reshape(surface_points.shape)
             effective_grads = (surface_points - stepped) / alpha(k)
-            new_control = solve_factored(pinv, stepped)
+            new_control = solve_factored(design, grams, fallback, stepped)
 
-            values = {
-                "lambda_min": lambda_min,
-                "ztg_norm": _frobenius(np.swapaxes(design, 1, 2) @ effective_grads),
-                "control_delta": _frobenius(new_control - control),
-                "max_scalarized_grad": np.sqrt(
-                    (grads * grads).sum(axis=1)).reshape(-1, n).max(axis=1),
-                "max_objective_grad": objective_norms.reshape(-1, n).max(axis=1),
-                "max_basis_norm": np.sqrt((design * design).sum(axis=2)).max(axis=1),
-                "max_basis_sum_err": np.abs(design.sum(axis=2) - 1.0).max(axis=1),
-            }
-            for name, value in values.items():
-                trace[name][active, k - 1] = value
+            # One row per TRACE_FIELDS entry, in that order.
+            values = np.stack([
+                lambda_min,
+                _frobenius(np.swapaxes(design, 1, 2) @ effective_grads),
+                _frobenius(new_control - control),
+                np.sqrt((grads * grads).sum(axis=1)).reshape(-1, n).max(axis=1),
+                objective_norms.reshape(-1, n).max(axis=1),
+                np.sqrt((design * design).sum(axis=2)).max(axis=1),
+                np.abs(design.sum(axis=2) - 1.0).max(axis=1),
+            ])
+            trace[:, active, k - 1] = values
             if kept_weights is not None:
                 for p, i in enumerate(active):
                     kept_weights[i].append(weights[p].copy())
             control = new_control
 
-            finite = np.isfinite(control).all(axis=(1, 2))
-            for value in values.values():
-                finite &= np.isfinite(value)
+            finite = np.isfinite(control).all(axis=(1, 2)) & np.isfinite(values).all(axis=0)
             diverged = np.flatnonzero(~finite)
             if diverged.size:
+                delta = trace[TRACE_FIELDS.index("control_delta")]
                 drop(diverged, [SolverAbort(
                     f"non-finite values at iteration {k}",
                     payload={
                         "iteration": k,
-                        "control_delta": _last_finite(trace["control_delta"][active[p], :k - 1]),
+                        "control_delta": _last_finite(delta[active[p], :k - 1]),
                         "seed": seeds[active[p]],
                     }) for p in diverged])
 
@@ -484,7 +469,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
             final_weights=weights[p].copy(),
             wall_clock=wall_clock,
             weights=None if kept_weights is None else kept_weights[i],
-            **{name: trace[name][i].copy() for name in TRACE_FIELDS},
+            **{name: trace[f, i].copy() for f, name in enumerate(TRACE_FIELDS)},
         )
         outcomes[i] = (BezierSimplex(basis=basis, control_points=control[p].copy()), record)
     return outcomes

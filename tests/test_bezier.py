@@ -223,26 +223,36 @@ def random_designs(basis, rows, count, first_seed):
                      for seed in range(first_seed, first_seed + count)])
 
 
+def factor_and_solve(designs, targets):
+    grams, _, _, fallback = factor_designs(designs)
+    return solve_factored(designs, grams, fallback, targets)
+
+
 def check_against_svd(designs, rng):
-    """`factor_designs` flags the designs the reference SVD gate flags, is
-    bitwise the same for every design factored alone, refits within the
-    Gram path's cond^2 * eps error bound, and refits the designs it sends
-    to SVD like the reference. Returns every design's condition number and
-    relative solution gap."""
-    pinv, lambda_min, singular = factor_designs(designs)
+    """`factor_designs` flags the designs the reference SVD gate flags;
+    every design factored alone, and every nonsingular one solved alone, is
+    bitwise the same as in the stack; solutions stay within the Gram path's
+    cond^2 * eps error bound, and designs sent to SVD are solved like the
+    reference. Returns every nonsingular design's condition number,
+    relative solution gap and fallback flag."""
+    factors = factor_designs(designs)
+    grams, lambda_min, singular, fallback = factors
     u, s, vt, ref_singular = svd_factor_designs(designs)
     assert np.array_equal(singular, ref_singular)
     for i in range(len(designs)):
-        alone = factor_designs(designs[i:i + 1])
-        assert alone[0][0].tobytes() == pinv[i].tobytes()
-        assert alone[1][0].tobytes() == lambda_min[i].tobytes()
-        assert alone[2][0] == singular[i]
+        for part, whole in zip(factor_designs(designs[i:i + 1]), factors):
+            assert part[0].tobytes() == whole[i].tobytes()
 
     ok = ~singular
-    cond = s[ok, 0] / s[ok, -1]
     targets = rng.normal(size=(int(ok.sum()), designs.shape[1], 3))
+    solution = solve_factored(designs[ok], grams[ok], fallback[ok], targets)
+    for i in range(len(targets)):
+        alone = factor_and_solve(designs[ok][i:i + 1], targets[i:i + 1])
+        assert alone[0].tobytes() == solution[i].tobytes()
+
+    cond = s[ok, 0] / s[ok, -1]
     reference = svd_solve_factored(u[ok], s[ok], vt[ok], targets)
-    gap = (np.abs(solve_factored(pinv[ok], targets) - reference).max(axis=(1, 2))
+    gap = (np.abs(solution - reference).max(axis=(1, 2))
            / np.abs(reference).max(axis=(1, 2)))
     # Forming Z'Z squares the condition number; GRAM_RTOL caps the Gram
     # path at cond(Z) of about 1e3, where this bound is about 1e-9.
@@ -251,9 +261,10 @@ def check_against_svd(designs, rng):
     # is the squared smallest singular value and its refit is the
     # reference's.
     beyond = cond > 3e3
+    assert fallback[ok][beyond].all()
     assert np.array_equal(lambda_min[ok][beyond], s[ok][beyond, -1] ** 2)
     assert np.all(gap[beyond] <= 1e-13)
-    return cond, gap
+    return cond, gap, fallback[ok]
 
 
 def test_factor_designs_falls_back_to_svd_for_ill_conditioned_designs():
@@ -267,18 +278,42 @@ def test_factor_designs_falls_back_to_svd_for_ill_conditioned_designs():
     rank_one = np.tile(design_matrix(sample_uniform_simplex(3, 1, 7), basis), (30, 1))
     stack = np.concatenate([sampled, square, rank_one[None]])
 
-    cond, gap = check_against_svd(stack, rng)
-    _, _, singular = factor_designs(stack)
+    cond, gap, fallback = check_against_svd(stack, rng)
+    singular = factor_designs(stack)[2]
     assert singular[-1] and not singular[:-1].any()
     # The sampled designs stay on the Gram path within 1e-12; the square
     # ones fall on both sides of the SVD cap.
     assert cond[:20].max() < 1e3 and gap[:20].max() <= 1e-12
+    assert not fallback[:20].any()
     assert (cond[20:] < 1e3).any() and (cond[20:] > 3e3).any()
 
 
 def test_factor_designs_square_degree_5_designs_against_svd():
     basis = enumerate_multi_indices(3, 5)
     assert basis.size == 21
-    cond, _ = check_against_svd(random_designs(basis, basis.size, 30, 600),
-                                np.random.default_rng(12))
+    cond, _, _ = check_against_svd(random_designs(basis, basis.size, 30, 600),
+                                   np.random.default_rng(12))
     assert (cond > 3e3).any()
+
+
+def test_solve_factored_mixed_stack_matches_each_design_alone():
+    """A stack with one design that falls back to SVD among Gram-path
+    designs: every design's solution is bitwise its solution alone."""
+    rng = np.random.default_rng(13)
+    basis = enumerate_multi_indices(3, 3)
+    stack = random_designs(basis, 30, 4, 700)
+    # Nine distinct weights span only nine of the ten basis directions; a
+    # tenth weight 1e-3 away from the first gives cond(Z) of about 1e5,
+    # beyond the Gram cap but far from singular.
+    weights = np.tile(sample_uniform_simplex(3, 9, 8), (4, 1))[:30]
+    weights[-1] = weights[0] + 1e-3 * np.array([1.0, -1.0, 0.0])
+    stack = np.insert(stack, 2, design_matrix(weights, basis), axis=0)
+    targets = rng.normal(size=(len(stack), 30, 3))
+
+    grams, _, singular, fallback = factor_designs(stack)
+    assert not singular.any()
+    assert np.array_equal(fallback, [False, False, True, False, False])
+    solution = solve_factored(stack, grams, fallback, targets)
+    for i in range(len(stack)):
+        alone = factor_and_solve(stack[i:i + 1], targets[i:i + 1])
+        assert alone[0].tobytes() == solution[i].tobytes()

@@ -1,9 +1,9 @@
 """Checks of the numpy kernels against plain per-element loops, and of the
 coordinate-major descent against its row-major reference.
 
-The design oracle multiplies the same factors in the same order, but numpy's
-vectorized ``pow`` may round the last bit differently from Python's scalar
-``pow``, so agreement is asserted at rtol 1e-12 rather than bitwise. The
+The design oracle multiplies the same factors in the same order, but it
+takes each power with Python's scalar ``pow`` where the kernel multiplies
+powers out, so agreement is asserted at rtol 1e-12 rather than bitwise. The
 distance oracle sums the same squares in the same order and involves no
 transcendental beyond sqrt, so it agrees exactly, whatever the row blocks
 the kernel walks the points in. The descent performs the same operations per
@@ -17,10 +17,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bezier_mopt import _kernels as kern
-from bezier_mopt.problems import (PROBLEM_NAMES, NormPowerSpec, get_problem,
-                                  scaled_med, scaled_med_pareto)
+from bezier_mopt.problems import NormPowerSpec, get_problem, scaled_med, scaled_med_pareto
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
 from bezier_mopt.sweep import cusp_certificate, triangular_lattice
 
@@ -65,7 +66,53 @@ def test_bernstein_design_matches_loop_oracle():
                                    rtol=1e-12, atol=1e-300)
 
 
-# (points, references, dimension, poisoned). With DISTANCE_BLOCK = 2**15
+def test_bernstein_design_rows_do_not_depend_on_the_block_height(monkeypatch):
+    expf, coeff = _basis_arrays(3, 4)
+    weights = np.vstack([np.eye(3), sample_uniform_simplex(3, 1000, 5)])
+    whole = kern.bernstein_design(weights, expf, coeff)
+    # 15 basis rows: blocks of 1, 6 and 66 rows; 1003 rows leave the last
+    # block of the latter two partial.
+    for budget in (15, 100, 1000):
+        monkeypatch.setattr(kern, "SCRATCH_BLOCK", budget)
+        assert kern.bernstein_design(weights, expf, coeff).tobytes() == whole.tobytes()
+
+
+@st.composite
+def design_batches(draw):
+    """(M, D, weights): M and D in 1..6; rows are vertices, edge points
+    (random simplex points with some coordinates zeroed, renormalized) and
+    random simplex points, in a drawn order."""
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vertices = np.eye(m)[draw(st.lists(st.integers(0, m - 1), max_size=m))]
+    edges = sample_uniform_simplex(m, draw(st.integers(1, 4)), int(rng.integers(2**32)))
+    edges *= rng.random(edges.shape) < 0.5
+    edges[:, 0] += edges.sum(axis=1) == 0.0
+    edges /= edges.sum(axis=1, keepdims=True)
+    inner = sample_uniform_simplex(m, draw(st.integers(1, 6)), int(rng.integers(2**32)))
+    weights = np.vstack([vertices, edges, inner])
+    return m, d, weights[rng.permutation(len(weights))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(design_batches())
+def test_bernstein_design_properties(case):
+    m, d, weights = case
+    basis = enumerate_multi_indices(m, d)
+    expf, coeff = basis._exponents_f64, basis.coefficients
+    z = kern.bernstein_design(weights, expf, coeff)
+    np.testing.assert_allclose(z, _bernstein_design_loop(weights, expf, coeff),
+                               rtol=1e-12, atol=1e-300)
+    assert np.abs(z.sum(axis=1) - 1.0).max() < 1e-12
+    for i, row in enumerate(weights):
+        assert kern.bernstein_design(weights[i:i + 1], expf, coeff)[0].tobytes() == z[i].tobytes()
+        if (row == 1.0).any():
+            vertex = np.zeros(basis.size)
+            vertex[basis.vertex_position(int(np.argmax(row)))] = 1.0
+            assert np.array_equal(z[i], vertex)
+
+
+# (points, references, dimension, poisoned). With SCRATCH_BLOCK = 2**15
 # floats, the 150 and 130 reference cases run blocks of 218 and 252 rows,
 # which 777, 1000, 300 and 600 points do not fill evenly; 33000 references
 # exceed the budget and force one-row blocks. A poisoned case has a NaN row
@@ -236,7 +283,8 @@ def _descend_and_check(args):
 
 
 # skew-mmd:9 has enough objectives for numpy to sum the M terms pairwise.
-@pytest.mark.parametrize("name", PROBLEM_NAMES + ("skew-mmd:4", "skew-med:2", "skew-mmd:9"))
+@pytest.mark.parametrize("name", ("scaled-med", "skew-3med", "skew-3mmd",
+                                  "skew-mmd:4", "skew-med:2", "skew-mmd:9"))
 def test_descent_sweep_matches_rowmajor_reference_bitwise(name):
     problem = get_problem(name)
     weights = triangular_lattice(problem.num_objectives, 60)
