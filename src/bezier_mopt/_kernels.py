@@ -13,7 +13,7 @@ The design kernel multiplies powers out instead of calling `pow`: on a
 within 2e-16 of the `pow` form.
 
 The distance kernel walks the points in row blocks whose scratch arrays
-hold at most SCRATCH_BLOCK float64 values each (256 KiB), so its memory
+hold at most BLOCK_VALUES float64 values each (256 KiB), so its memory
 does not grow with len(points) * len(references). Each pair's squares are
 summed in the same order as in one unblocked (N, R) sum and the min is
 exact, so the distances are bitwise those of the unblocked form. On a
@@ -44,7 +44,7 @@ NUMBA_ENABLED = False
 
 # Float64 values per scratch array of the blocked kernels (256 KiB, sized
 # for L2); a block is never less than one row.
-SCRATCH_BLOCK = 1 << 15
+BLOCK_VALUES = 1 << 15
 
 
 def bernstein_design(weights, exponents, coefficients):
@@ -54,13 +54,13 @@ def bernstein_design(weights, exponents, coefficients):
     coefficients: (J,) float64. Returns (N, J); each entry is its
     coefficient times the M powers, multiplied in order of m. Powers are
     gathered by exponent from a table w^0 = 1, w^d = w^(d-1) * w, and rows
-    are built as (J, rows) in blocks of max(1, SCRATCH_BLOCK // J) rows.
+    are built as (J, rows) in blocks of max(1, BLOCK_VALUES // J) rows.
     """
     n_rows, n_obj = weights.shape
     expo = exponents.astype(np.intp)
     degree = int(expo.max(initial=0))
     out = np.empty((n_rows, len(expo)))
-    rows = max(1, min(n_rows, SCRATCH_BLOCK // len(expo)))
+    rows = max(1, min(n_rows, BLOCK_VALUES // len(expo)))
     table = np.ones((n_obj, degree + 1, rows))
     for lo in range(0, n_rows, rows):
         block = weights[lo:lo + rows].T
@@ -81,9 +81,9 @@ def min_distances(points, references):
     index order from +0.0. Returns (len(points),).
 
     Blocked brute force: `points` is walked in blocks of
-    max(1, SCRATCH_BLOCK // len(references)) rows, through two scratch
+    max(1, BLOCK_VALUES // len(references)) rows, through two scratch
     arrays of that many rows reused for every block, so memory is
-    O(SCRATCH_BLOCK) rather than O(len(points) * len(references)). Each
+    O(BLOCK_VALUES) rather than O(len(points) * len(references)). Each
     block's row minima go straight into the output, and one sqrt runs at
     the end. Every pair's squares are summed in the same order as an
     unblocked sum, and the min is exact, so the distances do not depend on
@@ -91,7 +91,7 @@ def min_distances(points, references):
     """
     n_pts, n_ref = points.shape[0], references.shape[0]
     out = np.empty(n_pts)
-    rows = max(1, min(n_pts, SCRATCH_BLOCK // max(n_ref, 1)))
+    rows = max(1, min(n_pts, BLOCK_VALUES // max(n_ref, 1)))
     refs = np.ascontiguousarray(references.T)
     d2 = np.zeros((rows, n_ref))
     diff = np.empty((rows, n_ref))

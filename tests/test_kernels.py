@@ -73,7 +73,7 @@ def test_bernstein_design_rows_do_not_depend_on_the_block_height(monkeypatch):
     # 15 basis rows: blocks of 1, 6 and 66 rows; 1003 rows leave the last
     # block of the latter two partial.
     for budget in (15, 100, 1000):
-        monkeypatch.setattr(kern, "SCRATCH_BLOCK", budget)
+        monkeypatch.setattr(kern, "BLOCK_VALUES", budget)
         assert kern.bernstein_design(weights, expf, coeff).tobytes() == whole.tobytes()
 
 
@@ -112,7 +112,7 @@ def test_bernstein_design_properties(case):
             assert np.array_equal(z[i], vertex)
 
 
-# (points, references, dimension, poisoned). With SCRATCH_BLOCK = 2**15
+# (points, references, dimension, poisoned). With BLOCK_VALUES = 2**15
 # floats, the 150 and 130 reference cases run blocks of 218 and 252 rows,
 # which 777, 1000, 300 and 600 points do not fill evenly; 33000 references
 # exceed the budget and force one-row blocks. A poisoned case has a NaN row
