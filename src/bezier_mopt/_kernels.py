@@ -23,14 +23,14 @@ k-d tree (`scipy.spatial.cKDTree`) is not used: importing it costs more than
 the baseline's GD/IGD pair, and it sums squares in 4-wide partial sums, so
 its distances are not bitwise equal from dimension 8 up.
 
-The descent sweep steps every weight of a sweep at once on coordinate-major
-arrays: the weight index is the innermost, contiguous axis, so each numpy
-call covers all active weights instead of an axis of length L or M. Its
-iterates are bitwise equal to a row-major formulation that the tests keep as
-a reference. Weights that cannot meet the gradient-norm rule stop early, at
-a certified cusp or on a non-finite gradient. ``perfbench/run.py --workload
-baseline-sweep`` measures it end to end and, with ``--trace 1``, as
-``kernels.descent.busy_s``.
+The descent sweep steps every weight at once on coordinate-major arrays, the
+weight index innermost, and takes the problem's gradient as a function, so
+every problem descends through one loop. `norm_power_descent` supplies the
+norm-power family's, with iterates bitwise equal to a row-major formulation
+that the tests keep as a reference. Weights that cannot meet the
+gradient-norm rule stop early, at a certified cusp or on a non-finite
+gradient. ``perfbench/run.py --workload baseline-sweep`` measures it end to
+end and, with ``--trace 1``, as ``kernels.descent.busy_s``.
 """
 
 from __future__ import annotations
@@ -126,52 +126,97 @@ CHECK_STEPS = 500
 CUSP_RADIUS = 0.05
 
 
-def _descent_workspace(scales_sq, centers, powers, width):
-    """Scratch arrays of `descent_sweep` for `width` active weights, and its
-    constants tiled to that width. With full-size constants only
-    x - centers and w * scales broadcast, which numpy runs more slowly."""
+def _sum_rows(terms):
+    """terms[0] + terms[1] + ..., in index order. numpy's reduction over
+    axis 0 is that sum below eight terms; from eight on, it sums pairwise
+    when the other axes all have length 1."""
+    return np.add.reduce(terms, axis=0) if len(terms) < 8 else sum(terms[1:], terms[0])
+
+
+def norm_power_descent(scales_sq, centers, powers):
+    """`descent_sweep`'s gradient and radii (to the M centers) for the
+    objectives f_m(x) = (sum_l scales_sq[m,l] (x_l - centers[m,l])^2
+    )^(powers[m]/2), the gradient taken as zero exactly at a center.
+
+    Arrays are coordinate-major, differences (L, M, w) and radii (M, w).
+    `radii` reuses the arrays `gradient` tiled for the last t, so it takes
+    iterates of that width. `gradient` returns a scratch array that its
+    next call overwrites.
+
+    Per element the arithmetic and its order are those of a row-major
+    formulation that gathers one (w, M, L) array per step, so iterates are
+    bitwise reproducible against it: sums over L run in index order from
+    +0.0, and the sum over M is numpy's reduction over M contiguous terms
+    from +0.0.
+    """
     n_obj, dim = scales_sq.shape
-    scales = np.repeat(scales_sq.T[:, :, None], width, axis=2)
-    ctr = np.repeat(centers.T[:, :, None], width, axis=2)
-    expo = np.repeat(((powers - 2.0) / 2.0)[:, None], width, axis=1)
-    return (scales, ctr, expo, np.empty((dim, n_obj, width)),
-            np.empty((dim, n_obj, width)), np.empty((n_obj, width)),
-            np.empty((n_obj, width)), np.empty((n_obj, width), dtype=np.bool_),
-            np.empty((dim, width)))
+    t_seen, tiles = None, None
+
+    def radii(x):
+        scales, ctr, _, _, diff, prod = tiles[:6]
+        np.subtract(x[:, None, :], ctr, out=diff)
+        np.multiply(diff, diff, out=prod)
+        np.multiply(scales, prod, out=prod)
+        # Terms are >= +0.0 or NaN, so starting from the first row equals
+        # starting from +0.0.
+        return _sum_rows(prod)
+
+    def gradient(x, t):
+        nonlocal t_seen, tiles
+        if t is not t_seen:
+            # Weights and constants tiled to the width of t, and scratch
+            # arrays: with full-size constants only x - centers and
+            # w * scales broadcast, which numpy runs more slowly.
+            width = t.shape[1]
+            t_seen, tiles = t, (np.repeat(scales_sq.T[:, :, None], width, axis=2),
+                                np.repeat(centers.T[:, :, None], width, axis=2),
+                                np.repeat(((powers - 2.0) / 2.0)[:, None], width, axis=1),
+                                t * powers[:, None], np.empty((dim, n_obj, width)),
+                                np.empty((dim, n_obj, width)), np.empty((n_obj, width)),
+                                np.empty((dim, width)))
+        r2 = radii(x)
+        scales, _, expo, tp, diff, prod, w, grad = tiles
+        np.power(r2, expo, out=w)
+        np.multiply(tp, w, out=w)
+        # The gradient is zero exactly at a center (r2 == 0); a NaN radius
+        # gets the same treatment.
+        if not np.minimum.reduce(r2, axis=None) > 0.0:
+            np.copyto(w, 0.0, where=~(r2 > 0.0))
+        np.multiply(w, scales, out=prod)
+        np.multiply(prod, diff, out=prod)
+        if n_obj < 8:
+            return np.add.reduce(prod, axis=1, out=grad)
+        # numpy sums eight or more contiguous terms pairwise; lay the M
+        # terms out contiguously, as the row-major formulation had.
+        return np.add.reduce(prod.transpose(0, 2, 1).copy(), axis=2, out=grad)
+
+    return gradient, radii
 
 
-def descent_sweep(scales_sq, centers, powers, weights, start,
-                  step0, decay_steps, grad_tol, max_steps, certified):
+def descent_sweep(gradient, radii, certified, weights, start,
+                  step0, decay_steps, grad_tol, max_steps):
     """Plain gradient descent with a diminishing step on each weighted-sum
-    scalarization of a diagonal norm-power problem, all weights at once.
+    scalarization of a problem, all weights at once.
 
-    The objectives are f_m(x) = (sum_l scales_sq[m,l] (x_l - centers[m,l])^2
-    )^(powers[m]/2); the gradient is taken as zero exactly at a center.
-    Each row i of `weights` descends from `start[i]`, stepping
+    `gradient(x, t)` returns the scalarized gradients (L, w) of the active
+    iterates x (L, w) for their weights t (M, w); `radii(x)`, called only at
+    check steps and after `gradient` on the same x, the squared scaled radii
+    (C, w) of x to the C centers of `certified` (C, n). Each row i of
+    `weights` descends from `start[i]`, stepping
     x <- x - step0/(1 + k/decay_steps) * grad until the gradient norm drops
-    below grad_tol (status CONVERGED, after k - 1 steps) or max_steps is
-    exhausted (STALLED, or DIVERGED if the last gradient norm is not
-    finite). Every CHECK_STEPS steps, a weight whose scaled radius
-    ||A_m (x - c_m)|| to some center m with certified[m, i] is below
-    CUSP_RADIUS stops as CUSP, and one with a non-finite gradient norm as
-    DIVERGED. A stopped weight reports its iterate at the check, the steps
-    taken and the gradient norm there.
+    below grad_tol (CONVERGED, after k - 1 steps) or max_steps is exhausted
+    (STALLED, or DIVERGED if the last gradient norm is not finite). Every
+    CHECK_STEPS steps, a weight within CUSP_RADIUS of some center c with
+    certified[c, i] stops as CUSP, and one with a non-finite gradient norm
+    as DIVERGED. A stopped weight reports its iterate, steps and gradient
+    norm at the check. Gradient norms sum the squares over L in index order.
 
     Returns (points, grad_norms, steps, status), status indexing STATUSES.
 
-    Arrays are coordinate-major: the weight index is the innermost axis, so
-    every numpy call runs over all active weights at once instead of over
-    axes of length L or M. Iterates are (L, n), scaled weights and radii
-    (M, n), differences (L, M, n). The active set stays compact and is
-    re-compacted only on steps where some weight stops; iterates, gradient
-    norms and step counts reach the outputs when a weight stops or the
-    loop ends.
-
-    Per element the arithmetic and its order are those of a row-major
-    formulation that gathers one (n, M, L) array per step, so iterates are
-    bitwise reproducible against it: sums over L run in index order from
-    +0.0, and the sum over M is numpy's reduction over M contiguous terms
-    from +0.0. Diverging iterates overflow to inf/NaN without raising
+    The weight index is the innermost axis, so every numpy call runs over
+    all active weights at once. The active set is re-compacted only on
+    steps where some weight stops, and only then does `gradient` see a new
+    `t`. Diverging iterates overflow to inf/NaN without raising
     floating-point warnings.
     """
     n_w = start.shape[0]
@@ -181,69 +226,36 @@ def descent_sweep(scales_sq, centers, powers, weights, start,
     status = np.full(n_w, STALLED, dtype=np.int8)
     if n_w == 0 or max_steps < 1:
         return points, grad_norms, steps, status
-    n_obj, dim = scales_sq.shape
     active = np.arange(n_w)
     x = start.T.copy()
-    tp = weights.T * powers[:, None]
+    t = weights.T.copy()
     cert = np.asarray(certified, dtype=np.bool_)
-    grad = np.empty((dim, n_w))
-    g_norm = np.empty(n_w)
-    scales, ctr, expo, diff, prod, r2, w, pos, gsq = _descent_workspace(
-        scales_sq, centers, powers, n_w)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(1, max_steps + 1):
-            np.subtract(x[:, None, :], ctr, out=diff)
-            np.multiply(diff, diff, out=prod)
-            np.multiply(scales, prod, out=prod)
-            # Terms are >= +0.0 or NaN, so starting from the first row
-            # equals starting from +0.0.
-            np.copyto(r2, prod[0])
-            for l in range(1, dim):
-                r2 += prod[l]
-            np.power(r2, expo, out=w)
-            np.multiply(tp, w, out=w)
-            # The gradient is zero exactly at a center (r2 == 0); a NaN
-            # radius gets the same treatment.
-            np.greater(r2, 0.0, out=pos)
-            if np.count_nonzero(pos) != pos.size:
-                np.copyto(w, 0.0, where=~pos)
-            np.multiply(w, scales, out=prod)
-            np.multiply(prod, diff, out=prod)
-            if n_obj < 8:
-                np.add.reduce(prod, axis=1, out=grad)
-            else:
-                # numpy sums eight or more contiguous terms pairwise; lay the
-                # M terms out contiguously, as the row-major formulation had.
-                np.add.reduce(prod.transpose(0, 2, 1).copy(), axis=2, out=grad)
-            np.multiply(grad, grad, out=gsq)
-            np.copyto(g_norm, gsq[0])
-            for l in range(1, dim):
-                g_norm += gsq[l]
-            np.sqrt(g_norm, out=g_norm)
-            stop = g_norm < grad_tol
+            grad = gradient(x, t)
+            g_norm = np.sqrt(_sum_rows(grad * grad))
             check = k % CHECK_STEPS == 1 and k > CHECK_STEPS
-            if check:
-                # k - 1 steps taken; r2 holds this iterate's squared scaled
-                # radii to the centers.
-                np.less(r2, CUSP_RADIUS * CUSP_RADIUS, out=pos)
-                pos &= cert
-                code = np.select([stop, pos.any(axis=0), ~np.isfinite(g_norm)],
-                                 [CONVERGED, CUSP, DIVERGED], STALLED)
-                stop = code != STALLED
-            if np.count_nonzero(stop):
-                idx = active[stop]
-                status[idx] = code[stop] if check else CONVERGED
-                grad_norms[idx] = g_norm[stop]
-                steps[idx] = k - 1
-                points[idx] = x[:, stop].T
-                keep = ~stop
-                active = active[keep]
-                if active.size == 0:
-                    return points, grad_norms, steps, status
-                x, tp, grad, g_norm = x[:, keep], tp[:, keep], grad[:, keep], g_norm[keep]
-                cert = cert[:, keep]
-                scales, ctr, expo, diff, prod, r2, w, pos, gsq = _descent_workspace(
-                    scales_sq, centers, powers, active.size)
+            # fmin skips NaN norms, which never converge; min would return NaN.
+            if check or np.fmin.reduce(g_norm) < grad_tol:
+                stop = g_norm < grad_tol
+                if check:
+                    # k - 1 steps taken.
+                    near = (radii(x) < CUSP_RADIUS * CUSP_RADIUS) & cert
+                    code = np.select([stop, near.any(axis=0), ~np.isfinite(g_norm)],
+                                     [CONVERGED, CUSP, DIVERGED], STALLED)
+                    stop = code != STALLED
+                if np.count_nonzero(stop):
+                    idx = active[stop]
+                    status[idx] = code[stop] if check else CONVERGED
+                    grad_norms[idx] = g_norm[stop]
+                    steps[idx] = k - 1
+                    points[idx] = x[:, stop].T
+                    keep = ~stop
+                    active = active[keep]
+                    if active.size == 0:
+                        return points, grad_norms, steps, status
+                    x, t, grad, g_norm = x[:, keep], t[:, keep], grad[:, keep], g_norm[keep]
+                    cert = cert[:, keep]
             grad *= step0 / (1.0 + k / decay_steps)
             x -= grad
     points[active] = x.T
@@ -251,4 +263,3 @@ def descent_sweep(scales_sq, centers, powers, weights, start,
     steps[active] = max_steps
     status[active] = np.where(np.isfinite(g_norm), STALLED, DIVERGED)
     return points, grad_norms, steps, status
-

@@ -31,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._kernels import _sum_rows
 from .simplex import weight_vector
 
 
@@ -121,7 +122,7 @@ def norm_power_gradient_batch(spec: NormPowerSpec, points: np.ndarray,
     Returns (G, mu) where row n of G is J_f(points[n])' weights[n] and
     mu[n] is the largest single-objective gradient norm at points[n].
 
-    Arrays are coordinate-major, as in `_kernels.descent_sweep`: the row
+    Arrays are coordinate-major, as in `_kernels.norm_power_descent`: the row
     index is innermost, so every numpy call runs over all N rows at once.
     Differences and per-objective gradients are (L, M, N), radii (M, N).
     Sums over L and over M run in index order from +0.0. mu is the square
@@ -137,9 +138,7 @@ def norm_power_gradient_batch(spec: NormPowerSpec, points: np.ndarray,
     diff = np.ascontiguousarray(points.T)[:, None, :] - spec.centers.T[:, :, None]
     scaled = scales * diff
     prod = scales * (diff * diff)
-    r2 = prod[0].copy()
-    for l in range(1, dim):
-        r2 += prod[l]
+    r2 = _sum_rows(prod)
     factor = spec.powers[:, None]
     expo = (spec.powers - 2.0) / 2.0
     if expo.any():
@@ -156,11 +155,7 @@ def norm_power_gradient_batch(spec: NormPowerSpec, points: np.ndarray,
     g = np.zeros((dim, points.shape[0]))
     for m in range(n_obj):
         g += wt[m] * grads[:, m]
-    sq = grads * grads
-    norms_sq = sq[0].copy()
-    for l in range(1, dim):
-        norms_sq += sq[l]
-    return g.T, np.sqrt(norms_sq.max(axis=0))
+    return g.T, np.sqrt(_sum_rows(grads * grads).max(axis=0))
 
 
 def gradient_batch_stats(problem: Problem, points: np.ndarray,

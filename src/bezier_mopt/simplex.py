@@ -20,8 +20,6 @@ from ._kernels import bernstein_design
 # Construction renormalizes weight vectors whose sum drifts from 1 by at
 # most this much; larger deviations are rejected as bugs.
 WEIGHT_RENORM_TOL = 1e-9
-# Invariant tolerance for "entries sum to one".
-WEIGHT_SUM_ATOL = 1e-12
 
 
 def weight_vector(values, dim: int | None = None) -> np.ndarray:
@@ -95,11 +93,6 @@ class MultiIndexSet:
     def size(self) -> int:
         """Number of basis functions, binomial(D + M - 1, M - 1)."""
         return self.exponents.shape[0]
-
-    def vertex_position(self, m: int) -> int:
-        """Row index of the multi-index D * e_m."""
-        hits = np.nonzero(self.exponents[:, m] == self.degree)[0]
-        return int(hits[0])
 
 
 def enumerate_multi_indices(num_objectives: int, degree: int) -> MultiIndexSet:

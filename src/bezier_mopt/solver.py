@@ -436,9 +436,9 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                 lambda_min,
                 _frobenius(np.swapaxes(design, 1, 2) @ effective_grads),
                 _frobenius(new_control - control),
-                np.sqrt((grads * grads).sum(axis=1)).reshape(-1, n).max(axis=1),
+                np.sqrt((grads * grads).sum(axis=1).reshape(-1, n).max(axis=1)),
                 objective_norms.reshape(-1, n).max(axis=1),
-                np.sqrt((design * design).sum(axis=2)).max(axis=1),
+                np.sqrt((design * design).sum(axis=2).max(axis=1)),
                 np.abs(design.sum(axis=2) - 1.0).max(axis=1),
             ])
             trace[:, active, k - 1] = values

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import CONVERGED, DIVERGED, STALLED, STATUSES, descent_sweep
+from ._kernels import CONVERGED, STATUSES, descent_sweep, norm_power_descent
 from .problems import (NormPowerSpec, Problem, _norm_power_jacobian,
                        gradient_batch_stats)
 from .simplex import _descending_lex_exponents
@@ -122,36 +122,7 @@ class SweepResult:
                      for part in (head, tail))
 
 
-def _generic_descent(problem: Problem, weights, start, step0, decay_steps,
-                     grad_tol, max_steps):
-    """Fallback descent through the per-point Jacobian interface."""
-    points = start.copy()
-    n = len(weights)
-    grad_norms = np.full(n, np.inf)
-    steps = np.zeros(n, dtype=np.int64)
-    status = np.full(n, STALLED, dtype=np.int8)
-    for i in range(n):
-        x = points[i]
-        for k in range(1, max_steps + 1):
-            g, _ = gradient_batch_stats(problem, x[None, :], weights[i][None, :])
-            g = g[0]
-            grad_norms[i] = float(np.linalg.norm(g))
-            if grad_norms[i] < grad_tol:
-                status[i] = CONVERGED
-                steps[i] = k - 1
-                break
-            x -= step0 / (1.0 + k / decay_steps) * g
-            steps[i] = k
-        else:
-            if max_steps > 0 and not np.isfinite(grad_norms[i]):
-                status[i] = DIVERGED
-        points[i] = x
-    return points, grad_norms, steps, status
-
-
 def minimize_scalarizations(problem: Problem, weights, start=None,
-                            step0: float = DEFAULT_STEP0,
-                            decay_steps: float = DEFAULT_DECAY_STEPS,
                             grad_tol: float = DEFAULT_GRAD_TOL,
                             max_steps: int = DEFAULT_MAX_STEPS) -> SweepResult:
     """Descend every weighted-sum scalarization in `weights`.
@@ -162,21 +133,21 @@ def minimize_scalarizations(problem: Problem, weights, start=None,
     Each weight's `status` says how its descent ended (module docstring).
     """
     weights = np.asarray(weights, dtype=np.float64)
+    spec = problem.norm_power
     if start is None:
-        if problem.norm_power is not None:
-            start = weights @ problem.norm_power.centers
-        else:
-            start = np.zeros((len(weights), problem.num_vars))
+        start = (weights @ spec.centers if spec is not None
+                 else np.zeros((len(weights), problem.num_vars)))
     start = np.asarray(start, dtype=np.float64)
-    if problem.norm_power is not None:
-        spec = problem.norm_power
-        points, grad_norms, steps, status = descent_sweep(
-            spec.scales_sq, spec.centers, spec.powers, weights, start,
-            float(step0), float(decay_steps), float(grad_tol), int(max_steps),
-            cusp_certificate(spec, weights))
+    if spec is not None:
+        gradient, radii = norm_power_descent(spec.scales_sq, spec.centers, spec.powers)
+        certified = cusp_certificate(spec, weights)
     else:
-        points, grad_norms, steps, status = _generic_descent(
-            problem, weights, start, step0, decay_steps, grad_tol, max_steps)
+        gradient, radii = (lambda x, t: gradient_batch_stats(problem, x.T, t.T)[0].T,
+                           lambda x: np.empty((0, x.shape[1])))
+        certified = np.zeros((0, len(weights)), dtype=np.bool_)
+    points, grad_norms, steps, status = descent_sweep(
+        gradient, radii, certified, weights, start, DEFAULT_STEP0,
+        DEFAULT_DECAY_STEPS, float(grad_tol), int(max_steps))
     return SweepResult(weights=weights, points=points, grad_norms=grad_norms,
                        steps=steps, status=np.array(STATUSES)[status])
 

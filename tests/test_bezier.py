@@ -9,6 +9,11 @@ from bezier_mopt.bezier import (SINGULARITY_RTOL, BezierSimplex, SingularFitErro
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
 
 
+def _vertex_position(basis, m):
+    """Row index of the multi-index D * e_m."""
+    return int(np.flatnonzero(basis.exponents[:, m] == basis.degree)[0])
+
+
 def fit_normal_equations(weights, points, basis):
     """Reference fit through the explicit normal equations (Z'Z) P = Z'X:
     numerically inferior on ill-conditioned designs, mathematically the
@@ -52,7 +57,7 @@ def test_vertex_evaluation_returns_vertex_control_point():
     for m in range(3):
         t = np.zeros(3)
         t[m] = 1.0
-        row = model.basis.vertex_position(m)
+        row = _vertex_position(model.basis, m)
         assert np.array_equal(model.evaluate(t), model.control_points[row])
 
 
@@ -64,7 +69,7 @@ def test_degree_one_is_affine():
     for t in sample_uniform_simplex(3, 10, 4):
         # degree-1 exponent rows are unit vectors: descending lex order puts
         # e_1 first, so the map is t |-> sum_m t_m p_(e_m)
-        expected = t @ control[[basis.vertex_position(m) for m in range(3)]]
+        expected = t @ control[[_vertex_position(basis, m) for m in range(3)]]
         assert np.allclose(model.evaluate(t), expected, atol=1e-14)
 
 

@@ -26,6 +26,11 @@ from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
 from bezier_mopt.sweep import cusp_certificate, triangular_lattice
 
 
+def _vertex_position(basis, m):
+    """Row index of the multi-index D * e_m."""
+    return int(np.flatnonzero(basis.exponents[:, m] == basis.degree)[0])
+
+
 def _basis_arrays(m, d):
     basis = enumerate_multi_indices(m, d)
     return basis.exponents.astype(np.float64), basis.coefficients
@@ -108,7 +113,7 @@ def test_bernstein_design_properties(case):
         assert kern.bernstein_design(weights[i:i + 1], expf, coeff)[0].tobytes() == z[i].tobytes()
         if (row == 1.0).any():
             vertex = np.zeros(basis.size)
-            vertex[basis.vertex_position(int(np.argmax(row)))] = 1.0
+            vertex[_vertex_position(basis, int(np.argmax(row)))] = 1.0
             assert np.array_equal(z[i], vertex)
 
 
@@ -175,8 +180,8 @@ def test_descent_sweep_reaches_quadratic_minimum():
     weights = sample_uniform_simplex(3, 16, 10)
     start = weights @ spec.centers
     points, grad_norms, steps, status = kern.descent_sweep(
-        spec.scales_sq, spec.centers, spec.powers, weights, start,
-        0.2, 2000.0, 1e-10, 100000, cusp_certificate(spec, weights))
+        *kern.norm_power_descent(spec.scales_sq, spec.centers, spec.powers),
+        cusp_certificate(spec, weights), weights, start, 0.2, 2000.0, 1e-10, 100000)
     assert (status == kern.CONVERGED).all()
     assert grad_norms.max() < 1e-10
     assert steps.max() < 1000
@@ -252,7 +257,7 @@ def _descend_and_check(args):
     scales_sq, centers, powers, weights, start = args[:5]
     max_steps = args[-1]
     certified = cusp_certificate(NormPowerSpec(scales_sq, centers, powers), weights)
-    got = kern.descent_sweep(*args, certified)
+    got = kern.descent_sweep(*kern.norm_power_descent(*args[:3]), certified, *args[3:])
     points, grad_norms, steps, status = got
     stopped = (status == kern.CUSP) | ((status == kern.DIVERGED) & (steps < max_steps))
     full = ~stopped
@@ -296,6 +301,43 @@ def test_descent_sweep_matches_rowmajor_reference_bitwise(name):
     assert (status == kern.CUSP).any() == (name != "scaled-med")
 
 
+def test_descent_sweep_sums_squared_gradients_in_index_order():
+    # One weight, nine coordinates, squares 1e16 and eight times 1.0: in
+    # index order each 1.0 rounds away (1e16 + 1 ties to even), while numpy's
+    # reduction over the lone axis would sum the nine pairwise and keep some.
+    grad = np.array([[1e8]] + [[1.0]] * 8)
+    points, grad_norms, steps, status = kern.descent_sweep(
+        lambda x, t: grad.copy(), lambda x: np.empty((0, 1)), np.zeros((0, 1), dtype=np.bool_),
+        np.ones((1, 1)), np.zeros((1, 9)), 0.2, 2000.0, 1e-8, 1)
+    assert grad_norms[0] == 1e8 and steps[0] == 1 and status[0] == kern.STALLED
+
+
+@st.composite
+def descent_problems(draw):
+    """(scales_sq, centers, powers, weights): M in 2..9 objectives, so that
+    eight or more sum pairwise; L in 1..4 variables; diagonal scales in
+    [0.5, 1.5]; powers on both sides of 1 and of 2; lattice weights, whose
+    zero entries leave objectives out, and random simplex weights."""
+    m, dim = draw(st.integers(2, 9)), draw(st.integers(1, 4))
+    powers = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = rng.uniform(0.5, 1.5, size=(m, dim))
+    weights = np.vstack([
+        triangular_lattice(m, draw(st.integers(1, 12))),
+        sample_uniform_simplex(m, draw(st.integers(1, 6)), int(rng.integers(2**32)))])
+    return scales * scales, rng.normal(size=(m, dim)), np.array(powers), weights
+
+
+# 1200 steps take in the checks at steps 501 and 1001.
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(descent_problems())
+def test_descent_sweep_matches_rowmajor_reference_on_drawn_problems(case):
+    scales_sq, centers, powers, weights = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        _descend_and_check((scales_sq, centers, powers, weights, weights @ centers,
+                            0.2, 2000.0, 1e-8, 1200))
+
+
 @pytest.mark.parametrize("count,max_steps", [(0, 100), (60, 0), (60, 1)])
 def test_descent_sweep_edge_sizes_match_reference(count, max_steps):
     problem = get_problem("skew-3mmd")
@@ -324,7 +366,8 @@ def test_descent_sweep_diverging_weight_is_silent_and_unconverged():
     args = _sweep_args(problem, weights, 1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = kern.descent_sweep(*args, cusp_certificate(problem.norm_power, weights))
+        got = kern.descent_sweep(*kern.norm_power_descent(*args[:3]),
+                                 cusp_certificate(problem.norm_power, weights), *args[3:])
     with np.errstate(over="ignore", invalid="ignore"):
         _descend_and_check(args)
     points, grad_norms, steps, status = got

@@ -8,6 +8,11 @@ from bezier_mopt.simplex import (bernstein_vector,
                                  sample_uniform_simplex_stack, weight_vector)
 
 
+def _vertex_position(basis, m):
+    """Row index of the multi-index D * e_m."""
+    return int(np.flatnonzero(basis.exponents[:, m] == basis.degree)[0])
+
+
 def test_enumeration_m2_d2():
     basis = enumerate_multi_indices(2, 2)
     assert basis.exponents.tolist() == [[2, 0], [1, 1], [0, 2]]
@@ -54,7 +59,7 @@ def test_bernstein_vertex_is_indicator():
         t[m] = 1.0
         z = bernstein_vector(t, basis)
         expected = np.zeros(basis.size)
-        expected[basis.vertex_position(m)] = 1.0
+        expected[_vertex_position(basis, m)] = 1.0
         assert np.array_equal(z, expected)
 
 

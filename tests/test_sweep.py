@@ -148,6 +148,23 @@ def test_generic_descent_reports_the_family_kernels_statuses(max_steps, expected
     assert fast.status.tolist() == slow.status.tolist() == expected
 
 
+def test_generic_descent_stops_a_diverging_weight_at_a_check_step():
+    # The overshooting weight of the test above, given more steps: both
+    # paths stop it at the first check, not at max_steps.
+    spec = NormPowerSpec(scales_sq=[[100.0], [1.0]], centers=[[0.0], [1.0]],
+                         powers=[2.0, 2.0])
+    problem = _spec_problem(spec)
+    stripped = problem.__class__(
+        name=problem.name, num_objectives=2, num_vars=1,
+        evaluate=problem.evaluate, jacobian=problem.jacobian, norm_power=None)
+    weights, start = np.array([[1.0, 0.0]]), np.array([[1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for result in (minimize_scalarizations(problem, weights, start=start, max_steps=2000),
+                       minimize_scalarizations(stripped, weights, start=start, max_steps=2000)):
+            assert result.status.tolist() == ["diverged"]
+            assert result.steps.tolist() == [CHECK_STEPS]
+
+
 def _is_local_minimizer(spec, t, x, eps=1e-7, count=2000, seed=0):
     """Brute-force probe: f(x) <= f(x + eps d) for `count` unit directions d
     (random ones plus the coordinate axes), f the scalarization sum_m t_m f_m."""
