@@ -15,8 +15,7 @@ failures emit one JSON object on stderr.
 
 The trials of each experiment sample count run as one lockstep stack. With
 a worker pool the stack is split into one contiguous chunk per worker; the
-pool size comes from the BEZIER_MOPT_THREADS environment variable when set,
-else the --threads flag, else the hardware thread count.
+pool size is --threads, else the hardware thread count.
 """
 
 from __future__ import annotations
@@ -113,16 +112,6 @@ def _load_model_file(path) -> BezierSimplex:
 def _initial_control_points(path):
     """Control points of an --initial-model file; None for "zero"."""
     return None if path == "zero" else _load_model_file(path).control_points
-
-
-def _thread_count(threads: int) -> int:
-    env = os.environ.get("BEZIER_MOPT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"BEZIER_MOPT_THREADS={env!r} is not an integer")
-    return threads
 
 
 def _int_list(text: str) -> list[int]:
@@ -293,6 +282,32 @@ def cmd_solve(ns) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
+def _scores(model, problem, metric_names, seed, mse_samples, validation_count,
+            reference) -> dict:
+    """The requested mse, gd and igd of a fitted model under a run seed.
+
+    mse averages over weights drawn from (seed, METRIC_STREAM, 0); gd and
+    igd compare `validation_count` model samples, drawn from (seed,
+    METRIC_STREAM, 1), with the `reference` points. A problem without an
+    analytical map scores an mse of None, with a note saying why."""
+    scores = {}
+    if "mse" in metric_names:
+        if problem.pareto_map is None:
+            scores["mse"] = None
+            scores["mse_note"] = "problem has no analytical map"
+        else:
+            scores["mse"] = mse(model, problem.pareto_map, mse_samples,
+                                seed=derive_seed(seed, METRIC_STREAM, 0))
+    if "gd" in metric_names or "igd" in metric_names:
+        samples = model_samples(model, validation_count,
+                                seed=derive_seed(seed, METRIC_STREAM, 1))
+        if "gd" in metric_names:
+            scores["gd"] = gd(samples, reference)
+        if "igd" in metric_names:
+            scores["igd"] = igd(samples, reference)
+    return scores
+
+
 def _experiment_trial(job: dict) -> list[dict]:
     """A chunk of one cell's trials: one lockstep run of their seeds, then
     each trial's requested metrics. Returns one plain dict per trial so the
@@ -311,17 +326,8 @@ def _experiment_trial(job: dict) -> list[dict]:
             row["error"] = str(outcome)
             continue
         model, record = outcome
-        if "mse" in job["metrics"]:
-            row["mse"] = mse(model, problem.pareto_map, job["mse_samples"],
-                             seed=derive_seed(seed, METRIC_STREAM, 0))
-        if "gd" in job["metrics"] or "igd" in job["metrics"]:
-            reference = np.asarray(job["validation_points"])
-            samples = model_samples(model, job["validation_count"],
-                                    seed=derive_seed(seed, METRIC_STREAM, 1))
-            if "gd" in job["metrics"]:
-                row["gd"] = gd(samples, reference)
-            if "igd" in job["metrics"]:
-                row["igd"] = igd(samples, reference)
+        row.update(_scores(model, problem, job["metrics"], seed, job["mse_samples"],
+                           job["validation_count"], job["validation_points"]))
         if "diagnostics" in job["metrics"]:
             summary = stability_summary(record)
             row.update({column: summary[column] for column in METRIC_COLUMNS["diagnostics"]})
@@ -365,7 +371,7 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
         cell_configs.append(config)
     validation_points = None
     if "gd" in metric_names or "igd" in metric_names:
-        validation_points = pareto_set_sweep(problem, validation_count).converged_points.tolist()
+        validation_points = pareto_set_sweep(problem, validation_count).converged_points
 
     trial_seeds = [(trial, derive_seed(root_seed, TRIAL_STREAM, trial))
                    for trial in range(trials)]
@@ -423,7 +429,7 @@ def cmd_experiment(ns) -> int:
             ns.problem, ns.num_samples, ns.trials, ns.seed, ns.metrics,
             iterations=ns.iterations, degree=ns.degree, schedule=ns.schedule,
             resample_retries=ns.resample_retries, mse_samples=ns.mse_samples,
-            validation_count=ns.validation_count, threads=_thread_count(ns.threads),
+            validation_count=ns.validation_count, threads=ns.threads,
             initial_control_points=initial_control_points)
     except (SolverAbort, ValueError) as err:
         if isinstance(err, (ConfigError,)):
@@ -497,21 +503,9 @@ def cmd_baseline(ns) -> int:
     }
     for status in ("cusp", "diverged", "stalled"):
         report[f"{status}_lattice_indices"] = np.nonzero(sweep.status == status)[0].tolist()
-    if "mse" in metric_names:
-        if problem.pareto_map is None:
-            report["mse"] = None
-            report["mse_note"] = "problem has no analytical map"
-        else:
-            report["mse"] = mse(model, problem.pareto_map, ns.mse_samples,
-                                seed=derive_seed(ns.seed, METRIC_STREAM, 0))
-    if validation_count is not None:
-        reference = reference_sweep.converged_points
-        samples = model_samples(model, validation_count,
-                                seed=derive_seed(ns.seed, METRIC_STREAM, 1))
-        if "gd" in metric_names:
-            report["gd"] = gd(samples, reference)
-        if "igd" in metric_names:
-            report["igd"] = igd(samples, reference)
+    reference = None if validation_count is None else reference_sweep.converged_points
+    report.update(_scores(model, problem, metric_names, ns.seed, ns.mse_samples,
+                          validation_count, reference))
 
     if comparison is not None:
         report["proposed_comparison"] = comparison

@@ -41,12 +41,6 @@ def _as_points(value) -> np.ndarray:
     return pts
 
 
-def _apply_map(pareto_map, weights: np.ndarray) -> np.ndarray:
-    """Evaluate a weight-to-minimizer map on an (n, M) batch in one call;
-    `Problem.pareto_map` accepts batches."""
-    return np.asarray(pareto_map(weights), dtype=np.float64)
-
-
 def loss(model: BezierSimplex, t, pareto_map) -> float:
     """Euclidean distance between the model and the map at one weight."""
     if pareto_map is None:
@@ -60,7 +54,7 @@ def loss_batch(model: BezierSimplex, weights, pareto_map) -> np.ndarray:
     if pareto_map is None:
         raise UnsupportedMetricError("loss needs an analytical weight-to-minimizer map")
     arr = np.asarray(weights, dtype=np.float64)
-    diff = model.evaluate_batch(arr) - _apply_map(pareto_map, arr)
+    diff = model.evaluate_batch(arr) - np.asarray(pareto_map(arr), dtype=np.float64)
     return np.sqrt((diff * diff).sum(axis=1))
 
 
@@ -75,7 +69,7 @@ def mse(model: BezierSimplex, pareto_map, count: int = 10000, seed: int = 0) -> 
     if pareto_map is None:
         raise UnsupportedMetricError("mse needs an analytical weight-to-minimizer map")
     weights = sample_uniform_simplex(model.num_objectives, count, seed)
-    diff = model.evaluate_batch(weights) - _apply_map(pareto_map, weights)
+    diff = model.evaluate_batch(weights) - np.asarray(pareto_map(weights), dtype=np.float64)
     return float((diff * diff).sum(axis=1).mean())
 
 

@@ -180,14 +180,6 @@ def gradient_batch_stats(problem: Problem, points: np.ndarray,
     return g, mu
 
 
-def evaluate_batch(problem: Problem, points) -> np.ndarray:
-    """Objective values for every row of `points`; (N, M)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if problem.norm_power is not None:
-        return _norm_power_values(problem.norm_power, pts)
-    return np.stack([problem.evaluate(p) for p in pts])
-
-
 def _norm_power_problem(name: str, spec: NormPowerSpec,
                         pareto_map=None) -> Problem:
     def evaluate(x):

@@ -31,8 +31,7 @@ are drawn from the words; the streams are bit for bit the same.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -135,13 +134,11 @@ def iteration_states(seeds, ks, retry: int) -> np.ndarray:
 # Step schedules and rules.
 # ---------------------------------------------------------------------------
 
-def resolve_schedule(spec) -> Callable[[int], float]:
+def resolve_schedule(spec: str) -> Callable[[int], float]:
     """Turn a schedule spec into a callable k -> step size.
 
-    Accepts a callable, the string "1/k", or "const:<value>".
+    Accepts the string "1/k" or "const:<value>".
     """
-    if callable(spec):
-        return spec
     if isinstance(spec, str):
         text = spec.strip().lower()
         if text == "1/k":
@@ -188,10 +185,9 @@ class SolverConfig:
     num_iterations: int
     degree: int
     seed: int
-    step_schedule: Union[str, Callable[[int], float]] = "1/k"
+    step_schedule: str = "1/k"
     initial_control_points: Optional[np.ndarray] = None
     resample_retries: int = 5
-    record_weights: bool = False
 
     def validate(self, problem: Problem) -> None:
         basis = enumerate_multi_indices(problem.num_objectives, self.degree)
@@ -220,16 +216,13 @@ class SolverConfig:
 
     def echo(self) -> dict:
         """JSON-ready snapshot of the resolved configuration."""
-        schedule = self.step_schedule
-        if callable(schedule):
-            schedule = getattr(schedule, "__name__", "<callable>")
         initial = self.initial_control_points
         return {
             "num_samples": self.num_samples,
             "num_iterations": self.num_iterations,
             "degree": self.degree,
             "seed": self.seed,
-            "step_schedule": schedule,
+            "step_schedule": self.step_schedule,
             "initial_control_points": "zero" if initial is None else np.asarray(initial).tolist(),
             "resample_retries": self.resample_retries,
         }
@@ -260,11 +253,8 @@ class RunRecord:
     the control-point step size, the largest scalarized gradient norm and
     largest single-objective gradient norm over the batch, the largest
     basis-vector 2-norm, the worst partition-of-unity error, and how many
-    resamples the iteration needed. `weights` holds every sampled batch
-    only when requested; the final iteration's batch is always kept.
-    `wall_clock` is the wall time of the stack the run was stepped in; it
-    is left out of `to_dict` so that the traces of equal runs are
-    byte-identical.
+    resamples the iteration needed. Only the final iteration's weight batch
+    is kept.
     """
 
     seed: int
@@ -278,21 +268,14 @@ class RunRecord:
     max_basis_sum_err: np.ndarray
     retries: np.ndarray
     final_weights: np.ndarray
-    wall_clock: float
-    weights: Optional[list] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.lambda_min)
 
     def to_dict(self) -> dict:
-        iterations = []
-        for k in range(len(self)):
-            entry = {"iteration": k + 1,
-                     **{name: float(getattr(self, name)[k]) for name in TRACE_FIELDS},
-                     "retries": int(self.retries[k])}
-            if self.weights is not None:
-                entry["weights"] = self.weights[k].tolist()
-            iterations.append(entry)
+        iterations = [{"iteration": k + 1,
+                       **{name: float(getattr(self, name)[k]) for name in TRACE_FIELDS},
+                       "retries": int(self.retries[k])} for k in range(len(self))]
         return {
             "iterations": iterations,
             "footer": {
@@ -357,7 +340,6 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
     kk = config.num_iterations
     trace = np.empty((len(TRACE_FIELDS), len(seeds), kk))
     retries_used = np.zeros((len(seeds), kk), dtype=np.int64)
-    kept_weights = [[] for _ in seeds] if config.record_weights else None
     outcomes: list = [None] * len(seeds)
     hooked = any(hook is not None for hook in hooks)
 
@@ -390,7 +372,6 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
         design, grams = design[keep], grams[keep]
         lambda_min, fallback = lambda_min[keep], fallback[keep]
 
-    started = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, kk + 1):
             if not active.size:
@@ -442,9 +423,6 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                 np.abs(design.sum(axis=2) - 1.0).max(axis=1),
             ])
             trace[:, active, k - 1] = values
-            if kept_weights is not None:
-                for p, i in enumerate(active):
-                    kept_weights[i].append(weights[p].copy())
             control = new_control
 
             finite = np.isfinite(control).all(axis=(1, 2)) & np.isfinite(values).all(axis=0)
@@ -459,7 +437,6 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                         "seed": seeds[active[p]],
                     }) for p in diverged])
 
-    wall_clock = time.perf_counter() - started
     echo = config.echo()
     for p, i in enumerate(active):
         record = RunRecord(
@@ -467,8 +444,6 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
             config={**echo, "seed": seeds[i]},
             retries=retries_used[i].copy(),
             final_weights=weights[p].copy(),
-            wall_clock=wall_clock,
-            weights=None if kept_weights is None else kept_weights[i],
             **{name: trace[f, i].copy() for f, name in enumerate(TRACE_FIELDS)},
         )
         outcomes[i] = (BezierSimplex(basis=basis, control_points=control[p].copy()), record)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import warnings
@@ -580,18 +579,6 @@ def test_console_entry_point_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert model_path.exists()
-
-
-def test_threads_env_override_rejected_if_not_integer(tmp_path, capsys):
-    os.environ["BEZIER_MOPT_THREADS"] = "many"
-    try:
-        code, _, err = run_cli(
-            capsys, "experiment", "--problem", "scaled-med", "--n", "15",
-            "--k", "5", "--trials", "1", "--metrics", "mse",
-            "--out-dir", str(tmp_path))
-        assert code == 2
-    finally:
-        del os.environ["BEZIER_MOPT_THREADS"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

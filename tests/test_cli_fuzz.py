@@ -173,10 +173,9 @@ def run_in(directory, argv):
 
 @pytest.mark.parametrize("base", sorted(BASE))
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_every_input_keeps_the_exit_code_contract(base, data, monkeypatch):
-    monkeypatch.delenv("BEZIER_MOPT_THREADS", raising=False)
+def test_every_input_keeps_the_exit_code_contract(base, data):
     argv, config, text = data.draw(command_lines(base))
     with tempfile.TemporaryDirectory() as directory:
         write_fixtures(directory)

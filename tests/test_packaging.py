@@ -43,3 +43,28 @@ def test_test_imports_are_declared():
     project = _project()
     declared = _names(project["dependencies"]) | _names(project["optional-dependencies"]["test"])
     assert _third_party_imports(ROOT / "tests") <= declared
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(directory: Path) -> list[str]:
+    """`file:line` of every `os.environ`/`os.getenv` use, and of every
+    import of those names from `os`, in the modules of `directory`."""
+    reads = []
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                found = node.value.id == "os" and node.attr in ENVIRONMENT_READERS
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found = any(alias.name in ENVIRONMENT_READERS for alias in node.names)
+            else:
+                found = False
+            if found:
+                reads.append(f"{path.name}:{node.lineno}")
+    return reads
+
+
+def test_package_reads_no_environment_variables():
+    """Every setting comes from a flag, a config file or a parameter."""
+    assert _environment_reads(ROOT / "src" / "bezier_mopt") == []

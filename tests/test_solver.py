@@ -86,6 +86,13 @@ def test_config_validation():
     SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0).validate(problem)
 
 
+def test_config_rejects_a_callable_step_schedule():
+    config = SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0,
+                          step_schedule=lambda k: 1.0 / k)
+    with pytest.raises(ValueError, match="step schedule"):
+        config.validate(scaled_med())
+
+
 def test_identity_rule_keeps_any_model_fixed():
     problem = scaled_med()
     basis = enumerate_multi_indices(3, 3)
@@ -143,29 +150,50 @@ def test_closed_form_control_update_cross_check():
     assert np.linalg.norm(model.control_points - reference) < 1e-8
 
 
+def recording(inner=None):
+    """Weight hook that passes each batch through `inner`, when given, and
+    keeps the last batch of every iteration: the one its refit uses."""
+    batches = {}
+
+    def hook(k, batch):
+        if inner is not None:
+            batch = inner(k, batch)
+        batches[k] = batch
+        return batch
+
+    hook.batches = batches
+    return hook
+
+
+def recorded(hook):
+    """The batches a `recording` hook kept, in iteration order."""
+    return [hook.batches[k] for k in sorted(hook.batches)]
+
+
 def test_run_record_contents_and_determinism():
     problem = scaled_med()
-    cfg = SolverConfig(num_samples=30, num_iterations=20, degree=3, seed=5,
-                       record_weights=True)
-    model_a, rec_a = run_surface_gd(problem, cfg)
-    model_b, rec_b = run_surface_gd(problem, cfg)
+    cfg = SolverConfig(num_samples=30, num_iterations=20, degree=3, seed=5)
+    hook_a, hook_b = recording(), recording()
+    model_a, rec_a = run_surface_gd(problem, cfg, weight_hook=hook_a)
+    model_b, rec_b = run_surface_gd(problem, cfg, weight_hook=hook_b)
+    model_plain, rec_plain = run_surface_gd(problem, cfg)
     assert np.array_equal(model_a.control_points, model_b.control_points)
+    assert model_plain.control_points.tobytes() == model_a.control_points.tobytes()
     for name in ("lambda_min", "ztg_norm", "control_delta",
                  "max_scalarized_grad", "max_objective_grad"):
         va, vb = getattr(rec_a, name), getattr(rec_b, name)
         assert np.array_equal(va, vb)
         assert np.all(np.isfinite(va))
     assert len(rec_a) == 20
-    assert len(rec_a.weights) == 20
+    assert len(recorded(hook_a)) == 20
     assert rec_a.lambda_min.min() > 0.0
-    assert np.array_equal(rec_a.final_weights, rec_a.weights[-1])
+    assert [w.tobytes() for w in recorded(hook_a)] == [w.tobytes() for w in recorded(hook_b)]
+    assert np.array_equal(rec_a.final_weights, recorded(hook_a)[-1])
+    assert rec_plain.final_weights.tobytes() == rec_a.final_weights.tobytes()
     doc = rec_a.to_dict()
     assert len(doc["iterations"]) == 20
     assert doc["footer"]["seed"] == 5
-    assert np.array_equal(doc["iterations"][3]["weights"], rec_a.weights[3])
-    _, rec_lean = run_surface_gd(
-        problem, SolverConfig(num_samples=30, num_iterations=2, degree=3, seed=5))
-    assert "weights" not in rec_lean.to_dict()["iterations"][0]
+    assert not any("weights" in entry for entry in doc["iterations"])
 
 
 def test_design_weighted_gradient_bound_each_iteration():
@@ -248,17 +276,13 @@ def test_custom_initial_control_points_shape_checked():
 # ---------------------------------------------------------------------------
 
 def assert_same_run(outcome, reference):
-    """Model and every RunRecord field but the wall clock are bitwise equal."""
+    """Model and every RunRecord field are bitwise equal."""
     (model, record), (ref_model, ref_record) = outcome, reference
     assert model.control_points.tobytes() == ref_model.control_points.tobytes()
     for field in dataclasses.fields(RunRecord):
-        if field.name == "wall_clock":
-            continue
         value, expected = getattr(record, field.name), getattr(ref_record, field.name)
         if isinstance(expected, np.ndarray):
             assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes(), field.name
-        elif field.name == "weights" and expected is not None:
-            assert [w.tobytes() for w in value] == [w.tobytes() for w in expected]
         else:
             assert value == expected, field.name
 
@@ -292,17 +316,27 @@ def always_degenerate_at(iteration):
 
 @pytest.mark.parametrize("n", [30, 100])
 def test_stacked_trials_equal_single_runs_bitwise(n):
+    # Every trial but 0 and 7 records its batches, so the whole stack and
+    # both halves of the split each hold a trial without a hook.
     problem = scaled_med()
-    config = SolverConfig(num_samples=n, num_iterations=50, degree=3, seed=0,
-                          record_weights=True)
+    config = SolverConfig(num_samples=n, num_iterations=50, degree=3, seed=0)
     seeds = trial_seeds(20)
-    singles = [run_surface_gd(problem, dataclasses.replace(config, seed=s)) for s in seeds]
-    stacked = run_surface_gd_trials(problem, config, seeds)
-    split = (run_surface_gd_trials(problem, config, seeds[:7])
-             + run_surface_gd_trials(problem, config, seeds[7:]))
+    single_hooks, stacked_hooks, split_hooks = (
+        [None if t in (0, 7) else recording() for t in range(20)] for _ in range(3))
+    singles = [run_surface_gd(problem, dataclasses.replace(config, seed=s), weight_hook=hook)
+               for s, hook in zip(seeds, single_hooks)]
+    stacked = run_surface_gd_trials(problem, config, seeds, stacked_hooks)
+    split = (run_surface_gd_trials(problem, config, seeds[:7], split_hooks[:7])
+             + run_surface_gd_trials(problem, config, seeds[7:], split_hooks[7:]))
     for single, whole, part in zip(singles, stacked, split):
         assert_same_run(whole, single)
         assert_same_run(part, single)
+    for single, whole, part in zip(single_hooks, stacked_hooks, split_hooks):
+        if single is not None:
+            expected = [w.tobytes() for w in recorded(single)]
+            assert len(expected) == 50
+            assert [w.tobytes() for w in recorded(whole)] == expected
+            assert [w.tobytes() for w in recorded(part)] == expected
 
 
 def test_stacked_trial_retries_alone():
@@ -435,8 +469,7 @@ def test_recorded_weights_equal_the_seed_sequence_streams():
     num_iterations = 300
     assert STATE_BLOCK < num_iterations and num_iterations % STATE_BLOCK
     problem = scaled_med()
-    config = SolverConfig(num_samples=20, num_iterations=num_iterations, degree=3,
-                          seed=0, record_weights=True)
+    config = SolverConfig(num_samples=20, num_iterations=num_iterations, degree=3, seed=0)
     seeds = trial_seeds(3)
     seen = []
 
@@ -444,14 +477,20 @@ def test_recorded_weights_equal_the_seed_sequence_streams():
         seen.append((k, batch.copy()))
         return batch
 
-    hooks = [watching, degenerate_first_draw_at(STATE_BLOCK + 5), None]
+    hooks = [recording(watching), recording(degenerate_first_draw_at(STATE_BLOCK + 5)), None]
     outcomes = run_surface_gd_trials(problem, config, seeds, hooks)
     retries = [record.retries for _, record in outcomes]
     assert retries[1][STATE_BLOCK + 4] == 1
     assert sum(int(r.sum()) for r in retries) == 1
-    for seed, (_, record) in zip(seeds, outcomes):
-        assert len(record.weights) == num_iterations
-        for k, batch in enumerate(record.weights, start=1):
+    for seed, hook, (_, record) in zip(seeds, hooks, outcomes):
+        if hook is None:
+            # A trial without a hook keeps only its last batch.
+            batches = {num_iterations: record.final_weights}
+        else:
+            batches = hook.batches
+            assert sorted(batches) == list(range(1, num_iterations + 1))
+            assert batches[num_iterations].tobytes() == record.final_weights.tobytes()
+        for k, batch in batches.items():
             expected = sample_uniform_simplex(
                 3, 20, iteration_stream(seed, k, record.retries[k - 1]))
             assert batch.tobytes() == expected.tobytes(), (seed, k)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bezier_mopt._kernels import CHECK_STEPS
-from bezier_mopt.problems import (NormPowerSpec, _norm_power_problem, evaluate_batch,
+from bezier_mopt.problems import (NormPowerSpec, _norm_power_problem, _norm_power_values,
                                   get_problem, scaled_med, scaled_med_pareto, skew_mmed)
 from bezier_mopt.simplex import sample_uniform_simplex
 from bezier_mopt.sweep import (cusp_certificate, minimize_scalarizations,
@@ -168,13 +168,12 @@ def test_generic_descent_stops_a_diverging_weight_at_a_check_step():
 def _is_local_minimizer(spec, t, x, eps=1e-7, count=2000, seed=0):
     """Brute-force probe: f(x) <= f(x + eps d) for `count` unit directions d
     (random ones plus the coordinate axes), f the scalarization sum_m t_m f_m."""
-    problem = _spec_problem(spec)
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(count, len(x)))
     dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
                       np.eye(len(x)), -np.eye(len(x))])
-    here = evaluate_batch(problem, x[None, :]) @ t
-    return bool((evaluate_batch(problem, x + eps * dirs) @ t >= here).all())
+    here = _norm_power_values(spec, x[None, :]) @ t
+    return bool((_norm_power_values(spec, x + eps * dirs) @ t >= here).all())
 
 
 def _spec_problem(spec):

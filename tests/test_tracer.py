@@ -34,7 +34,7 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_traced_run_reports_the_span_the_benchmark_reads(case, tmp_path):
     args, span = CASES[case]
-    env = {key: value for key, value in os.environ.items() if key != "BEZIER_MOPT_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     out = tmp_path / "trace.json"
     proc = subprocess.run(
