@@ -24,13 +24,15 @@ the baseline's GD/IGD pair, and it sums squares in 4-wide partial sums, so
 its distances are not bitwise equal from dimension 8 up.
 
 The descent sweep steps every weight at once on coordinate-major arrays, the
-weight index innermost, and takes the problem's gradient as a function, so
-every problem descends through one loop. `norm_power_descent` supplies the
-norm-power family's, with iterates bitwise equal to a row-major formulation
-that the tests keep as a reference. Weights that cannot meet the
-gradient-norm rule stop early, at a certified cusp or on a non-finite
-gradient. ``perfbench/run.py --workload baseline-sweep`` measures it end to
-end and, with ``--trace 1``, as ``kernels.descent.busy_s``.
+weight index innermost, on a fixed step schedule (STEP0, DECAY_STEPS); its
+callers set the gradient tolerance and the step budget. It takes the
+problem's gradient as a function, so every problem descends through one
+loop. `norm_power_descent` supplies the norm-power family's, with iterates
+bitwise equal to a row-major formulation that the tests keep as a reference.
+Weights that cannot meet the gradient-norm rule stop early, at a certified
+cusp or on a non-finite gradient. ``perfbench/run.py --workload
+baseline-sweep`` measures it end to end and, with ``--trace 1``, as
+``kernels.descent.busy_s``.
 """
 
 from __future__ import annotations
@@ -125,6 +127,13 @@ CONVERGED, CUSP, DIVERGED, STALLED = range(len(STATUSES))
 CHECK_STEPS = 500
 CUSP_RADIUS = 0.05
 
+# Diminishing step schedule: step k is STEP0 / (1 + k / DECAY_STEPS),
+# effectively constant at STEP0 for the first DECAY_STEPS steps, then
+# decaying like 1/k. The benchmarks' scalarized curvature stays O(1) near
+# their minimizers, so the constant phase contracts linearly.
+STEP0 = 0.2
+DECAY_STEPS = 2000.0
+
 
 def _sum_rows(terms):
     """terms[0] + terms[1] + ..., in index order. numpy's reduction over
@@ -193,8 +202,7 @@ def norm_power_descent(scales_sq, centers, powers):
     return gradient, radii
 
 
-def descent_sweep(gradient, radii, certified, weights, start,
-                  step0, decay_steps, grad_tol, max_steps):
+def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_steps):
     """Plain gradient descent with a diminishing step on each weighted-sum
     scalarization of a problem, all weights at once.
 
@@ -203,7 +211,7 @@ def descent_sweep(gradient, radii, certified, weights, start,
     check steps and after `gradient` on the same x, the squared scaled radii
     (C, w) of x to the C centers of `certified` (C, n). Each row i of
     `weights` descends from `start[i]`, stepping
-    x <- x - step0/(1 + k/decay_steps) * grad until the gradient norm drops
+    x <- x - STEP0/(1 + k/DECAY_STEPS) * grad until the gradient norm drops
     below grad_tol (CONVERGED, after k - 1 steps) or max_steps is exhausted
     (STALLED, or DIVERGED if the last gradient norm is not finite). Every
     CHECK_STEPS steps, a weight within CUSP_RADIUS of some center c with
@@ -256,7 +264,7 @@ def descent_sweep(gradient, radii, certified, weights, start,
                         return points, grad_norms, steps, status
                     x, t, grad, g_norm = x[:, keep], t[:, keep], grad[:, keep], g_norm[keep]
                     cert = cert[:, keep]
-            grad *= step0 / (1.0 + k / decay_steps)
+            grad *= STEP0 / (1.0 + k / DECAY_STEPS)
             x -= grad
     points[active] = x.T
     grad_norms[active] = g_norm

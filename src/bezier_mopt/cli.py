@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .bezier import BezierSimplex, SingularFitError, fit_least_squares, load_model
-from .diagnostics import (perturbation_csv_rows, perturbation_experiment,
+from .diagnostics import (TEST_GRID_VERSION, perturbation_experiment,
                           repeat_generalization_gap, stability_summary)
 from .metrics import gd, igd, model_samples, mse
 from .problems import get_problem
@@ -66,15 +66,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows, preamble: dict | None = None) -> None:
+def write_csv(path, header, rows, preamble: dict) -> None:
     """CSV with LF endings, '.' decimals, 17 significant digits.
 
-    When given, the resolved configuration is embedded as a single
+    The resolved configuration `preamble` is embedded as a single
     '#'-prefixed comment line above the header.
     """
     with open(path, "w", newline="") as fh:
-        if preamble is not None:
-            fh.write("# " + json.dumps(preamble, sort_keys=True) + "\n")
+        fh.write("# " + json.dumps(preamble, sort_keys=True) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -177,7 +176,6 @@ OPTIONS = (
     ("--perturb-iteration", "perturb_iteration", int, None, 1, ("diagnostics",),
      "iteration whose sample gets one weight replaced (default: k // 2)"),
     ("--repeats", "repeats", int, 10, 1, ("diagnostics",), "perturbations"),
-    ("--grid-version", "grid_version", str, "v1", None, ("diagnostics",), "sup-gap weight grid"),
     ("--holdout", "holdout", int, 10000, 1, ("diagnostics",), "held-out weights"),
     ("--model", "model", str, ..., None, ("sample",), "model JSON"),
     ("--model", "model", str, None, None, ("metrics",), "model JSON"),
@@ -354,6 +352,8 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
                         ("mse_samples", mse_samples), ("validation_count", validation_count)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
+    if len(set(map(int, n_values))) < len(n_values):
+        raise ConfigError(f"sample counts repeat: {list(n_values)}")
     if "mse" in metric_names and problem.pareto_map is None:
         raise ConfigError(f"problem {problem.name} has no analytical map for mse")
     # One validated configuration per sample count; its seed is unused, as
@@ -463,7 +463,6 @@ def cmd_baseline(ns) -> int:
     validation_count = ns.validation_count if {"gd", "igd"} & set(metric_names) else None
     comparison = (None if ns.compare_with is None
                   else _read_json(ns.compare_with, "comparison file"))
-    os.makedirs(ns.out_dir, exist_ok=True)
 
     lattice = triangular_lattice(problem.num_objectives, ns.population)
     # The validation set is always swept with the default settings. When the
@@ -510,6 +509,7 @@ def cmd_baseline(ns) -> int:
     if comparison is not None:
         report["proposed_comparison"] = comparison
 
+    os.makedirs(ns.out_dir, exist_ok=True)
     model_path = os.path.join(ns.out_dir, "baseline_model.json")
     write_json(model_path, _model_payload(model, config_echo))
     report_path = os.path.join(ns.out_dir, "baseline_report.json")
@@ -615,18 +615,17 @@ def cmd_diagnostics(ns) -> int:
     if ns.mode == "perturb":
         k = ns.perturb_iteration or max(1, solver_cfg.num_iterations // 2)
         try:
-            reports = perturbation_experiment(problem, solver_cfg, k, ns.repeats,
-                                              grid_version=ns.grid_version)
+            reports = perturbation_experiment(problem, solver_cfg, k, ns.repeats)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         os.makedirs(ns.out_dir, exist_ok=True)
         echo = {"command": "diagnostics", "mode": "perturb", "version": __version__,
                 "problem": problem.name, "perturb_iteration": k, "repeats": ns.repeats,
-                "grid_version": ns.grid_version, "config": solver_cfg.echo()}
+                "grid_version": TEST_GRID_VERSION, "config": solver_cfg.echo()}
         csv_path = os.path.join(ns.out_dir, "perturbation.csv")
-        write_csv(csv_path,
-                  ["k", "n", "repeat", "sup_gap", "frob_gap", "bound_value"],
-                  perturbation_csv_rows(reports, solver_cfg.num_samples),
+        write_csv(csv_path, ["k", "n", "repeat", "sup_gap", "frob_gap", "bound_value"],
+                  [(r.iteration, solver_cfg.num_samples, r.repeat, r.sup_gap, r.frob_gap,
+                    r.bound_value) for r in reports],
                   preamble=echo)
         json_path = os.path.join(ns.out_dir, "perturbation.json")
         write_json(json_path, {"config": echo,

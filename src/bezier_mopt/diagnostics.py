@@ -35,23 +35,20 @@ from .solver import (HOLDOUT_STREAM, PERTURB_STREAM, TRIAL_STREAM, RunRecord,
                      run_surface_gd_trials)
 from .sweep import triangular_lattice
 
-# The sup over weights in the perturbation gap is approximated on a fixed,
-# versioned grid so reports stay comparable across runs and releases.
+# The sup over weights in the perturbation gap is approximated on one fixed
+# grid so reports stay comparable across runs and releases; reports name it
+# by TEST_GRID_VERSION.
 TEST_GRID_VERSION = "v1"
-_GRID_SEEDS = {"v1": 202409}
+_GRID_SEED = 202409
 _GRID_LATTICE = 1000
 _GRID_RANDOM = 1000
 
 
-def stability_test_grid(num_objectives: int,
-                        version: str = TEST_GRID_VERSION) -> np.ndarray:
+def stability_test_grid(num_objectives: int) -> np.ndarray:
     """The fixed weight grid behind sup-gap estimates: a 1000-point
     triangular lattice plus 1000 seeded uniform draws."""
-    if version not in _GRID_SEEDS:
-        raise ValueError(f"unknown test grid version {version!r}")
     lattice = triangular_lattice(num_objectives, _GRID_LATTICE)
-    random_part = sample_uniform_simplex(num_objectives, _GRID_RANDOM,
-                                         _GRID_SEEDS[version])
+    random_part = sample_uniform_simplex(num_objectives, _GRID_RANDOM, _GRID_SEED)
     return np.vstack([lattice, random_part])
 
 
@@ -91,8 +88,7 @@ def _replace_last_weight(seed: int, k: int, num_objectives: int):
 
 
 def perturbation_experiment(problem: Problem, config: SolverConfig, k: int,
-                            repeats: int,
-                            grid_version: str = TEST_GRID_VERSION) -> list[PerturbationReport]:
+                            repeats: int) -> list[PerturbationReport]:
     """Run paired pipelines whose weight streams differ in one example.
 
     For each repeat, both runs share a derived seed; the perturbed run
@@ -107,7 +103,7 @@ def perturbation_experiment(problem: Problem, config: SolverConfig, k: int,
     if problem.pareto_map is None:
         raise ValueError("the perturbation gap is defined on losses and "
                          "needs a problem with an analytical map")
-    grid = stability_test_grid(problem.num_objectives, grid_version)
+    grid = stability_test_grid(problem.num_objectives)
     # All pairs run in one lockstep stack: repeat r's base run at position
     # 2r, its perturbed twin at 2r + 1.
     seeds, hooks = [], []
@@ -141,7 +137,7 @@ def perturbation_experiment(problem: Problem, config: SolverConfig, k: int,
             frob_gap=frob_gap, eta_hat=eta_hat, zeta_hat=zeta_hat,
             mu_hat=mu_hat, bound_value=bound_value,
             bound_holds=bool(bound_value >= frob_gap),
-            grid_version=grid_version,
+            grid_version=TEST_GRID_VERSION,
         ))
     return reports
 
@@ -244,10 +240,3 @@ def stability_summary(record: RunRecord) -> dict:
         "basis_norm_ok": basis_norm_ok,
         "partition_of_unity_ok": partition_ok,
     }
-
-
-def perturbation_csv_rows(reports: list[PerturbationReport],
-                          num_samples: int) -> list[tuple]:
-    """Rows (k, N, repeat, sup_gap, frob_gap, bound_value) for CSV export."""
-    return [(r.iteration, num_samples, r.repeat, r.sup_gap, r.frob_gap,
-             r.bound_value) for r in reports]

@@ -260,7 +260,7 @@ def skew_mmed(num_objectives: int) -> Problem:
     return _norm_power_problem(f"skew-{num_objectives}med", spec)
 
 
-def skew_mmmd(scales, centers, powers, name: str | None = None) -> Problem:
+def skew_mmmd(scales, centers, powers) -> Problem:
     """Norm-power benchmark f_m(x) = ||A_m (x - c_m)|| ** p_m.
 
     `scales` holds the diagonals of the A_m, one row per objective.
@@ -269,9 +269,7 @@ def skew_mmmd(scales, centers, powers, name: str | None = None) -> Problem:
     spec = NormPowerSpec(scales_sq=scales * scales,
                          centers=np.asarray(centers, dtype=np.float64),
                          powers=np.asarray(powers, dtype=np.float64))
-    if name is None:
-        name = f"skew-{spec.scales_sq.shape[0]}mmd"
-    return _norm_power_problem(name, spec)
+    return _norm_power_problem(f"skew-{spec.scales_sq.shape[0]}mmd", spec)
 
 
 def skew_mmmd_default(num_objectives: int) -> Problem:

@@ -208,11 +208,10 @@ class SolverConfig:
                 raise ValueError(
                     f"initial control points have shape {shape}, expected "
                     f"({basis.size}, {problem.num_vars})")
-        alpha = resolve_schedule(self.step_schedule)
-        for k in range(1, self.num_iterations + 1):
-            a = alpha(k)
-            if not (0.0 < a <= 1.0):
-                raise ValueError(f"step size {a!r} at iteration {k} is outside (0, 1]")
+        # Neither schedule ever steps further than at k = 1, nor reaches 0.
+        a = resolve_schedule(self.step_schedule)(1)
+        if not (0.0 < a <= 1.0):
+            raise ValueError(f"step size {a!r} at iteration 1 is outside (0, 1]")
 
     def echo(self) -> dict:
         """JSON-ready snapshot of the resolved configuration."""
@@ -457,8 +456,8 @@ def _single(outcomes: list[TrialOutcome]) -> tuple[BezierSimplex, RunRecord]:
     return outcome
 
 
-def run_generic(problem: Problem, rule: StepRule, config: SolverConfig,
-                weight_hook=None) -> tuple[BezierSimplex, RunRecord]:
+def run_generic(problem: Problem, rule: StepRule,
+                config: SolverConfig) -> tuple[BezierSimplex, RunRecord]:
     """Run the loop with an arbitrary per-point step rule."""
 
     def batch_step(points, weights, grads, k):
@@ -467,7 +466,7 @@ def run_generic(problem: Problem, rule: StepRule, config: SolverConfig,
             out[n] = rule(points[n], scalarize(problem, weights[n]), k)
         return out
 
-    return _single(_run_loop(problem, batch_step, config, [config.seed], [weight_hook]))
+    return _single(_run_loop(problem, batch_step, config, [config.seed]))
 
 
 def _gradient_batch_step(config: SolverConfig):

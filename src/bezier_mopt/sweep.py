@@ -1,10 +1,12 @@
 """Scalarization sweep: a deterministic stand-in for evolutionary baselines.
 
 Enumerates a triangular lattice of weight vectors and minimizes each
-weighted-sum scalarization by plain gradient descent with a diminishing
-step. The converged minimizers approximate the Pareto set and serve two
-purposes: the validation sets behind the GD/IGD indicators, and the
-baseline pipeline (sweep, then a single all-at-once fit).
+weighted-sum scalarization by plain gradient descent with the fixed
+diminishing step of `_kernels.descent_sweep`; a sweep sets only its
+gradient tolerance and step budget. The converged minimizers approximate
+the Pareto set and serve two purposes: the validation sets behind the
+GD/IGD indicators, and the baseline pipeline (sweep, then a single
+all-at-once fit).
 
 Scalarizations whose minimizer sits exactly at a non-smooth center (norm
 powers q_m <= 1 have cusps there) can never meet a gradient-norm stopping
@@ -28,12 +30,6 @@ from .problems import (NormPowerSpec, Problem, _norm_power_jacobian,
                        gradient_batch_stats)
 from .simplex import _descending_lex_exponents
 
-# Diminishing step schedule for the per-weight descents: effectively
-# constant at DEFAULT_STEP0 for the first DEFAULT_DECAY_STEPS iterations,
-# then decaying like 1/k. The benchmarks' scalarized curvature stays O(1)
-# near their minimizers, so the constant phase contracts linearly.
-DEFAULT_STEP0 = 0.2
-DEFAULT_DECAY_STEPS = 2000.0
 DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_MAX_STEPS = 100_000
 
@@ -146,8 +142,7 @@ def minimize_scalarizations(problem: Problem, weights, start=None,
                            lambda x: np.empty((0, x.shape[1])))
         certified = np.zeros((0, len(weights)), dtype=np.bool_)
     points, grad_norms, steps, status = descent_sweep(
-        gradient, radii, certified, weights, start, DEFAULT_STEP0,
-        DEFAULT_DECAY_STEPS, float(grad_tol), int(max_steps))
+        gradient, radii, certified, weights, start, float(grad_tol), int(max_steps))
     return SweepResult(weights=weights, points=points, grad_norms=grad_norms,
                        steps=steps, status=np.array(STATUSES)[status])
 

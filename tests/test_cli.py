@@ -1,7 +1,9 @@
 import json
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +220,8 @@ def test_experiment_fails_only_the_diverging_trial(tmp_path, capsys, monkeypatch
     ["--mse-samples", "0"],
     ["--metrics", "gd", "--validation-count", "0"],
     ["--problem", "skew-3med"],
+    # Rows are grouped by n, so a repeated count would count its trials twice.
+    ["--n", "15,15", "--metrics", "mse,gd"],
 ])
 def test_experiment_bad_metric_config_exits_2_before_any_trial(flags, tmp_path, capsys,
                                                                monkeypatch):
@@ -347,11 +351,15 @@ def test_experiment_starts_every_trial_from_the_initial_model(tmp_path, capsys):
 
 
 def test_baseline_small_population_exits_3(tmp_path, capsys):
-    code, _, err = run_cli(
+    # Too few sweep points converge for the fit; the failed run leaves no
+    # output directory.
+    out_dir = tmp_path / "never"
+    code, out, err = run_cli(
         capsys, "baseline", "--problem", "scaled-med", "--population", "9",
-        "--degree", "3", "--out-dir", str(tmp_path))
-    assert code == 3
+        "--degree", "3", "--out-dir", str(out_dir))
+    assert code == 3 and out == ""
     assert json.loads(err)["error"]["type"] == "runtime"
+    assert not out_dir.exists()
 
 
 def test_baseline_writes_model_and_report(tmp_path, capsys):
@@ -529,6 +537,7 @@ def test_metrics_mse_zero_count_exits_2(tmp_path, capsys):
     ["metrics", "--metric", "hv"],
     ["sample", "--model", "m.json", "--out", "s.csv"],
     ["no-such-command"],
+    ["diagnostics", "--mode", "perturb", "--grid-version", "v1"],
 ])
 def test_rejected_command_line_prints_json_error_and_exits_2(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
@@ -551,6 +560,21 @@ def test_diagnostics_perturb_mode(tmp_path, capsys):
     assert len(lines) == 4
     reports = json.loads((tmp_path / "perturbation.json").read_text())
     assert len(reports["reports"]) == 2
+    assert reports["config"]["grid_version"] == "v1"
+    for line, rep in zip(lines[2:], reports["reports"]):
+        assert line == ",".join(cli._fmt(v) for v in (
+            rep["iteration"], 20, rep["repeat"], rep["sup_gap"], rep["frob_gap"],
+            rep["bound_value"]))
+
+
+def test_diagnostics_grid_version_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_version": "v1"}))
+    code, out, err = run_cli(capsys, "diagnostics", "--mode", "perturb", "--config", str(cfg),
+                             "--out-dir", str(tmp_path / "never"))
+    assert code == 2 and out == ""
+    assert "'grid_version'" in json.loads(err)["error"]["message"]
+    assert not (tmp_path / "never").exists()
 
 
 def test_diagnostics_gengap_mode(tmp_path, capsys):
@@ -651,3 +675,29 @@ def test_baseline_rejects_solver_flags_it_never_reads(flag, capsys):
         main(["baseline", "--problem", "scaled-med", flag])
     assert err.value.code == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+
+
+def readme_commands():
+    """The argv of every `bezier-mopt ...` line of README.md, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("bezier-mopt ")]
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    shown = {argv[0] for argv in README_COMMANDS}
+    assert shown == {"solve", "experiment", "baseline", "sample", "metrics", "diagnostics"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS,
+                         ids=[f"{argv[0]}-{i}" for i, argv in enumerate(README_COMMANDS)])
+def test_readme_example_parses_and_resolves(argv):
+    # Parsing and resolving read no file (no example passes --config) and
+    # start no run.
+    assert "--config" not in argv
+    args = cli._resolve(cli.build_parser().parse_args(argv))
+    assert args.command == argv[0]

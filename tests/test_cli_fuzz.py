@@ -61,7 +61,6 @@ OUTPUTS = ["o", "sub/x", "x.csv", ""]
 TEXT_VALUES = {
     "problem": ["scaled-med", "skew-3med", "skew-3mmd", "skew-med:1", "skew-mmd:x", "nope"],
     "schedule": ["1/k", "const:0.5", "const:2", "const:nan", "const:", "bogus"],
-    "grid_version": ["v1", "v9"],
     "metrics": ["mse", "gd,igd", "diagnostics", "mse,hv", ","],
     "mode": ["perturb", "gengap", "bogus"],
     "metric": ["gd", "igd", "mse", "hv"],

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from bezier_mopt.diagnostics import (generalization_gap_experiment, loss_gap,
-                                     perturbation_csv_rows,
-                                     perturbation_experiment,
+from bezier_mopt.diagnostics import (TEST_GRID_VERSION, generalization_gap_experiment,
+                                     loss_gap, perturbation_experiment,
                                      repeat_generalization_gap,
                                      stability_summary, stability_test_grid)
 from bezier_mopt.problems import scaled_med, skew_mmed
 from bezier_mopt.simplex import sample_uniform_simplex
 from bezier_mopt.solver import SolverConfig, run_surface_gd
+from bezier_mopt.sweep import triangular_lattice
 
 
 def config(n=30, k=20, seed=0):
@@ -21,8 +21,10 @@ def test_stability_grid_fixed_and_versioned():
     assert grid.shape == (2000, 3)
     assert np.array_equal(grid, again)
     assert np.abs(grid.sum(axis=1) - 1.0).max() < 1e-12
-    with pytest.raises(ValueError):
-        stability_test_grid(3, version="v999")
+    # Grid "v1": the 1000-point lattice, then 1000 draws from seed 202409.
+    assert TEST_GRID_VERSION == "v1"
+    assert np.array_equal(grid[:1000], triangular_lattice(3, 1000))
+    assert np.array_equal(grid[1000:], sample_uniform_simplex(3, 1000, 202409))
 
 
 def test_null_perturbation_is_bitwise_identical():
@@ -59,10 +61,6 @@ def test_perturbation_reports_fields():
         assert rep.grid_version == "v1"
     seeds = {rep.seed for rep in reports}
     assert len(seeds) == 3
-
-    rows = perturbation_csv_rows(reports, cfg.num_samples)
-    assert rows[0][:3] == (6, 30, 0)
-    assert len(rows[0]) == 6
 
 
 def test_perturbation_bound_holds_on_small_runs():

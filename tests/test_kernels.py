@@ -181,17 +181,17 @@ def test_descent_sweep_reaches_quadratic_minimum():
     start = weights @ spec.centers
     points, grad_norms, steps, status = kern.descent_sweep(
         *kern.norm_power_descent(spec.scales_sq, spec.centers, spec.powers),
-        cusp_certificate(spec, weights), weights, start, 0.2, 2000.0, 1e-10, 100000)
+        cusp_certificate(spec, weights), weights, start, 1e-10, 100000)
     assert (status == kern.CONVERGED).all()
     assert grad_norms.max() < 1e-10
     assert steps.max() < 1000
 
 
 def _descent_sweep_rowmajor(scales_sq, centers, powers, weights, start,
-                            step0, decay_steps, grad_tol, max_steps):
+                            grad_tol, max_steps, *, step0, decay_steps):
     """Reference for `descent_sweep` without its early stops: one (n, M, L)
     array per step, gathered from and scattered back to the outputs on
-    every step."""
+    every step, with step k of step0 / (1 + k / decay_steps)."""
     n_w, dim = start.shape
     points = start.copy()
     grad_norms = np.full(n_w, np.inf)
@@ -244,8 +244,7 @@ def _sweep_args(problem, weights, max_steps, start=None):
     spec = problem.norm_power
     if start is None:
         start = weights @ spec.centers
-    return (spec.scales_sq, spec.centers, spec.powers, weights, start,
-            0.2, 2000.0, 1e-8, max_steps)
+    return (spec.scales_sq, spec.centers, spec.powers, weights, start, 1e-8, max_steps)
 
 
 def _descend_and_check(args):
@@ -261,7 +260,7 @@ def _descend_and_check(args):
     points, grad_norms, steps, status = got
     stopped = (status == kern.CUSP) | ((status == kern.DIVERGED) & (steps < max_steps))
     full = ~stopped
-    want = _descent_sweep_rowmajor(*args)
+    want = _descent_sweep_rowmajor(*args, step0=kern.STEP0, decay_steps=kern.DECAY_STEPS)
     _assert_bitwise_equal((points[full], grad_norms[full], steps[full],
                            status[full] == kern.CONVERGED),
                           tuple(out[full] for out in want))
@@ -273,7 +272,8 @@ def _descend_and_check(args):
         rows = np.nonzero(stopped & (steps == count))[0]
         assert count > 0 and count % kern.CHECK_STEPS == 0
         ref = _descent_sweep_rowmajor(scales_sq, centers, powers, weights[rows],
-                                      start[rows], *args[5:8], int(count))
+                                      start[rows], args[5], int(count),
+                                      step0=kern.STEP0, decay_steps=kern.DECAY_STEPS)
         _assert_bitwise_equal((points[rows], steps[rows]), (ref[0], ref[2]))
         assert not ref[3].any()
         for i in rows:
@@ -308,7 +308,7 @@ def test_descent_sweep_sums_squared_gradients_in_index_order():
     grad = np.array([[1e8]] + [[1.0]] * 8)
     points, grad_norms, steps, status = kern.descent_sweep(
         lambda x, t: grad.copy(), lambda x: np.empty((0, 1)), np.zeros((0, 1), dtype=np.bool_),
-        np.ones((1, 1)), np.zeros((1, 9)), 0.2, 2000.0, 1e-8, 1)
+        np.ones((1, 1)), np.zeros((1, 9)), 1e-8, 1)
     assert grad_norms[0] == 1e8 and steps[0] == 1 and status[0] == kern.STALLED
 
 
@@ -335,7 +335,7 @@ def test_descent_sweep_matches_rowmajor_reference_on_drawn_problems(case):
     scales_sq, centers, powers, weights = case
     with np.errstate(over="ignore", invalid="ignore"):
         _descend_and_check((scales_sq, centers, powers, weights, weights @ centers,
-                            0.2, 2000.0, 1e-8, 1200))
+                            1e-8, 1200))
 
 
 @pytest.mark.parametrize("count,max_steps", [(0, 100), (60, 0), (60, 1)])
