@@ -5,13 +5,16 @@ sweeps), baseline (scalarization-sweep pipeline), sample (draw points from
 a model file), metrics (indicators between files), diagnostics (stability
 probes). Every option is declared once, in OPTIONS: its flag, its
 config-file key, its type, its default, its lowest allowed value and the
-subcommands that read it. solve, experiment, baseline and diagnostics also
-take `--config`, a JSON object keyed by option names (`iterations` for
-`--k`, `num_samples` for `--n`). A value comes from the flag if given, else
-from the config file, else from the table; a config value is parsed as the
-same text given as the flag would be, and an unknown key is rejected. Exit
-codes: 0 success, 2 configuration error, 3 runtime or numerical failure;
-failures emit one JSON object on stderr.
+subcommands, or the modes of a subcommand, that read it. The mode of
+diagnostics is its --mode, that of metrics its --metric; an option of
+another mode is rejected, as a flag or a config key. solve, experiment,
+baseline and diagnostics also take `--config`, a JSON object keyed by
+option names (`iterations` for `--k`, `num_samples` for `--n`). A value
+comes from the flag if given, else from the config file, else from the
+table; a config value is parsed as the same text given as the flag would
+be, and an unknown key is rejected. Exit codes: 0 success, 2 configuration
+error, 3 runtime or numerical failure (out of memory included); failures
+emit one JSON object on stderr.
 
 The trials of each experiment sample count run as one lockstep stack. With
 a worker pool the stack is split into one contiguous chunk per worker; the
@@ -38,8 +41,7 @@ from .problems import get_problem
 from .simplex import enumerate_multi_indices, sample_uniform_simplex
 from .solver import (METRIC_STREAM, TRIAL_STREAM, SolverAbort, SolverConfig,
                      derive_seed, run_surface_gd, run_surface_gd_trials)
-from .sweep import (DEFAULT_GRAD_TOL, DEFAULT_MAX_STEPS, pareto_set_sweep,
-                    triangular_lattice, minimize_scalarizations)
+from .sweep import pareto_set_sweep, triangular_lattice, minimize_scalarizations
 
 # Each metric an experiment can report, with the trials.csv columns it fills.
 METRIC_COLUMNS = {"mse": ["mse"], "gd": ["gd"], "igd": ["igd"], "diagnostics": [
@@ -128,6 +130,8 @@ def _parse_metrics(value, known=METRIC_COLUMNS) -> list[str]:
 
 
 def _resolve_problem(name):
+    if name is None:
+        raise ConfigError("no problem given: set --problem or the config key 'problem'")
     try:
         return get_problem(str(name))
     except ValueError as err:
@@ -141,27 +145,31 @@ def _resolve_problem(name):
 SOLVERS = ("solve", "experiment", "diagnostics")
 CONFIGURED = SOLVERS + ("baseline",)
 # One row per option: flag, config-file key (the argparse dest), type,
-# default, lowest allowed value (None: unchecked), subcommands, help. The
-# int and float flags are typed by argparse; any other type converts the
-# flag text after parsing, and a tuple type lists the choices. A default of
-# ... marks a required flag, which a config file cannot give.
+# default, lowest allowed value (None: unchecked), scopes, help. A scope is
+# a subcommand, or a subcommand and a mode, the value of its choice option:
+# "diagnostics perturb" reads the row only with --mode perturb. The int and
+# float flags are typed by argparse; any other type converts the flag text
+# after parsing, and a tuple type lists the choices. A default of ... marks
+# a required flag, which a config file cannot give.
 OPTIONS = (
     ("--config", "config", str, None, None, CONFIGURED, "JSON config file; flags override it"),
     ("--mode", "mode", ("perturb", "gengap"), ..., None, ("diagnostics",), "probe to run"),
     ("--metric", "metric", ("gd", "igd", "mse"), ..., None, ("metrics",), "indicator"),
-    ("--problem", "problem", str, None, None, ("solve", "experiment", "baseline", "metrics"),
+    ("--problem", "problem", str, None, None, ("solve", "experiment", "baseline"),
      "problem registry name"),
     ("--problem", "problem", str, "scaled-med", None, ("diagnostics",), "problem registry name"),
-    ("--n", "num_samples", _int_list, [30], None, SOLVERS,
-     "samples per iteration; experiment takes a comma list"),
+    ("--problem", "problem", str, ..., None, ("metrics mse",), "problem registry name"),
+    ("--n", "num_samples", int, 30, 1, ("solve", "diagnostics"), "samples per iteration"),
+    ("--n", "num_samples", _int_list, [30], None, ("experiment",),
+     "comma list of samples per iteration"),
     ("--n", "n", int, ..., 1, ("sample",), "rows to draw"),
     ("--k", "iterations", int, 1000, 1, SOLVERS, "iteration count"),
     ("--degree", "degree", int, 3, 1, CONFIGURED, "model degree"),
-    ("--seed", "seed", int, 0, 0, CONFIGURED + ("sample", "metrics"), "root seed"),
+    ("--seed", "seed", int, 0, 0, CONFIGURED + ("sample", "metrics mse"), "root seed"),
     ("--schedule", "schedule", str, "1/k", None, SOLVERS, 'step schedule: "1/k" or "const:<v>"'),
     ("--resample-retries", "resample_retries", int, 5, 0, SOLVERS, "redraws of a singular sample"),
     ("--initial-model", "initial_model", str, "zero", None, SOLVERS, 'start model JSON or "zero"'),
-    ("--trials", "trials", int, 20, 1, ("experiment", "diagnostics"), "seeded trials"),
+    ("--trials", "trials", int, 20, 1, ("experiment", "diagnostics gengap"), "seeded trials"),
     ("--metrics", "metrics", _parse_metrics, ["mse"], None, ("experiment", "baseline"),
      "comma list of mse, gd, igd and (experiment only) diagnostics"),
     ("--mse-samples", "mse_samples", int, 10000, 1, ("experiment", "baseline"), "mse weights"),
@@ -169,19 +177,15 @@ OPTIONS = (
      "weights of the gd/igd validation sweep"),
     ("--threads", "threads", int, os.cpu_count() or 1, 1, ("experiment",), "worker processes"),
     ("--population", "population", int, 100, 1, ("baseline",), "lattice size"),
-    ("--grad-tol", "grad_tol", float, DEFAULT_GRAD_TOL, np.finfo(float).tiny, ("baseline",),
-     "gradient norm at which a weight's descent has converged"),
-    ("--max-steps", "max_steps", int, DEFAULT_MAX_STEPS, 1, ("baseline",), "steps per weight"),
     ("--compare-with", "compare_with", str, None, None, ("baseline",), "aggregate JSON to embed"),
-    ("--perturb-iteration", "perturb_iteration", int, None, 1, ("diagnostics",),
+    ("--perturb-iteration", "perturb_iteration", int, None, 1, ("diagnostics perturb",),
      "iteration whose sample gets one weight replaced (default: k // 2)"),
-    ("--repeats", "repeats", int, 10, 1, ("diagnostics",), "perturbations"),
-    ("--holdout", "holdout", int, 10000, 1, ("diagnostics",), "held-out weights"),
-    ("--model", "model", str, ..., None, ("sample",), "model JSON"),
-    ("--model", "model", str, None, None, ("metrics",), "model JSON"),
-    ("--x-file", "x_file", str, None, None, ("metrics",), "points CSV"),
-    ("--y-file", "y_file", str, None, None, ("metrics",), "reference points CSV"),
-    ("--count", "count", int, 10000, 1, ("metrics",), "mse weights"),
+    ("--repeats", "repeats", int, 10, 1, ("diagnostics perturb",), "perturbations"),
+    ("--holdout", "holdout", int, 10000, 1, ("diagnostics gengap",), "held-out weights"),
+    ("--model", "model", str, ..., None, ("sample", "metrics mse"), "model JSON"),
+    ("--x-file", "x_file", str, ..., None, ("metrics gd", "metrics igd"), "points CSV"),
+    ("--y-file", "y_file", str, ..., None, ("metrics gd", "metrics igd"), "reference points CSV"),
+    ("--count", "count", int, 10000, 1, ("metrics mse",), "mse weights"),
     ("--out", "out", str, ..., None, ("solve", "sample"), "output path"),
     ("--out", "out", str, None, None, ("metrics",), "report JSON output path"),
     ("--trace", "trace", str, None, None, ("solve",), "trace JSON output path"),
@@ -201,22 +205,35 @@ def _flag_text(key, value) -> str:
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Sets every option of `args.command` to its flag value if given, else
-    its config-file value, else its table default. A given value is
-    converted by the row's type and checked against its lowest value."""
-    rows = [row for row in OPTIONS if args.command in row[5]]
+    """Sets every option that `args.command` reads in its mode to its flag
+    value if given, else its config-file value, else its table default. A
+    given value is converted by the row's type and checked against its
+    lowest value. An option of another mode of the command, given as a flag
+    or a config key, and a required option of the mode left out are
+    rejected."""
+    command = args.command
+    mode = " ".join([command] + [getattr(args, row[1]) for row in OPTIONS
+                                 if command in row[5] and isinstance(row[2], tuple)])
+    rows = [row for row in OPTIONS if {command, mode} & set(row[5])]
     cfg = _load_config_file(getattr(args, "config", None))
+    for row in OPTIONS:
+        flag, dest, *_, scopes, _ = row
+        if (row not in rows and any(scope.split()[0] == command for scope in scopes)
+                and (getattr(args, dest) is not None or dest in cfg)):
+            raise ConfigError(f"{mode} does not read {flag} (config key {dest!r})")
     keys = sorted(row[1] for row in rows if row[1] != "config" and row[3] is not ...)
     unknown = sorted(set(cfg).difference(keys))
     if unknown:
-        raise ConfigError(f"unknown config keys {unknown} for {args.command}; "
+        raise ConfigError(f"unknown config keys {unknown} for {mode}; "
                           f"known: {', '.join(keys)}")
-    for _, dest, kind, default, lowest, *_ in rows:
+    for flag, dest, kind, default, lowest, *_ in rows:
         value = getattr(args, dest)
         if value is None and dest in cfg:
             value = _flag_text(dest, cfg[dest])
         if isinstance(value, str) and "\0" in value:
             raise ConfigError(f"{dest} holds a NUL character")
+        if value is None and default is ...:
+            raise ConfigError(f"{mode} needs {flag}")
         if value is None:
             value = default
         elif not isinstance(kind, tuple):
@@ -230,19 +247,21 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _solver_config(ns, problem) -> SolverConfig:
-    """The validated configuration of a single run (solve, diagnostics)."""
-    if len(ns.num_samples) != 1:
-        raise ConfigError(f"{ns.command} takes one sample count, got {ns.num_samples}")
-    config = SolverConfig(
-        num_samples=ns.num_samples[0], num_iterations=ns.iterations, degree=ns.degree,
-        seed=ns.seed, step_schedule=ns.schedule, resample_retries=ns.resample_retries,
-        initial_control_points=_initial_control_points(ns.initial_model))
+def _validated(config: SolverConfig, problem) -> SolverConfig:
+    """`config`, once `SolverConfig.validate` accepts it for `problem`."""
     try:
         config.validate(problem)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return config
+
+
+def _solver_config(ns, problem) -> SolverConfig:
+    """The validated configuration of a single run (solve, diagnostics)."""
+    return _validated(SolverConfig(
+        num_samples=ns.num_samples, num_iterations=ns.iterations, degree=ns.degree,
+        seed=ns.seed, step_schedule=ns.schedule, resample_retries=ns.resample_retries,
+        initial_control_points=_initial_control_points(ns.initial_model)), problem)
 
 
 def _model_payload(model: BezierSimplex, config_echo: dict) -> dict:
@@ -316,7 +335,7 @@ def _experiment_trial(job: dict) -> list[dict]:
     outcomes = run_surface_gd_trials(problem, solver_cfg, [seed for _, seed in trials])
     rows = []
     for (trial, seed), outcome in zip(trials, outcomes):
-        row = {"problem": job["problem"], "n": solver_cfg.num_samples,
+        row = {"problem": problem.name, "n": solver_cfg.num_samples,
                "trial": trial, "seed": seed, "status": "ok", "error": ""}
         rows.append(row)
         if isinstance(outcome, SolverAbort):
@@ -358,17 +377,10 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
         raise ConfigError(f"problem {problem.name} has no analytical map for mse")
     # One validated configuration per sample count; its seed is unused, as
     # each trial runs with its own.
-    cell_configs = []
-    for n in n_values:
-        config = SolverConfig(num_samples=int(n), num_iterations=iterations,
-                              degree=degree, seed=0, step_schedule=schedule,
-                              initial_control_points=initial_control_points,
-                              resample_retries=resample_retries)
-        try:
-            config.validate(problem)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        cell_configs.append(config)
+    cell_configs = [_validated(SolverConfig(
+        num_samples=int(n), num_iterations=iterations, degree=degree, seed=0,
+        step_schedule=schedule, initial_control_points=initial_control_points,
+        resample_retries=resample_retries), problem) for n in n_values]
     validation_points = None
     if "gd" in metric_names or "igd" in metric_names:
         validation_points = pareto_set_sweep(problem, validation_count).converged_points
@@ -380,7 +392,7 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
     for config in cell_configs:
         for chunk in chunks:
             jobs.append({
-                "problem": problem.name,
+                "problem": str(problem_name),
                 "config": config,
                 "trials": [trial_seeds[trial] for trial in chunk],
                 "metrics": metric_names,
@@ -424,17 +436,12 @@ def cmd_experiment(ns) -> int:
     config_echo.update(command="experiment", version=__version__, n_values=ns.num_samples)
     if initial_control_points is not None:
         config_echo["initial_model"] = ns.initial_model
-    try:
-        result = run_experiment(
-            ns.problem, ns.num_samples, ns.trials, ns.seed, ns.metrics,
-            iterations=ns.iterations, degree=ns.degree, schedule=ns.schedule,
-            resample_retries=ns.resample_retries, mse_samples=ns.mse_samples,
-            validation_count=ns.validation_count, threads=ns.threads,
-            initial_control_points=initial_control_points)
-    except (SolverAbort, ValueError) as err:
-        if isinstance(err, (ConfigError,)):
-            raise
-        raise PipelineError(str(err)) from err
+    result = run_experiment(
+        ns.problem, ns.num_samples, ns.trials, ns.seed, ns.metrics,
+        iterations=ns.iterations, degree=ns.degree, schedule=ns.schedule,
+        resample_retries=ns.resample_retries, mse_samples=ns.mse_samples,
+        validation_count=ns.validation_count, threads=ns.threads,
+        initial_control_points=initial_control_points)
 
     os.makedirs(ns.out_dir, exist_ok=True)
     columns = ["problem", "n", "trial", "seed", "status"]
@@ -459,23 +466,16 @@ def cmd_experiment(ns) -> int:
 def cmd_baseline(ns) -> int:
     problem = _resolve_problem(ns.problem)
     metric_names = _parse_metrics(ns.metrics, known=("mse", "gd", "igd"))
-    settings = {"grad_tol": ns.grad_tol, "max_steps": ns.max_steps}
     validation_count = ns.validation_count if {"gd", "igd"} & set(metric_names) else None
     comparison = (None if ns.compare_with is None
                   else _read_json(ns.compare_with, "comparison file"))
 
-    lattice = triangular_lattice(problem.num_objectives, ns.population)
-    # The validation set is always swept with the default settings. When the
-    # population lattice is too, both lattices descend in one call.
-    if validation_count is not None and settings == {"grad_tol": DEFAULT_GRAD_TOL,
-                                                     "max_steps": DEFAULT_MAX_STEPS}:
-        validation = triangular_lattice(problem.num_objectives, validation_count)
-        sweep, reference_sweep = minimize_scalarizations(
-            problem, np.vstack([lattice, validation]), **settings).split(ns.population)
-    else:
-        sweep = minimize_scalarizations(problem, lattice, **settings)
-        if validation_count is not None:
-            reference_sweep = pareto_set_sweep(problem, validation_count)
+    # Every weight descends on its own, so one call serves the population
+    # lattice and, for gd/igd, the validation lattice stacked below it.
+    lattices = [triangular_lattice(problem.num_objectives, count)
+                for count in (ns.population, validation_count) if count is not None]
+    sweep, reference_sweep = minimize_scalarizations(
+        problem, np.vstack(lattices)).split(ns.population)
 
     basis = enumerate_multi_indices(problem.num_objectives, ns.degree)
     n_ok = int(sweep.converged.sum())
@@ -502,7 +502,7 @@ def cmd_baseline(ns) -> int:
     }
     for status in ("cusp", "diverged", "stalled"):
         report[f"{status}_lattice_indices"] = np.nonzero(sweep.status == status)[0].tolist()
-    reference = None if validation_count is None else reference_sweep.converged_points
+    reference = reference_sweep.converged_points
     report.update(_scores(model, problem, metric_names, ns.seed, ns.mse_samples,
                           validation_count, reference))
 
@@ -571,8 +571,6 @@ def cmd_metrics(ns) -> int:
     metric = ns.metric
     report = {"command": "metrics", "version": __version__, "metric": metric}
     if metric in ("gd", "igd"):
-        if ns.x_file is None or ns.y_file is None:
-            raise ConfigError(f"{metric} needs --x-file and --y-file")
         x = _read_points_csv(ns.x_file)
         y = _read_points_csv(ns.y_file)
         try:
@@ -582,8 +580,6 @@ def cmd_metrics(ns) -> int:
             raise ConfigError(str(err)) from err
         report.update({"x_file": ns.x_file, "y_file": ns.y_file, "value": value})
     else:
-        if ns.model is None or ns.problem is None:
-            raise ConfigError("mse needs --model and --problem")
         problem = _resolve_problem(ns.problem)
         if problem.pareto_map is None:
             raise ConfigError(f"problem {problem.name} has no analytical map for mse")
@@ -673,9 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
             ("diagnostics", cmd_diagnostics, "stability probes")):
         p = sub.add_parser(name, help=about)
         p.set_defaults(func=func)
-        for flag, dest, kind, default, _, commands, text in OPTIONS:
-            if name in commands:
-                p.add_argument(flag, dest=dest, help=text, required=default is ...,
+        for flag, dest, kind, default, _, scopes, text in OPTIONS:
+            if name in {scope.split()[0] for scope in scopes}:
+                p.add_argument(flag, dest=dest, help=text,
+                               required=default is ... and name in scopes,
                                type=kind if kind in (int, float) else None,
                                choices=kind if isinstance(kind, tuple) else None)
     return parser
@@ -693,8 +690,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(_error_json("config", str(err)), file=sys.stderr)
         return 2
-    except (PipelineError, SolverAbort, SingularFitError) as err:
-        print(_error_json("runtime", str(err)), file=sys.stderr)
+    except (PipelineError, SolverAbort, SingularFitError, MemoryError) as err:
+        print(_error_json("runtime", str(err) or repr(err)), file=sys.stderr)
         return 3
     except OSError as err:
         print(_error_json("io", str(err)), file=sys.stderr)

@@ -175,7 +175,9 @@ class SolverConfig:
     """Settings for one run.
 
     num_samples must cover the basis size; step sizes must stay in (0, 1]
-    over the whole horizon; the seed must lie in [0, 2**128).
+    over the whole horizon; the seed must lie in [0, 2**128), and
+    num_iterations and resample_retries below 2**32, as the weight
+    substreams key k and retry by 32-bit words.
     `initial_control_points=None` starts from the zero matrix.
     `resample_retries` bounds how many fresh weight batches an iteration may
     draw after a numerically singular fit before aborting.
@@ -191,15 +193,15 @@ class SolverConfig:
 
     def validate(self, problem: Problem) -> None:
         basis = enumerate_multi_indices(problem.num_objectives, self.degree)
-        if self.num_iterations < 1:
-            raise ValueError("num_iterations must be >= 1")
+        if not 1 <= self.num_iterations <= _MASK32:
+            raise ValueError(f"num_iterations {self.num_iterations} is outside [1, 2**32)")
         if self.num_samples < basis.size:
             raise ValueError(
                 f"num_samples={self.num_samples} is below the basis size "
                 f"{basis.size} for degree {self.degree} with "
                 f"{problem.num_objectives} objectives")
-        if self.resample_retries < 0:
-            raise ValueError("resample_retries must be >= 0")
+        if not 0 <= self.resample_retries <= _MASK32:
+            raise ValueError(f"resample_retries {self.resample_retries} is outside [0, 2**32)")
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError(f"seed {self.seed} is outside [0, 2**128)")
         if self.initial_control_points is not None:

@@ -1,3 +1,4 @@
+import functools
 import json
 import shlex
 import subprocess
@@ -317,9 +318,9 @@ def test_bad_solver_input_exits_2_with_json_error(command, case, tmp_path, capsy
         argv += ["--out", str(tmp_path / "m.json")]
     else:
         argv += ["--trials", "2", "--metrics", "mse", "--out-dir", str(tmp_path / "exp")]
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "config"
+    # solve types --n as one integer, so argparse rejects "abc" itself.
+    assert exit_code(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "exp" / "trials.csv").exists()
 
@@ -375,13 +376,16 @@ def test_baseline_writes_model_and_report(tmp_path, capsys):
     assert model.control_points.shape == (10, 3)
 
 
-@pytest.mark.parametrize("flags,status", [([], "cusp"), (["--max-steps", "300"], "stalled")])
-def test_baseline_report_lists_weights_by_status(flags, status, tmp_path, capsys):
+@pytest.mark.parametrize("status", ["cusp", "stalled"])
+def test_baseline_report_lists_weights_by_status(status, tmp_path, capsys, monkeypatch):
     # skew-3mmd's non-converged lattice weights sit at cusps; with fewer
     # steps than one stop check they run out of steps instead.
+    if status == "stalled":
+        monkeypatch.setattr(cli, "minimize_scalarizations",
+                            functools.partial(cli.minimize_scalarizations, max_steps=300))
     code, _, _ = run_cli(
         capsys, "baseline", "--problem", "skew-3mmd", "--population", "100",
-        "--degree", "3", "--metrics", "mse", "--out-dir", str(tmp_path), *flags)
+        "--degree", "3", "--metrics", "mse", "--out-dir", str(tmp_path))
     assert code == 0
     report = json.loads((tmp_path / "baseline_report.json").read_text())
     lists = {name: report[f"{name}_lattice_indices"] for name in ("cusp", "diverged", "stalled")}
@@ -406,29 +410,30 @@ def test_baseline_non_json_comparison_file_exits_2_before_the_sweep(tmp_path, ca
 
 
 @pytest.mark.parametrize("flags", [
-    ["--grad-tol", "nan"], ["--grad-tol", "0"], ["--grad-tol=-1e-8"],
-    ["--grad-tol", "inf"], ["--max-steps", "0"], ["--max-steps=-1"],
+    # The descent's tolerance and step budget are fixed; their flags are gone.
+    ["--grad-tol", "1e-8", "--max-steps", "300"],
     ["--mse-samples", "0"], ["--metrics", "diagnostics"],
-], ids=["tol-nan", "tol-0", "tol-negative", "tol-inf", "steps-0", "steps-negative",
-        "mse-samples-0", "metrics-diagnostics"])
+], ids=["removed-descent-flags", "mse-samples-0", "metrics-diagnostics"])
 def test_baseline_bad_descent_settings_exit_2_before_the_sweep(flags, tmp_path, capsys,
                                                                monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep started")
 
     monkeypatch.setattr(cli, "minimize_scalarizations", no_sweep)
-    code, out, err = run_cli(
-        capsys, "baseline", "--problem", "scaled-med", "--population", "100",
-        "--out-dir", str(tmp_path), *flags)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"]["type"] == "config"
+    code = exit_code(["baseline", "--problem", "scaled-med", "--population", "100",
+                      "--out-dir", str(tmp_path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "config"
+    if flags[0] == "--grad-tol":
+        assert "unrecognized arguments: --grad-tol 1e-8 --max-steps 300" in error["message"]
 
 
 def test_baseline_stacked_lattices_match_separate_sweeps(tmp_path, capsys, monkeypatch):
-    # With the default descent settings the population and validation
-    # lattices descend in one call; a max-steps no scaled-med weight reaches
-    # keeps them apart. The outputs are the same bytes, and the validation
-    # set is the default sweep's whatever the population sweep's settings.
+    # The population and validation lattices descend in one call. The fit is
+    # the one of the population lattice descended alone, and the validation
+    # set is the default sweep's.
     from bezier_mopt.problems import get_problem
     from bezier_mopt.sweep import pareto_set_sweep
     references = []
@@ -439,20 +444,20 @@ def test_baseline_stacked_lattices_match_separate_sweeps(tmp_path, capsys, monke
         return real_gd(samples, reference)
 
     monkeypatch.setattr(cli, "gd", recording_gd)
-    base = ["baseline", "--problem", "scaled-med", "--population", "60",
-            "--degree", "3", "--metrics", "mse,gd,igd", "--validation-count", "300"]
-    runs = {"stacked": [], "separate": ["--max-steps", "100001"],
-            "loose": ["--grad-tol", "1e-4"]}
+    base = ["baseline", "--problem", "scaled-med", "--population", "60", "--degree", "3"]
+    runs = {"stacked": ["--metrics", "mse,gd,igd", "--validation-count", "300"],
+            "alone": ["--metrics", "mse"]}
     for name, flags in runs.items():
         code, _, _ = run_cli(capsys, *base, *flags, "--out-dir", str(tmp_path / name))
         assert code == 0
-    for output in ("baseline_report.json", "baseline_model.json"):
-        assert ((tmp_path / "stacked" / output).read_bytes()
-                == (tmp_path / "separate" / output).read_bytes())
+    stacked, alone = (json.loads((tmp_path / name / "baseline_report.json").read_text())
+                      for name in runs)
+    assert stacked["mse"] == alone["mse"]
+    assert (load_model(tmp_path / "stacked" / "baseline_model.json").control_points.tobytes()
+            == load_model(tmp_path / "alone" / "baseline_model.json").control_points.tobytes())
     expected = pareto_set_sweep(get_problem("scaled-med"), 300).converged_points
-    assert len(references) == 3
-    for reference in references:
-        assert reference.tobytes() == expected.tobytes()
+    assert len(references) == 1
+    assert references[0].tobytes() == expected.tobytes()
 
 
 def test_metrics_between_files(tmp_path, capsys):
@@ -675,6 +680,122 @@ def test_baseline_rejects_solver_flags_it_never_reads(flag, capsys):
         main(["baseline", "--problem", "scaled-med", flag])
     assert err.value.code == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+
+
+# A valid command line of every mode. Its input files are never read: the
+# option of another mode is rejected first.
+MODE_ARGV = {
+    "diagnostics perturb": ["diagnostics", "--mode=perturb", "--n=12", "--k=3"],
+    "diagnostics gengap": ["diagnostics", "--mode=gengap", "--n=12", "--k=3"],
+    "metrics gd": ["metrics", "--metric=gd", "--x-file=x.csv", "--y-file=y.csv"],
+    "metrics igd": ["metrics", "--metric=igd", "--x-file=x.csv", "--y-file=y.csv"],
+    "metrics mse": ["metrics", "--metric=mse", "--model=m.json", "--problem=scaled-med"],
+}
+
+
+def other_mode_cases():
+    """(mode, flag, config key, given as) for every mode of a command and
+    every option that only other modes of the command read; as a config key
+    too where the command takes --config."""
+    cases = []
+    for choice in (row for row in cli.OPTIONS if isinstance(row[2], tuple)):
+        command = choice[5][0]
+        hows = ("flag", "config") if command in cli.CONFIGURED else ("flag",)
+        for mode in (f"{command} {value}" for value in choice[2]):
+            for flag, dest, *_, scopes, _ in cli.OPTIONS:
+                if (command not in scopes and mode not in scopes
+                        and any(scope.startswith(command + " ") for scope in scopes)):
+                    cases += [(mode, flag, dest, how) for how in hows]
+    return cases
+
+
+OTHER_MODE_CASES = other_mode_cases()
+
+
+@pytest.mark.parametrize("mode,flag,key,how", OTHER_MODE_CASES,
+                         ids=[f"{mode}-{flag}-{how}" for mode, flag, _, how in OTHER_MODE_CASES])
+def test_option_of_another_mode_exits_2_before_any_run(mode, flag, key, how, tmp_path, capsys,
+                                                       monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started or an input file was read")
+
+    for name in ("perturbation_experiment", "repeat_generalization_gap", "_read_points_csv",
+                 "_load_model_file"):
+        monkeypatch.setattr(cli, name, no_run)
+    argv = list(MODE_ARGV[mode])
+    if how == "flag":
+        argv.append(f"{flag}=1")
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: 1}))
+        argv.append(f"--config={tmp_path / 'cfg.json'}")
+    code = exit_code(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "config"
+    assert error["message"] == f"{mode} does not read {flag} (config key {key!r})"
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+@pytest.mark.parametrize("flags", [["--k", "4294967297"], ["--k", "10000000000000"],
+                                   ["--resample-retries", "4294967296"]],
+                         ids=["k-2^32+1", "k-10^13", "retries-2^32"])
+def test_counts_beyond_32_bit_words_exit_2_before_any_run(command, flags, tmp_path, capsys,
+                                                          monkeypatch):
+    # The weight substreams key k and retry by 32-bit words; a run this long
+    # would also fail to allocate its trace.
+    monkeypatch.setattr(cli, "run_surface_gd", None)
+    monkeypatch.setattr(cli, "run_surface_gd_trials", None)
+    tail = ["--out", str(tmp_path / "m.json")] if command == "solve" else [
+        "--threads", "1", "--out-dir", str(tmp_path / "exp")]
+    code, out, err = run_cli(capsys, command, "--problem", "scaled-med", "--n", "30", *flags,
+                             *tail)
+    assert code == 2 and out == ""
+    assert "is outside" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 224. GiB"), MemoryError()],
+                         ids=["numpy", "bare"])
+def test_out_of_memory_exits_3_with_one_json_error(command, error, tmp_path, capsys,
+                                                   monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_surface_gd", out_of_memory)
+    monkeypatch.setattr(cli, "run_surface_gd_trials", out_of_memory)
+    tail = ["--out", str(tmp_path / "m.json")] if command == "solve" else [
+        "--threads", "1", "--out-dir", str(tmp_path / "exp")]
+    code, out, err = run_cli(capsys, command, "--problem", "scaled-med", "--n", "30", "--k", "5",
+                             *tail)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == {"type": "runtime", "version": cli.__version__,
+                                        "message": str(error) or "MemoryError()"}
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment", "baseline"])
+def test_missing_problem_exits_2_naming_the_option(command, tmp_path, capsys):
+    tail = ["--out", str(tmp_path / "m.json")] if command == "solve" else [
+        "--out-dir", str(tmp_path / "never")]
+    code, out, err = run_cli(capsys, command, *tail)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert "--problem" in message and "'problem'" in message
+    assert not (tmp_path / "never").exists()
+
+
+def test_experiment_runs_a_parameterized_problem(tmp_path, capsys):
+    # Trials look their problem up by the name given ("skew-med:2"), not by
+    # the name the problem reports ("skew-2med"), which is no registry name.
+    code, _, err = run_cli(
+        capsys, "experiment", "--problem", "skew-med:2", "--n", "12", "--k", "3",
+        "--trials", "1", "--threads", "1", "--metrics", "gd", "--validation-count", "5",
+        "--out-dir", str(tmp_path))
+    assert code == 0, err
+    lines = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert (row["problem"], row["status"]) == ("skew-2med", "ok")
 
 
 def readme_commands():

@@ -1,13 +1,14 @@
 """Property test of the CLI's exit-code contract, driven by the option table.
 
-Each subcommand starts from a small valid command line (tiny k and n, one
-worker). Hypothesis replaces some of its options, each by a flag or by a
-config-file entry, with values drawn from the option's row in
-`cli.OPTIONS`: integers around the row's lowest value, floats, booleans,
-null, lists, text that is not a number, and names of files of every kind.
-Whatever the input, `main()` must exit 0, 2 or 3, emit no warning, print
-exactly one JSON object on stderr when it fails, and print strict JSON from
-`metrics`.
+Each subcommand, and each mode of `diagnostics` and `metrics`, starts from
+a small valid command line (tiny k and n, one worker). Hypothesis replaces
+some of its options, each by a flag or by a config-file entry, with values
+drawn from the option's row in `cli.OPTIONS`: integers around the row's
+lowest value, floats, booleans, null, lists, text that is not a number, and
+names of files of every kind. One draw in ten also gives an option that
+only another mode reads, which must exit 2. Whatever the input, `main()`
+must exit 0, 2 or 3, emit no warning, print exactly one JSON object on
+stderr when it fails, and print strict JSON from `metrics`.
 """
 import contextlib
 import io
@@ -25,15 +26,16 @@ from bezier_mopt import cli
 from bezier_mopt.bezier import BezierSimplex, save_model
 from bezier_mopt.simplex import enumerate_multi_indices
 
-# Valid command lines, by config key; the first word names the subcommand.
+# Valid command lines, by config key; the key names the subcommand and the
+# mode, the scope of `cli.OPTIONS` whose rows the command line reads.
 BASE = {
     "solve": {"problem": "scaled-med", "num_samples": "12", "iterations": "3",
               "out": "model-out.json"},
     "experiment": {"problem": "scaled-med", "num_samples": "12", "iterations": "3",
                    "trials": "1", "threads": "1", "mse_samples": "20",
                    "validation_count": "3", "out_dir": "exp"},
-    "baseline": {"problem": "scaled-med", "population": "12", "max_steps": "200",
-                 "mse_samples": "20", "validation_count": "3", "out_dir": "base"},
+    "baseline": {"problem": "scaled-med", "population": "12", "mse_samples": "20",
+                 "validation_count": "3", "out_dir": "base"},
     "sample": {"model": "model.json", "n": "3", "out": "s.csv"},
     "metrics gd": {"metric": "gd", "x_file": "x.csv", "y_file": "y.csv"},
     "metrics mse": {"metric": "mse", "model": "model.json", "problem": "scaled-med",
@@ -107,14 +109,20 @@ def config_values(row):
 
 @st.composite
 def command_lines(draw, base):
-    """(argv, config document, config file text that replaces it or None)."""
+    """(argv, config document, config file text that replaces it or None,
+    whether an option of another mode was given)."""
     command = base.split()[0]
-    rows = [row for row in cli.OPTIONS if command in row[5] and row[1] != "config"]
+    scope = {command, base}
+    rows = [row for row in cli.OPTIONS if scope & set(row[5]) and row[1] != "config"]
+    foreign = [row for row in cli.OPTIONS if not scope & set(row[5])
+               and any(name.split()[0] == command for name in row[5])]
     configurable = command in cli.CONFIGURED
     flags = dict(BASE[base])
     config = {}
     changed = st.lists(st.sampled_from(rows), min_size=1, max_size=3, unique_by=lambda r: r[1])
-    for row in draw(changed):
+    # One draw in ten adds an option of another mode.
+    extra = bool(foreign) and draw(st.sampled_from(range(10))) == 9
+    for row in draw(changed) + ([draw(st.sampled_from(foreign))] if extra else []):
         dest, required = row[1], row[3] is ...
         if configurable and not required and draw(st.booleans()):
             flags.pop(dest, None)
@@ -127,11 +135,11 @@ def command_lines(draw, base):
         config[draw(st.sampled_from(["iteraions", "k", "n", "config"]))] = 5
     if configurable and draw(st.sampled_from(range(10))) == 9:
         text = draw(st.sampled_from(["[]", "{", "3", ""]))
-    flag_of = {dest: flag for flag, dest, *_ in rows}
+    flag_of = {dest: flag for flag, dest, *_ in rows + foreign}
     argv = [command] + [f"{flag_of[dest]}={value}" for dest, value in flags.items()]
     if config or text is not None:
         argv.append("--config=cfg.json")
-    return argv, config, text
+    return argv, config, text, extra
 
 
 def write_fixtures(directory):
@@ -175,14 +183,14 @@ def run_in(directory, argv):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_input_keeps_the_exit_code_contract(base, data):
-    argv, config, text = data.draw(command_lines(base))
+    argv, config, text, foreign = data.draw(command_lines(base))
     with tempfile.TemporaryDirectory() as directory:
         write_fixtures(directory)
         if config or text is not None:
             with open(os.path.join(directory, "cfg.json"), "w") as fh:
                 fh.write(json.dumps(config) if text is None else text)
         code, out, err, caught = run_in(directory, argv)
-    assert code in (0, 2, 3), (argv, config, err)
+    assert code in ((2,) if foreign else (0, 2, 3)), (argv, config, err)
     assert not caught, (argv, config, [str(w.message) for w in caught])
     if code == 0:
         assert err == ""

@@ -84,6 +84,14 @@ def test_config_validation():
         SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0,
                      step_schedule="const:0").validate(problem)
     SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0).validate(problem)
+    # The weight substreams key k and retry by 32-bit words. Validating
+    # allocates nothing, so the largest legal counts are checked as they are.
+    base = SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0)
+    for field, bad in (("num_iterations", (2**32, 10**13)), ("resample_retries", (-1, 2**32))):
+        for value in bad:
+            with pytest.raises(ValueError, match=rf"{field} {value} is outside"):
+                dataclasses.replace(base, **{field: value}).validate(problem)
+        dataclasses.replace(base, **{field: 2**32 - 1}).validate(problem)
 
 
 def test_config_rejects_a_callable_step_schedule():
