@@ -410,10 +410,13 @@ def test_baseline_non_json_comparison_file_exits_2_before_the_sweep(tmp_path, ca
 
 
 @pytest.mark.parametrize("flags", [
-    # The descent's tolerance and step budget are fixed; their flags are gone.
-    ["--grad-tol", "1e-8", "--max-steps", "300"],
+    # The descent's tolerance and step budget are fixed; their flags are gone,
+    # so any value of them is an unrecognized argument.
+    ["--grad-tol", "nan"], ["--grad-tol", "0"], ["--grad-tol=-1e-8"],
+    ["--grad-tol", "inf"], ["--max-steps", "0"], ["--max-steps=-1"],
     ["--mse-samples", "0"], ["--metrics", "diagnostics"],
-], ids=["removed-descent-flags", "mse-samples-0", "metrics-diagnostics"])
+], ids=["tol-nan", "tol-0", "tol-negative", "tol-inf", "steps-0", "steps-negative",
+        "mse-samples-0", "metrics-diagnostics"])
 def test_baseline_bad_descent_settings_exit_2_before_the_sweep(flags, tmp_path, capsys,
                                                                monkeypatch):
     def no_sweep(*args, **kwargs):
@@ -426,8 +429,8 @@ def test_baseline_bad_descent_settings_exit_2_before_the_sweep(flags, tmp_path, 
     assert code == 2 and captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["type"] == "config"
-    if flags[0] == "--grad-tol":
-        assert "unrecognized arguments: --grad-tol 1e-8 --max-steps 300" in error["message"]
+    if flags[0].startswith(("--grad-tol", "--max-steps")):
+        assert "unrecognized arguments: " + " ".join(flags) in error["message"]
 
 
 def test_baseline_stacked_lattices_match_separate_sweeps(tmp_path, capsys, monkeypatch):
