@@ -3,22 +3,20 @@
 Subcommands: solve (one optimizer run), experiment (multi-trial metric
 sweeps), baseline (scalarization-sweep pipeline), sample (draw points from
 a model file), metrics (indicators between files), diagnostics (stability
-probes). Every option is declared once, in OPTIONS: its flag, its
-config-file key, its type, its default, its lowest allowed value and the
-subcommands, or the modes of a subcommand, that read it. The mode of
-diagnostics is its --mode, that of metrics its --metric; an option of
-another mode is rejected, as a flag or a config key. solve, experiment,
-baseline and diagnostics also take `--config`, a JSON object keyed by
-option names (`iterations` for `--k`, `num_samples` for `--n`). A value
-comes from the flag if given, else from the config file, else from the
-table; a config value is parsed as the same text given as the flag would
-be, and an unknown key is rejected. Exit codes: 0 success, 2 configuration
-error, 3 runtime or numerical failure (out of memory included); failures
-emit one JSON object on stderr.
+probes). Every option is declared once, in OPTIONS: its flag, its type,
+its default, its lowest allowed value and the subcommands, or the modes of
+a subcommand, that read it. The mode of diagnostics is its --mode, that of
+metrics its --metric; an option of another mode is rejected. An argument
+`@FILE` stands for the lines of FILE, one argument per line in flag
+spelling, expanded before parsing; a later argument wins over an earlier
+one, and an argument that begins with `@` is always read as a file. Exit
+codes: 0 success, 2 configuration error, 3 runtime or numerical failure
+(out of memory included); failures emit one JSON object on stderr.
 
 The trials of each experiment sample count run as one lockstep stack. With
 a worker pool the stack is split into one contiguous chunk per worker; the
-pool size is --threads, else the hardware thread count.
+pool size is --threads, else the hardware thread count, and never more
+than the chunks to run.
 """
 
 from __future__ import annotations
@@ -96,13 +94,6 @@ def _read_json(path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {err}") from err
 
 
-def _load_config_file(path) -> dict:
-    doc = {} if path is None else _read_json(path, "config file")
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return doc
-
-
 def _load_model_file(path) -> BezierSimplex:
     try:
         return load_model(path)
@@ -129,13 +120,17 @@ def _parse_metrics(value, known=METRIC_COLUMNS) -> list[str]:
     return names
 
 
-def _resolve_problem(name):
+def _resolve_problem(name, metric_names=()):
+    """The registered problem `name`; mse in `metric_names` needs its analytical map."""
     if name is None:
-        raise ConfigError("no problem given: set --problem or the config key 'problem'")
+        raise ConfigError("no problem given: set --problem")
     try:
-        return get_problem(str(name))
+        problem = get_problem(str(name))
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    if "mse" in metric_names and problem.pareto_map is None:
+        raise ConfigError(f"problem {problem.name} has no analytical map for mse")
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +138,14 @@ def _resolve_problem(name):
 # ---------------------------------------------------------------------------
 
 SOLVERS = ("solve", "experiment", "diagnostics")
-CONFIGURED = SOLVERS + ("baseline",)
-# One row per option: flag, config-file key (the argparse dest), type,
-# default, lowest allowed value (None: unchecked), scopes, help. A scope is
-# a subcommand, or a subcommand and a mode, the value of its choice option:
-# "diagnostics perturb" reads the row only with --mode perturb. The int and
-# float flags are typed by argparse; any other type converts the flag text
-# after parsing, and a tuple type lists the choices. A default of ... marks
-# a required flag, which a config file cannot give.
+# One row per option: flag, argparse dest, type, default, lowest allowed
+# value (None: unchecked), scopes, help. A scope is a subcommand, or a
+# subcommand and a mode, the value of its choice option: "diagnostics
+# perturb" reads the row only with --mode perturb. The int and float flags
+# are typed by argparse; any other type converts the flag text after
+# parsing, and a tuple type lists the choices. A default of ... marks a
+# required flag.
 OPTIONS = (
-    ("--config", "config", str, None, None, CONFIGURED, "JSON config file; flags override it"),
     ("--mode", "mode", ("perturb", "gengap"), ..., None, ("diagnostics",), "probe to run"),
     ("--metric", "metric", ("gd", "igd", "mse"), ..., None, ("metrics",), "indicator"),
     ("--problem", "problem", str, None, None, ("solve", "experiment", "baseline"),
@@ -164,8 +157,8 @@ OPTIONS = (
      "comma list of samples per iteration"),
     ("--n", "n", int, ..., 1, ("sample",), "rows to draw"),
     ("--k", "iterations", int, 1000, 1, SOLVERS, "iteration count"),
-    ("--degree", "degree", int, 3, 1, CONFIGURED, "model degree"),
-    ("--seed", "seed", int, 0, 0, CONFIGURED + ("sample", "metrics mse"), "root seed"),
+    ("--degree", "degree", int, 3, 1, SOLVERS + ("baseline",), "model degree"),
+    ("--seed", "seed", int, 0, 0, SOLVERS + ("baseline", "sample", "metrics mse"), "root seed"),
     ("--schedule", "schedule", str, "1/k", None, SOLVERS, 'step schedule: "1/k" or "const:<v>"'),
     ("--resample-retries", "resample_retries", int, 5, 0, SOLVERS, "redraws of a singular sample"),
     ("--initial-model", "initial_model", str, "zero", None, SOLVERS, 'start model JSON or "zero"'),
@@ -192,44 +185,27 @@ OPTIONS = (
     ("--out-dir", "out_dir", str, ".", None, ("experiment", "baseline", "diagnostics"),
      "output directory"),
 )
-# Table defaults by config key; run_experiment takes its defaults from here.
+# Table defaults by dest; run_experiment takes its defaults from here.
 DEFAULTS = {dest: default for _, dest, _, default, *_ in OPTIONS}
-
-
-def _flag_text(key, value) -> str:
-    """A config-file value as flag text: a string as it is, a list of
-    sample counts or metrics as a comma list, anything else as JSON."""
-    if isinstance(value, list) and key in ("num_samples", "metrics"):
-        return ",".join(_flag_text(None, item) for item in value)
-    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Sets every option that `args.command` reads in its mode to its flag
-    value if given, else its config-file value, else its table default. A
-    given value is converted by the row's type and checked against its
-    lowest value. An option of another mode of the command, given as a flag
-    or a config key, and a required option of the mode left out are
-    rejected."""
+    value if given, else its table default. A given value is converted by
+    the row's type and checked against its lowest value. An option of
+    another mode of the command and a required option of the mode left out
+    are rejected."""
     command = args.command
     mode = " ".join([command] + [getattr(args, row[1]) for row in OPTIONS
                                  if command in row[5] and isinstance(row[2], tuple)])
     rows = [row for row in OPTIONS if {command, mode} & set(row[5])]
-    cfg = _load_config_file(getattr(args, "config", None))
     for row in OPTIONS:
         flag, dest, *_, scopes, _ = row
         if (row not in rows and any(scope.split()[0] == command for scope in scopes)
-                and (getattr(args, dest) is not None or dest in cfg)):
-            raise ConfigError(f"{mode} does not read {flag} (config key {dest!r})")
-    keys = sorted(row[1] for row in rows if row[1] != "config" and row[3] is not ...)
-    unknown = sorted(set(cfg).difference(keys))
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown} for {mode}; "
-                          f"known: {', '.join(keys)}")
+                and getattr(args, dest) is not None):
+            raise ConfigError(f"{mode} does not read {flag}")
     for flag, dest, kind, default, lowest, *_ in rows:
         value = getattr(args, dest)
-        if value is None and dest in cfg:
-            value = _flag_text(dest, cfg[dest])
         if isinstance(value, str) and "\0" in value:
             raise ConfigError(f"{dest} holds a NUL character")
         if value is None and default is ...:
@@ -305,16 +281,11 @@ def _scores(model, problem, metric_names, seed, mse_samples, validation_count,
 
     mse averages over weights drawn from (seed, METRIC_STREAM, 0); gd and
     igd compare `validation_count` model samples, drawn from (seed,
-    METRIC_STREAM, 1), with the `reference` points. A problem without an
-    analytical map scores an mse of None, with a note saying why."""
+    METRIC_STREAM, 1), with the `reference` points."""
     scores = {}
     if "mse" in metric_names:
-        if problem.pareto_map is None:
-            scores["mse"] = None
-            scores["mse_note"] = "problem has no analytical map"
-        else:
-            scores["mse"] = mse(model, problem.pareto_map, mse_samples,
-                                seed=derive_seed(seed, METRIC_STREAM, 0))
+        scores["mse"] = mse(model, problem.pareto_map, mse_samples,
+                            seed=derive_seed(seed, METRIC_STREAM, 0))
     if "gd" in metric_names or "igd" in metric_names:
         samples = model_samples(model, validation_count,
                                 seed=derive_seed(seed, METRIC_STREAM, 1))
@@ -365,16 +336,14 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
     model when it is None. The trials of each sample count run as one
     lockstep stack, or, with a worker pool, as one contiguous chunk of the
     stack per worker; the rows are the same either way."""
-    problem = _resolve_problem(problem_name)
     metric_names = _parse_metrics(metric_names)
+    problem = _resolve_problem(problem_name, metric_names)
     for name, count in (("trials", trials), ("sample counts", len(n_values)),
                         ("mse_samples", mse_samples), ("validation_count", validation_count)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
     if len(set(map(int, n_values))) < len(n_values):
         raise ConfigError(f"sample counts repeat: {list(n_values)}")
-    if "mse" in metric_names and problem.pareto_map is None:
-        raise ConfigError(f"problem {problem.name} has no analytical map for mse")
     # One validated configuration per sample count; its seed is unused, as
     # each trial runs with its own.
     cell_configs = [_validated(SolverConfig(
@@ -402,7 +371,8 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
             })
 
     if threads > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        # The pool forks all its workers at once, so it gets no more than jobs.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             chunk_rows = list(pool.map(_experiment_trial, jobs))
     else:
         chunk_rows = [_experiment_trial(job) for job in jobs]
@@ -464,8 +434,8 @@ def cmd_experiment(ns) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_baseline(ns) -> int:
-    problem = _resolve_problem(ns.problem)
     metric_names = _parse_metrics(ns.metrics, known=("mse", "gd", "igd"))
+    problem = _resolve_problem(ns.problem, metric_names)
     validation_count = ns.validation_count if {"gd", "igd"} & set(metric_names) else None
     comparison = (None if ns.compare_with is None
                   else _read_json(ns.compare_with, "comparison file"))
@@ -541,15 +511,21 @@ def cmd_sample(ns) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_points_csv(path) -> np.ndarray:
-    """Points from a CSV file: uses the x_* columns when present (sample
-    output format), otherwise every column. Every cell read must hold a
-    finite number."""
+    """Points from a CSV file with a header row: uses the x_* columns when
+    present (sample output format), otherwise every column. Every cell read
+    must hold a finite number."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     if not lines:
         raise ConfigError(f"{path} holds no data")
     reader = csv.reader(lines)
     header = next(reader)
+    try:
+        list(map(float, header))
+    except ValueError:
+        pass  # a header row
+    else:
+        raise ConfigError(f"{path} has no header row: its first line is all numbers")
     cols = [i for i, name in enumerate(header) if name.startswith("x_")]
     if not cols:
         cols = list(range(len(header)))
@@ -580,9 +556,7 @@ def cmd_metrics(ns) -> int:
             raise ConfigError(str(err)) from err
         report.update({"x_file": ns.x_file, "y_file": ns.y_file, "value": value})
     else:
-        problem = _resolve_problem(ns.problem)
-        if problem.pareto_map is None:
-            raise ConfigError(f"problem {problem.name} has no analytical map for mse")
+        problem = _resolve_problem(ns.problem, [metric])
         model = _load_model_file(ns.model)
         if (model.num_objectives, model.ambient_dim) != (problem.num_objectives,
                                                          problem.num_vars):
@@ -647,7 +621,7 @@ def cmd_diagnostics(ns) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a command line it rejects as the JSON error object, exit 2."""
+    """Reports a rejected command line or unopenable @FILE as the JSON error, exit 2."""
 
     def error(self, message):
         self.exit(2, _error_json("config", message) + "\n")
@@ -656,7 +630,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand, holding the OPTIONS rows it reads."""
     parser = _Parser(
-        prog="bezier-mopt",
+        prog="bezier-mopt", fromfile_prefix_chars="@",
         description="Multi-objective optimization via iterative Bezier-simplex fitting")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -684,7 +658,11 @@ def _error_json(kind: str, message: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except (ValueError, RecursionError) as err:  # an @FILE name with a NUL, bytes or a loop
+        parser.error(f"cannot read an @FILE argument: {err}")
     try:
         return args.func(_resolve(args))
     except ConfigError as err:

@@ -251,13 +251,46 @@ def test_experiment_bad_n_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["experiment", "--problem", "nope"],
     ["diagnostics", "--mode", "perturb", "--n", "12", "--k", "3", "--perturb-iteration", "9"],
-], ids=["experiment-unknown-problem", "diagnostics-late-perturbation"])
-def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys):
+    ["baseline", "--problem", "skew-3mmd", "--metrics", "mse,gd"],
+], ids=["experiment-unknown-problem", "diagnostics-late-perturbation",
+        "baseline-mse-without-map"])
+def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "minimize_scalarizations", None)  # no baseline sweep runs
     out_dir = tmp_path / "never"
     code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "config"
     assert not out_dir.exists()
+
+
+def test_experiment_pool_has_no_more_workers_than_jobs(tmp_path, capsys, monkeypatch):
+    # A pool forks all its workers at its first job, so --threads 1000 must
+    # not ask for 1000. The stand-in pool runs the jobs in this process.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    base = ["experiment", "--problem", "scaled-med", "--n", "15,20", "--k", "5",
+            "--trials", "3", "--seed", "6", "--metrics", "mse"]
+    for threads in ("1", "1000"):
+        code, _, _ = run_cli(capsys, *base, "--threads", threads, "--out-dir",
+                             str(tmp_path / threads))
+        assert code == 0
+    assert sizes == [6]  # three one-trial chunks for each of two sample counts
+    for name in ("trials.csv", "aggregate.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "1000" / name).read_bytes()
 
 
 def test_experiment_aborts_trials_whose_trace_stops_being_finite(tmp_path):
@@ -385,7 +418,8 @@ def test_baseline_report_lists_weights_by_status(status, tmp_path, capsys, monke
                             functools.partial(cli.minimize_scalarizations, max_steps=300))
     code, _, _ = run_cli(
         capsys, "baseline", "--problem", "skew-3mmd", "--population", "100",
-        "--degree", "3", "--metrics", "mse", "--out-dir", str(tmp_path))
+        "--degree", "3", "--metrics", "gd", "--validation-count", "10",
+        "--out-dir", str(tmp_path))
     assert code == 0
     report = json.loads((tmp_path / "baseline_report.json").read_text())
     lists = {name: report[f"{name}_lattice_indices"] for name in ("cusp", "diverged", "stalled")}
@@ -480,8 +514,8 @@ def test_metrics_between_files(tmp_path, capsys):
 @pytest.mark.parametrize("metric", ["gd", "igd"])
 @pytest.mark.parametrize("text", [
     "x_1,x_2\n0.0,0.0\n1,abc\n", "x_1,x_2\n0.0,0.0\n1\n", "a,b\n0.0,\n",
-    "x_1,x_2\n0.0,nan\n", "x_1,x_2\ninf,0.0\n",
-], ids=["non-numeric", "short-row", "empty-cell", "nan-cell", "inf-cell"])
+    "x_1,x_2\n0.0,nan\n", "x_1,x_2\ninf,0.0\n", "0,0\n3,0\n",
+], ids=["non-numeric", "short-row", "empty-cell", "nan-cell", "inf-cell", "no-header"])
 def test_metrics_malformed_csv_exits_2(metric, text, tmp_path, capsys):
     x = tmp_path / "x.csv"
     y = tmp_path / "y.csv"
@@ -575,16 +609,6 @@ def test_diagnostics_perturb_mode(tmp_path, capsys):
             rep["bound_value"]))
 
 
-def test_diagnostics_grid_version_config_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_version": "v1"}))
-    code, out, err = run_cli(capsys, "diagnostics", "--mode", "perturb", "--config", str(cfg),
-                             "--out-dir", str(tmp_path / "never"))
-    assert code == 2 and out == ""
-    assert "'grid_version'" in json.loads(err)["error"]["message"]
-    assert not (tmp_path / "never").exists()
-
-
 def test_diagnostics_gengap_mode(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "diagnostics", "--mode", "gengap", "--problem", "scaled-med",
@@ -614,17 +638,20 @@ def test_console_entry_point_subprocess(tmp_path):
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "problem": "scaled-med", "num_samples": "15", "iterations": 10,
-        "trials": 1, "metrics": "mse", "seed": 3}))
-    out_dir = tmp_path / "out"
-    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
-                         "--trials", "2", "--out-dir", str(out_dir))
-    assert code == 0
-    agg = json.loads((out_dir / "aggregate.json").read_text())
-    assert agg["trials"] == 2  # flag wins
-    assert agg["config"]["seed"] == 3  # config file value used
+    # An @FILE run writes the bytes of the same arguments typed out, and a
+    # flag after the file wins over the file's value.
+    args = ["experiment", "--problem", "scaled-med", "--n", "15", "--k", "10",
+            "--trials", "1", "--metrics", "mse", "--seed", "3", "--threads", "1"]
+    (tmp_path / "run.args").write_text("".join(arg + "\n" for arg in args))
+    runs = {"file": [f"@{tmp_path / 'run.args'}"], "typed": args}
+    for name, head in runs.items():
+        code, _, _ = run_cli(capsys, *head, "--trials", "2", "--out-dir", str(tmp_path / name))
+        assert code == 0
+    agg = json.loads((tmp_path / "file" / "aggregate.json").read_text())
+    assert agg["trials"] == 2  # the later flag wins
+    assert agg["config"]["seed"] == 3  # the file's value is used
+    for name in ("trials.csv", "aggregate.json"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "typed" / name).read_bytes()
 
 
 def exit_code(argv):
@@ -640,23 +667,24 @@ TINY = {"experiment": ["--problem=scaled-med", "--n=15", "--k=5", "--trials=1",
         "baseline": ["--problem=scaled-med", "--population=100"]}
 
 
-@pytest.mark.parametrize("command,key,value,flag,text,expected", [
-    ("experiment", "num_samples", [30, "x"], "--n", "30,x", 2),
-    ("experiment", "out_dir", 5, "--out-dir", "5", 0),
-    ("experiment", "out_dir", "a\0b", "--out-dir", "a\0b", 2),
-    ("baseline", "compare_with", 5, "--compare-with", "5", 2),
-    ("experiment", "iterations", 1.5, "--k", "1.5", 2),
-    ("experiment", "seed", True, "--seed", "true", 2),
-    ("experiment", "metrics", ["mse", "hv"], "--metrics", "mse,hv", 2),
+@pytest.mark.parametrize("command,flag,text,expected", [
+    ("experiment", "--n", "30,x", 2),
+    ("experiment", "--out-dir", "5", 0),
+    ("experiment", "--out-dir", "a\0b", 2),
+    ("baseline", "--compare-with", "5", 2),
+    ("experiment", "--k", "1.5", 2),
+    ("experiment", "--seed", "true", 2),
+    ("experiment", "--metrics", "mse,hv", 2),
 ], ids=["n-list", "out-dir-number", "out-dir-nul", "compare-with-number", "k-float",
         "seed-bool", "metrics-list"])
-def test_config_value_exits_like_the_same_flag_text(command, key, value, flag, text,
-                                                    expected, tmp_path, capsys, monkeypatch):
+def test_config_value_exits_like_the_same_flag_text(command, flag, text, expected, tmp_path,
+                                                    capsys, monkeypatch):
+    # The flag and its text as two lines of an @FILE, then on the command line.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "minimize_scalarizations", None)  # no baseline sweep runs
     base = [command] + [arg for arg in TINY[command] if not arg.startswith(flag + "=")]
-    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
-    for argv in (base + ["--config", "cfg.json"], base + [f"{flag}={text}"]):
+    (tmp_path / "run.args").write_text(f"{flag}\n{text}\n")
+    for argv in (base + ["@run.args"], base + [f"{flag}={text}"]):
         assert exit_code(argv) == expected, argv
         err = capsys.readouterr().err
         if expected:
@@ -664,16 +692,38 @@ def test_config_value_exits_like_the_same_flag_text(command, key, value, flag, t
             assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["iteraions", "k"])
-def test_unknown_config_key_exits_2_naming_it(key, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_surface_gd", None)  # no run starts
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 5, "num_samples": 15}))
-    code, out, err = run_cli(capsys, "solve", "--problem", "scaled-med", "--config", str(cfg),
-                             "--out", str(tmp_path / "m.json"))
-    assert code == 2 and out == ""
-    message = json.loads(err)["error"]["message"]
-    assert repr(key) in message and "iterations" in message
+@pytest.mark.parametrize("name,content,reasons", [
+    ("missing.args", None, ["No such file"]),
+    (".", None, ["Is a directory"]),
+    ("bytes.args", b"\xff\xfe--k\n", ["codec"]),
+    ("loop.args", b"@loop.args\n", ["recursion", "Too many open files"]),
+    ("a\0b.args", None, ["null byte"]),
+], ids=["missing", "directory", "not-text", "names-itself", "nul-in-name"])
+def test_unreadable_args_file_exits_2_with_one_json_error(name, content, reasons, tmp_path,
+                                                          capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
+    code = exit_code(["solve", "--problem", "scaled-med", f"@{name}", "--out", "m.json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "config"
+    assert any(reason in error["message"] for reason in reasons), error["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment", "baseline", "diagnostics"])
+def test_config_flag_is_an_unrecognized_argument(command, tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text("{}")
+    argv = {"solve": ["solve", "--out", str(tmp_path / "m.json")],
+            "diagnostics": ["diagnostics", "--mode", "perturb"]}.get(command, [command])
+    code = exit_code(argv + ["--config", str(tmp_path / "cfg.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "config"
+    assert "unrecognized arguments: --config" in error["message"]
 
 
 @pytest.mark.parametrize("flag", ["--n=xyz", "--k=5", "--schedule=bogus",
@@ -697,27 +747,26 @@ MODE_ARGV = {
 
 
 def other_mode_cases():
-    """(mode, flag, config key, given as) for every mode of a command and
-    every option that only other modes of the command read; as a config key
-    too where the command takes --config."""
+    """(mode, flag, given as) for every mode of a command and every option
+    that only other modes of the command read: as a flag on the command
+    line, and as a line of an @FILE ("config")."""
     cases = []
     for choice in (row for row in cli.OPTIONS if isinstance(row[2], tuple)):
         command = choice[5][0]
-        hows = ("flag", "config") if command in cli.CONFIGURED else ("flag",)
         for mode in (f"{command} {value}" for value in choice[2]):
             for flag, dest, *_, scopes, _ in cli.OPTIONS:
                 if (command not in scopes and mode not in scopes
                         and any(scope.startswith(command + " ") for scope in scopes)):
-                    cases += [(mode, flag, dest, how) for how in hows]
+                    cases += [(mode, flag, how) for how in ("flag", "config")]
     return cases
 
 
 OTHER_MODE_CASES = other_mode_cases()
 
 
-@pytest.mark.parametrize("mode,flag,key,how", OTHER_MODE_CASES,
-                         ids=[f"{mode}-{flag}-{how}" for mode, flag, _, how in OTHER_MODE_CASES])
-def test_option_of_another_mode_exits_2_before_any_run(mode, flag, key, how, tmp_path, capsys,
+@pytest.mark.parametrize("mode,flag,how", OTHER_MODE_CASES,
+                         ids=[f"{mode}-{flag}-{how}" for mode, flag, how in OTHER_MODE_CASES])
+def test_option_of_another_mode_exits_2_before_any_run(mode, flag, how, tmp_path, capsys,
                                                        monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started or an input file was read")
@@ -729,15 +778,15 @@ def test_option_of_another_mode_exits_2_before_any_run(mode, flag, key, how, tmp
     if how == "flag":
         argv.append(f"{flag}=1")
     else:
-        (tmp_path / "cfg.json").write_text(json.dumps({key: 1}))
-        argv.append(f"--config={tmp_path / 'cfg.json'}")
+        (tmp_path / "run.args").write_text(f"{flag}=1\n")
+        argv.append(f"@{tmp_path / 'run.args'}")
     code = exit_code(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1
     error = json.loads(captured.err)["error"]
     assert error["type"] == "config"
-    assert error["message"] == f"{mode} does not read {flag} (config key {key!r})"
+    assert error["message"] == f"{mode} does not read {flag}"
 
 
 @pytest.mark.parametrize("command", ["solve", "experiment"])
@@ -783,8 +832,7 @@ def test_missing_problem_exits_2_naming_the_option(command, tmp_path, capsys):
         "--out-dir", str(tmp_path / "never")]
     code, out, err = run_cli(capsys, command, *tail)
     assert code == 2 and out == ""
-    message = json.loads(err)["error"]["message"]
-    assert "--problem" in message and "'problem'" in message
+    assert "--problem" in json.loads(err)["error"]["message"]
     assert not (tmp_path / "never").exists()
 
 
@@ -820,8 +868,8 @@ def test_readme_shows_every_subcommand():
 @pytest.mark.parametrize("argv", README_COMMANDS,
                          ids=[f"{argv[0]}-{i}" for i, argv in enumerate(README_COMMANDS)])
 def test_readme_example_parses_and_resolves(argv):
-    # Parsing and resolving read no file (no example passes --config) and
+    # Parsing and resolving read no file (no example passes an @FILE) and
     # start no run.
-    assert "--config" not in argv
+    assert not any(arg.startswith("@") for arg in argv)
     args = cli._resolve(cli.build_parser().parse_args(argv))
     assert args.command == argv[0]

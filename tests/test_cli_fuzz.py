@@ -2,13 +2,16 @@
 
 Each subcommand, and each mode of `diagnostics` and `metrics`, starts from
 a small valid command line (tiny k and n, one worker). Hypothesis replaces
-some of its options, each by a flag or by a config-file entry, with values
-drawn from the option's row in `cli.OPTIONS`: integers around the row's
-lowest value, floats, booleans, null, lists, text that is not a number, and
-names of files of every kind. One draw in ten also gives an option that
-only another mode reads, which must exit 2. Whatever the input, `main()`
-must exit 0, 2 or 3, emit no warning, print exactly one JSON object on
-stderr when it fails, and print strict JSON from `metrics`.
+some of its options with values drawn from the option's row in
+`cli.OPTIONS`: integers around the row's lowest value, floats, text that is
+not a number, names of files of every kind, and `@` arguments. Each value
+goes either in the flag's argument (`--k=5`) or in an argument of its own
+(`--k 5`), where one that begins with `@` is read as a file. Half the
+command lines move a run of their arguments into an args file, passed as
+`@args`. One draw in ten also gives an option that only another mode reads,
+which must exit 2. Whatever the input, `main()` must exit 0, 2 or 3, emit
+no warning, print exactly one JSON object on stderr when it fails, and
+print strict JSON from `metrics`.
 """
 import contextlib
 import io
@@ -26,7 +29,7 @@ from bezier_mopt import cli
 from bezier_mopt.bezier import BezierSimplex, save_model
 from bezier_mopt.simplex import enumerate_multi_indices
 
-# Valid command lines, by config key; the key names the subcommand and the
+# Valid command lines, by option dest; the key names the subcommand and the
 # mode, the scope of `cli.OPTIONS` whose rows the command line reads.
 BASE = {
     "solve": {"problem": "scaled-med", "num_samples": "12", "iterations": "3",
@@ -73,7 +76,10 @@ TEXT_VALUES = {
     "y_file": ["huge.csv", "nan.csv", "x.csv", "short.csv", "missing"],
     "out": OUTPUTS, "trace": OUTPUTS, "out_dir": OUTPUTS,
 }
-JUNK = st.text(alphabet="ab1-.,:e \0", max_size=6).filter(lambda text: ".." not in text)
+# Arguments argparse reads as files: the args file itself, files that hold
+# no arguments, bytes that are not text, and no file at all.
+AT_VALUES = ["@args", "@x.csv", "@model.json", "@bytes.bin", "@missing", "@"]
+JUNK = st.text(alphabet="ab1-.,:e@ \0", max_size=6).filter(lambda text: ".." not in text)
 
 
 def small_ints(dest, lowest):
@@ -96,50 +102,33 @@ def flag_texts(row):
             lambda counts: ",".join(map(str, counts))))
     if dest in TEXT_VALUES:
         options.append(st.sampled_from(TEXT_VALUES[dest]))
-    return st.one_of(*options, JUNK)
-
-
-def config_values(row):
-    _, dest, kind, _, lowest, _, _ = row
-    return st.one_of(
-        flag_texts(row), small_ints(dest, lowest), st.booleans(), st.none(),
-        st.floats(-3, 5) | st.sampled_from([float("nan"), float("inf")]),
-        st.lists(small_ints(dest, lowest) | st.sampled_from(["mse", "gd", "x"]), max_size=2))
+    return st.one_of(*options, JUNK, st.sampled_from(AT_VALUES))
 
 
 @st.composite
 def command_lines(draw, base):
-    """(argv, config document, config file text that replaces it or None,
-    whether an option of another mode was given)."""
+    """(argv, the lines of the args file or None, whether an option of
+    another mode was given)."""
     command = base.split()[0]
     scope = {command, base}
-    rows = [row for row in cli.OPTIONS if scope & set(row[5]) and row[1] != "config"]
+    rows = [row for row in cli.OPTIONS if scope & set(row[5])]
     foreign = [row for row in cli.OPTIONS if not scope & set(row[5])
                and any(name.split()[0] == command for name in row[5])]
-    configurable = command in cli.CONFIGURED
     flags = dict(BASE[base])
-    config = {}
     changed = st.lists(st.sampled_from(rows), min_size=1, max_size=3, unique_by=lambda r: r[1])
     # One draw in ten adds an option of another mode.
     extra = bool(foreign) and draw(st.sampled_from(range(10))) == 9
     for row in draw(changed) + ([draw(st.sampled_from(foreign))] if extra else []):
-        dest, required = row[1], row[3] is ...
-        if configurable and not required and draw(st.booleans()):
-            flags.pop(dest, None)
-            config[dest] = draw(config_values(row))
-        else:
-            flags[dest] = draw(flag_texts(row))
-    # One draw in ten adds an unknown key; one in ten breaks the file.
-    text = None
-    if configurable and draw(st.sampled_from(range(10))) == 9:
-        config[draw(st.sampled_from(["iteraions", "k", "n", "config"]))] = 5
-    if configurable and draw(st.sampled_from(range(10))) == 9:
-        text = draw(st.sampled_from(["[]", "{", "3", ""]))
+        flags[row[1]] = draw(flag_texts(row))
     flag_of = {dest: flag for flag, dest, *_ in rows + foreign}
-    argv = [command] + [f"{flag_of[dest]}={value}" for dest, value in flags.items()]
-    if config or text is not None:
-        argv.append("--config=cfg.json")
-    return argv, config, text, extra
+    argv = [command]
+    for dest, value in flags.items():
+        argv += [flag_of[dest], value] if draw(st.booleans()) else [f"{flag_of[dest]}={value}"]
+    if not draw(st.booleans()):
+        return argv, None, extra
+    start = draw(st.integers(0, len(argv) - 1))
+    stop = draw(st.integers(start + 1, len(argv)))
+    return argv[:start] + ["@args"] + argv[stop:], argv[start:stop], extra
 
 
 def write_fixtures(directory):
@@ -155,6 +144,8 @@ def write_fixtures(directory):
     for name, text in FILES.items():
         with open(os.path.join(directory, name), "w") as fh:
             fh.write(text)
+    with open(os.path.join(directory, "bytes.bin"), "wb") as fh:
+        fh.write(b"\xff\xfe--k\n")
 
 
 def reject_constant(name):
@@ -183,20 +174,20 @@ def run_in(directory, argv):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_input_keeps_the_exit_code_contract(base, data):
-    argv, config, text, foreign = data.draw(command_lines(base))
+    argv, lines, foreign = data.draw(command_lines(base))
     with tempfile.TemporaryDirectory() as directory:
         write_fixtures(directory)
-        if config or text is not None:
-            with open(os.path.join(directory, "cfg.json"), "w") as fh:
-                fh.write(json.dumps(config) if text is None else text)
+        if lines is not None:
+            with open(os.path.join(directory, "args"), "w") as fh:
+                fh.write("".join(line + "\n" for line in lines))
         code, out, err, caught = run_in(directory, argv)
-    assert code in ((2,) if foreign else (0, 2, 3)), (argv, config, err)
-    assert not caught, (argv, config, [str(w.message) for w in caught])
+    assert code in ((2,) if foreign else (0, 2, 3)), (argv, lines, err)
+    assert not caught, (argv, lines, [str(w.message) for w in caught])
     if code == 0:
         assert err == ""
         if argv[0] == "metrics":
             json.loads(out, parse_constant=reject_constant)
     else:
         assert out == ""
-        assert set(json.loads(err)) == {"error"}, (argv, config, err)
+        assert set(json.loads(err)) == {"error"}, (argv, lines, err)
         assert err.count("\n") == 1
