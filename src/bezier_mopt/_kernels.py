@@ -24,8 +24,9 @@ the baseline's GD/IGD pair, and it sums squares in 4-wide partial sums, so
 its distances are not bitwise equal from dimension 8 up.
 
 The descent sweep steps every weight at once on coordinate-major arrays, the
-weight index innermost, on a fixed step schedule (STEP0, DECAY_STEPS); its
-callers set the gradient tolerance and the step budget. It takes the
+weight index innermost, on a diminishing step schedule (STEP0, DECAY_STEPS)
+that halves a weight's step whenever its gradient reverses; its callers set
+the gradient tolerance and the step budget. It takes the
 problem's gradient as a function, so every problem descends through one
 loop. `norm_power_descent` supplies the norm-power family's, with iterates
 bitwise equal to a row-major formulation that the tests keep as a reference.
@@ -127,10 +128,16 @@ CONVERGED, CUSP, DIVERGED, STALLED = range(len(STATUSES))
 CHECK_STEPS = 500
 CUSP_RADIUS = 0.05
 
-# Diminishing step schedule: step k is STEP0 / (1 + k / DECAY_STEPS),
-# effectively constant at STEP0 for the first DECAY_STEPS steps, then
-# decaying like 1/k. The benchmarks' scalarized curvature stays O(1) near
-# their minimizers, so the constant phase contracts linearly.
+# Safeguarded diminishing step: step k of a weight is
+# scale * STEP0 / (1 + k / DECAY_STEPS), effectively constant for the first
+# DECAY_STEPS steps, then decaying like 1/k. The benchmarks' scalarized
+# curvature stays O(1) near their minimizers, so the constant phase
+# contracts linearly. The weight's scale starts at 1.0 and halves, never to
+# rise again, on every step whose gradient has a negative inner product with
+# the previous one: an iterate bouncing across a kink (a q <= 1 center) or
+# overshooting a steep valley gets a shorter step at once instead of after
+# thousands of steps of decay. A weight that never reverses keeps the plain
+# schedule bit for bit, since its scale stays 1.0.
 STEP0 = 0.2
 DECAY_STEPS = 2000.0
 
@@ -211,13 +218,16 @@ def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_step
     check steps and after `gradient` on the same x, the squared scaled radii
     (C, w) of x to the C centers of `certified` (C, n). Each row i of
     `weights` descends from `start[i]`, stepping
-    x <- x - STEP0/(1 + k/DECAY_STEPS) * grad until the gradient norm drops
-    below grad_tol (CONVERGED, after k - 1 steps) or max_steps is exhausted
-    (STALLED, or DIVERGED if the last gradient norm is not finite). Every
-    CHECK_STEPS steps, a weight within CUSP_RADIUS of some center c with
-    certified[c, i] stops as CUSP, and one with a non-finite gradient norm
-    as DIVERGED. A stopped weight reports its iterate, steps and gradient
-    norm at the check. Gradient norms sum the squares over L in index order.
+    x <- x - scale_i * STEP0/(1 + k/DECAY_STEPS) * grad, where scale_i
+    starts at 1.0 and halves on each step whose gradient has a negative
+    inner product with the previous step's (summed over L in index order),
+    until the gradient norm drops below grad_tol (CONVERGED, after k - 1
+    steps) or max_steps is exhausted (STALLED, or DIVERGED if the last
+    gradient norm is not finite). Every CHECK_STEPS steps, a weight within
+    CUSP_RADIUS of some center c with certified[c, i] stops as CUSP, and one
+    with a non-finite gradient norm as DIVERGED. A stopped weight reports
+    its iterate, steps and gradient norm at the check. Gradient norms sum
+    the squares over L in index order.
 
     Returns (points, grad_norms, steps, status), status indexing STATUSES.
 
@@ -238,6 +248,9 @@ def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_step
     x = start.T.copy()
     t = weights.T.copy()
     cert = np.asarray(certified, dtype=np.bool_)
+    # Each weight's step multiplier, and its previous gradient: zeros, so
+    # that the first step's inner product is never negative.
+    scale, previous = np.ones(n_w), np.zeros_like(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(1, max_steps + 1):
             grad = gradient(x, t)
@@ -263,8 +276,10 @@ def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_step
                     if active.size == 0:
                         return points, grad_norms, steps, status
                     x, t, grad, g_norm = x[:, keep], t[:, keep], grad[:, keep], g_norm[keep]
-                    cert = cert[:, keep]
-            grad *= STEP0 / (1.0 + k / DECAY_STEPS)
+                    cert, scale, previous = cert[:, keep], scale[keep], previous[:, keep]
+            np.multiply(scale, 0.5, out=scale, where=_sum_rows(grad * previous) < 0.0)
+            previous = grad.copy()
+            grad *= scale * (STEP0 / (1.0 + k / DECAY_STEPS))
             x -= grad
     points[active] = x.T
     grad_norms[active] = g_norm

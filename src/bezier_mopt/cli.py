@@ -512,8 +512,8 @@ def cmd_sample(ns) -> int:
 
 def _read_points_csv(path) -> np.ndarray:
     """Points from a CSV file with a header row: uses the x_* columns when
-    present (sample output format), otherwise every column. Every cell read
-    must hold a finite number."""
+    present (sample output format), otherwise every column. Every data row
+    has one cell per column, and every cell read holds a finite number."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
     if not lines:
@@ -532,10 +532,12 @@ def _read_points_csv(path) -> np.ndarray:
     rows = []
     for number, parsed in enumerate(reader, start=1):
         try:
+            if len(parsed) != len(header):
+                raise ValueError(f"{len(parsed)} cells under {len(header)} columns")
             rows.append([float(parsed[i]) for i in cols])
             if not np.isfinite(rows[-1]).all():
                 raise ValueError("a cell is not finite")
-        except (IndexError, ValueError) as err:
+        except ValueError as err:
             raise ConfigError(f"{path}: data row {number} is not {len(cols)} "
                               f"finite numbers: {err}") from err
     if not rows:
@@ -630,7 +632,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand, holding the OPTIONS rows it reads."""
     parser = _Parser(
-        prog="bezier-mopt", fromfile_prefix_chars="@",
+        prog="bezier-mopt", fromfile_prefix_chars="@", allow_abbrev=False,
         description="Multi-objective optimization via iterative Bezier-simplex fitting")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -641,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("sample", cmd_sample, "draw (weight, point) rows from a model file"),
             ("metrics", cmd_metrics, "indicators between existing files"),
             ("diagnostics", cmd_diagnostics, "stability probes")):
-        p = sub.add_parser(name, help=about)
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
         p.set_defaults(func=func)
         for flag, dest, kind, default, _, scopes, text in OPTIONS:
             if name in {scope.split()[0] for scope in scopes}:

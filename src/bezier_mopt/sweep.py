@@ -1,9 +1,11 @@
 """Scalarization sweep: a deterministic stand-in for evolutionary baselines.
 
 Enumerates a triangular lattice of weight vectors and minimizes each
-weighted-sum scalarization by plain gradient descent with the fixed
-diminishing step of `_kernels.descent_sweep`; a sweep sets only its
-gradient tolerance and step budget. The converged minimizers approximate
+weighted-sum scalarization by gradient descent with the safeguarded
+diminishing step of `_kernels.descent_sweep`: STEP0 / (1 + k / DECAY_STEPS),
+times a per-weight multiplier that halves whenever the weight's gradient
+reverses (a negative inner product with the previous one). A sweep sets only
+its gradient tolerance and step budget. The converged minimizers approximate
 the Pareto set and serve two purposes: the validation sets behind the
 GD/IGD indicators, and the baseline pipeline (sweep, then a single
 all-at-once fit).

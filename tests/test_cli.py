@@ -514,8 +514,10 @@ def test_metrics_between_files(tmp_path, capsys):
 @pytest.mark.parametrize("metric", ["gd", "igd"])
 @pytest.mark.parametrize("text", [
     "x_1,x_2\n0.0,0.0\n1,abc\n", "x_1,x_2\n0.0,0.0\n1\n", "a,b\n0.0,\n",
-    "x_1,x_2\n0.0,nan\n", "x_1,x_2\ninf,0.0\n", "0,0\n3,0\n",
-], ids=["non-numeric", "short-row", "empty-cell", "nan-cell", "inf-cell", "no-header"])
+    "x_1,x_2\n0.0,nan\n", "x_1,x_2\ninf,0.0\n", "0,0\n3,0\n", "a,b\n0,0,7\n3,0,9\n",
+    "x_1,x_2,w_1\n0.0,0.0\n",
+], ids=["non-numeric", "short-row", "empty-cell", "nan-cell", "inf-cell", "no-header",
+        "long-row", "short-row-unread-cell"])
 def test_metrics_malformed_csv_exits_2(metric, text, tmp_path, capsys):
     x = tmp_path / "x.csv"
     y = tmp_path / "y.csv"
@@ -710,6 +712,23 @@ def test_unreadable_args_file_exits_2_with_one_json_error(name, content, reasons
     error = json.loads(captured.err)["error"]
     assert error["type"] == "config"
     assert any(reason in error["message"] for reason in reasons), error["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("how", ["typed", "config"])
+def test_abbreviated_option_exits_2(how, tmp_path, capsys, monkeypatch):
+    # Each option has one spelling: a prefix of a flag is not that flag,
+    # on the command line or in an @FILE.
+    monkeypatch.chdir(tmp_path)
+    head = ["--prob", "scaled-med"]
+    if how == "config":
+        (tmp_path / "run.args").write_text("--prob\nscaled-med\n")
+        head = ["@run.args"]
+    code = exit_code(["solve", *head, "--n", "12", "--k", "3", "--out", "m.json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "config" and "--prob" in error["message"]
     assert not (tmp_path / "m.json").exists()
 
 

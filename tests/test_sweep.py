@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from bezier_mopt._kernels import CHECK_STEPS
+from bezier_mopt._kernels import CHECK_STEPS, STATUSES
 from bezier_mopt.problems import (NormPowerSpec, _norm_power_problem, _norm_power_values,
                                   get_problem, scaled_med, scaled_med_pareto, skew_mmed)
 from bezier_mopt.simplex import sample_uniform_simplex
@@ -110,20 +112,55 @@ def test_stacked_lattices_split_into_their_own_sweeps_bitwise(name):
         assert not stacked.converged.all()
 
 
+@functools.cache
+def _lattice_sweep(name, counts):
+    """The sweep of the stacked triangular lattices of `counts` weights."""
+    problem = get_problem(name)
+    return minimize_scalarizations(problem, np.vstack(
+        [triangular_lattice(problem.num_objectives, count) for count in counts]))
+
+
+# Converged, cusp, diverged and stalled weights of the validation lattices
+# and of the baseline's stacked population and validation lattices. A change
+# to the descent step shows here first.
+@pytest.mark.parametrize("name,counts,expected", [
+    ("skew-3mmd", (100, 1000), [724, 376, 0, 0]),
+    ("skew-3med", (1000,), [932, 68, 0, 0]),
+    ("skew-med:2", (1000,), [858, 142, 0, 0]),
+    ("skew-mmd:4", (1000,), [758, 242, 0, 0]),
+], ids=["skew-3mmd", "skew-3med", "skew-med:2", "skew-mmd:4"])
+def test_sweep_status_counts_on_the_skew_lattices(name, counts, expected):
+    status = _lattice_sweep(name, counts).status
+    assert [int((status == code).sum()) for code in STATUSES] == expected
+
+
 def test_sweep_reports_a_status_per_weight():
-    # skew-med:2 at count 1000: lattice weight 88 overflows to NaN within
-    # 200 steps; every other weight converges or stops at a certified cusp.
-    result = pareto_set_sweep(get_problem("skew-med:2"), 1000)
+    # skew-med:2 at count 1000: lattice weight 88 oscillates about its
+    # certified center 0 (q = 0.736), where a fixed step would throw it out
+    # to overflow. Halved on every reversal, its step lets it close in, within
+    # scaled radius 1e-14 by step 140, and it stops at the first check as a
+    # cusp. Every weight converges or stops at a certified cusp.
+    result = _lattice_sweep("skew-med:2", (1000,))
     status = result.status
     assert np.array_equal(result.converged, status == "converged")
-    assert np.nonzero(status == "diverged")[0].tolist() == [88]
-    assert np.isnan(result.points[88]).all()
+    assert status[88] == "cusp"
     cusp = status == "cusp"
-    assert cusp.sum() == 141 and not (status == "stalled").any()
+    assert cusp.sum() == 142 and not (status == "stalled").any()
+    assert not (status == "diverged").any()
     assert (result.steps[cusp] % CHECK_STEPS == 0).all()
     assert (result.steps[~result.converged] < 100_000).all()
     for part in result.split(500):
         assert np.array_equal(part.converged, part.status == "converged")
+
+
+def _overshooting_paths():
+    """The problem x^4, (x - 1)^2, with and without its norm-power spec."""
+    problem = _spec_problem(NormPowerSpec(scales_sq=[[1.0], [1.0]], centers=[[0.0], [1.0]],
+                                          powers=[4.0, 2.0]))
+    stripped = problem.__class__(
+        name=problem.name, num_objectives=2, num_vars=1,
+        evaluate=problem.evaluate, jacobian=problem.jacobian, norm_power=None)
+    return problem, stripped
 
 
 @pytest.mark.parametrize("max_steps,expected", [
@@ -132,16 +169,13 @@ def test_sweep_reports_a_status_per_weight():
     (400, ["diverged", "converged", "converged"]),
 ])
 def test_generic_descent_reports_the_family_kernels_statuses(max_steps, expected):
-    # Two quadratics on the line; the step 0.2 overshoots the steep one,
-    # so its weight's iterates grow like 39^k and overflow to NaN.
-    spec = NormPowerSpec(scales_sq=[[100.0], [1.0]], centers=[[0.0], [1.0]],
-                         powers=[2.0, 2.0])
-    problem = _spec_problem(spec)
-    stripped = problem.__class__(
-        name=problem.name, num_objectives=2, num_vars=1,
-        evaluate=problem.evaluate, jacobian=problem.jacobian, norm_power=None)
+    # x^4 and (x - 1)^2 on the line. Started at x = 3, the weight on x^4
+    # overshoots its center further on every step: the iterate grows like
+    # its cube while the halving only halves the step, so it overflows to
+    # inf at step 6 and to NaN at step 8.
+    problem, stripped = _overshooting_paths()
     weights = np.array([[1.0, 0.0], [0.0, 1.0], [0.001, 0.999]])
-    start = np.array([[1.0], [0.0], [0.0]])
+    start = np.array([[3.0], [0.0], [0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         fast = minimize_scalarizations(problem, weights, start=start, max_steps=max_steps)
         slow = minimize_scalarizations(stripped, weights, start=start, max_steps=max_steps)
@@ -151,13 +185,8 @@ def test_generic_descent_reports_the_family_kernels_statuses(max_steps, expected
 def test_generic_descent_stops_a_diverging_weight_at_a_check_step():
     # The overshooting weight of the test above, given more steps: both
     # paths stop it at the first check, not at max_steps.
-    spec = NormPowerSpec(scales_sq=[[100.0], [1.0]], centers=[[0.0], [1.0]],
-                         powers=[2.0, 2.0])
-    problem = _spec_problem(spec)
-    stripped = problem.__class__(
-        name=problem.name, num_objectives=2, num_vars=1,
-        evaluate=problem.evaluate, jacobian=problem.jacobian, norm_power=None)
-    weights, start = np.array([[1.0, 0.0]]), np.array([[1.0]])
+    problem, stripped = _overshooting_paths()
+    weights, start = np.array([[1.0, 0.0]]), np.array([[3.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         for result in (minimize_scalarizations(problem, weights, start=start, max_steps=2000),
                        minimize_scalarizations(stripped, weights, start=start, max_steps=2000)):
