@@ -24,9 +24,11 @@ the baseline's GD/IGD pair, and it sums squares in 4-wide partial sums, so
 its distances are not bitwise equal from dimension 8 up.
 
 The descent sweep steps every weight at once on coordinate-major arrays, the
-weight index innermost, on a diminishing step schedule (STEP0, DECAY_STEPS)
-that halves a weight's step whenever its gradient reverses; its callers set
-the gradient tolerance and the step budget. It takes the
+weight index innermost. A weight's step is a Barzilai-Borwein length held
+between a diminishing schedule (STEP0, DECAY_STEPS) and BB_CAP times it, and
+the schedule's own step when the gradient reverses, which also halves the
+weight's schedule for good; its callers set the gradient tolerance and the
+step budget. It takes the
 problem's gradient as a function, so every problem descends through one
 loop. `norm_power_descent` supplies the norm-power family's, with iterates
 bitwise equal to a row-major formulation that the tests keep as a reference.
@@ -128,18 +130,23 @@ CONVERGED, CUSP, DIVERGED, STALLED = range(len(STATUSES))
 CHECK_STEPS = 500
 CUSP_RADIUS = 0.05
 
-# Safeguarded diminishing step: step k of a weight is
+# Safeguarded Barzilai-Borwein step. A weight's schedule at step k is
 # scale * STEP0 / (1 + k / DECAY_STEPS), effectively constant for the first
-# DECAY_STEPS steps, then decaying like 1/k. The benchmarks' scalarized
-# curvature stays O(1) near their minimizers, so the constant phase
-# contracts linearly. The weight's scale starts at 1.0 and halves, never to
-# rise again, on every step whose gradient has a negative inner product with
-# the previous one: an iterate bouncing across a kink (a q <= 1 center) or
-# overshooting a steep valley gets a shorter step at once instead of after
-# thousands of steps of decay. A weight that never reverses keeps the plain
-# schedule bit for bit, since its scale stays 1.0.
+# DECAY_STEPS steps, then decaying like 1/k. Its scale starts at 1.0 and
+# halves, never to rise again, on every step whose gradient has a negative
+# inner product with the previous one: an iterate bouncing across a kink (a
+# q <= 1 center) or overshooting a steep valley gets a shorter step at once
+# and takes the schedule's step. On any other step the weight takes the BB2
+# length s'y / y'y (Barzilai & Borwein 1988), s its last step and y the
+# change of its gradient, clipped to [schedule, BB_CAP * schedule]; where
+# s'y or y'y is not positive it takes the schedule's step. A fixed step
+# converges only linearly where the curvature is far from 1/STEP0 (beside a
+# q = 1 kink, at a flat q > 2 center); the BB length follows the curvature,
+# and the cap keeps a weight that leaves a cusp's neighbourhood from being
+# thrown far enough to diverge before its next reversal.
 STEP0 = 0.2
 DECAY_STEPS = 2000.0
+BB_CAP = 16.0
 
 
 def _sum_rows(terms):
@@ -210,22 +217,27 @@ def norm_power_descent(scales_sq, centers, powers):
 
 
 def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_steps):
-    """Plain gradient descent with a diminishing step on each weighted-sum
-    scalarization of a problem, all weights at once.
+    """Gradient descent with a safeguarded Barzilai-Borwein step on each
+    weighted-sum scalarization of a problem, all weights at once.
 
     `gradient(x, t)` returns the scalarized gradients (L, w) of the active
     iterates x (L, w) for their weights t (M, w); `radii(x)`, called only at
     check steps and after `gradient` on the same x, the squared scaled radii
     (C, w) of x to the C centers of `certified` (C, n). Each row i of
-    `weights` descends from `start[i]`, stepping
-    x <- x - scale_i * STEP0/(1 + k/DECAY_STEPS) * grad, where scale_i
+    `weights` descends from `start[i]`, stepping x <- x - a_i * grad. Its
+    schedule is h = scale_i * STEP0/(1 + k/DECAY_STEPS), where scale_i
     starts at 1.0 and halves on each step whose gradient has a negative
-    inner product with the previous step's (summed over L in index order),
-    until the gradient norm drops below grad_tol (CONVERGED, after k - 1
-    steps) or max_steps is exhausted (STALLED, or DIVERGED if the last
-    gradient norm is not finite). Every CHECK_STEPS steps, a weight within
-    CUSP_RADIUS of some center c with certified[c, i] stops as CUSP, and one
-    with a non-finite gradient norm as DIVERGED. A stopped weight reports
+    inner product with the previous step's; a_i = h on such a step. On any
+    other step a_i is the BB2 length s'y / y'y clipped to [h, BB_CAP * h],
+    or h unless s'y > 0 and y'y > 0, where y = grad - g_prev and
+    s'y = -(last a_i) * g_prev'y, the last step being
+    s = -(last a_i) * g_prev. Each inner product sums over L in index
+    order. A weight steps until the gradient norm drops below grad_tol
+    (CONVERGED, after k - 1 steps) or max_steps is exhausted (STALLED, or
+    DIVERGED if the last gradient norm is not finite). Every CHECK_STEPS
+    steps, a weight within CUSP_RADIUS of some center c with
+    certified[c, i] stops as CUSP, and one with a non-finite gradient norm
+    as DIVERGED. A stopped weight reports
     its iterate, steps and gradient norm at the check. Gradient norms sum
     the squares over L in index order.
 
@@ -248,9 +260,10 @@ def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_step
     x = start.T.copy()
     t = weights.T.copy()
     cert = np.asarray(certified, dtype=np.bool_)
-    # Each weight's step multiplier, and its previous gradient: zeros, so
-    # that the first step's inner product is never negative.
-    scale, previous = np.ones(n_w), np.zeros_like(x)
+    # Each weight's step multiplier, its previous gradient and its last step
+    # length: zeros, so that the first step's inner products are zero and it
+    # takes the schedule's step.
+    scale, previous, last = np.ones(n_w), np.zeros_like(x), np.zeros(n_w)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(1, max_steps + 1):
             grad = gradient(x, t)
@@ -276,10 +289,21 @@ def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_step
                     if active.size == 0:
                         return points, grad_norms, steps, status
                     x, t, grad, g_norm = x[:, keep], t[:, keep], grad[:, keep], g_norm[keep]
-                    cert, scale, previous = cert[:, keep], scale[keep], previous[:, keep]
-            np.multiply(scale, 0.5, out=scale, where=_sum_rows(grad * previous) < 0.0)
+                    cert, scale = cert[:, keep], scale[keep]
+                    previous, last = previous[:, keep], last[keep]
+            turned = _sum_rows(grad * previous) < 0.0
+            np.multiply(scale, 0.5, out=scale, where=turned)
+            sched = scale * (STEP0 / (1.0 + k / DECAY_STEPS))
+            # BB2 length s'y / y'y, with s = -last * previous the last step
+            # and y = grad - previous; s'y sums previous * y and then scales.
+            # fmax turns a NaN ratio (inf / inf) into the schedule's step.
+            y = grad - previous
+            sy = -last * _sum_rows(previous * y)
+            yy = _sum_rows(y * y)
+            bb = np.fmin(np.fmax(sy / yy, sched), BB_CAP * sched)
+            last = np.where((sy > 0.0) & (yy > 0.0) & ~turned, bb, sched)
             previous = grad.copy()
-            grad *= scale * (STEP0 / (1.0 + k / DECAY_STEPS))
+            grad *= last
             x -= grad
     points[active] = x.T
     grad_norms[active] = g_norm

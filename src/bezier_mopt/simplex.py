@@ -25,7 +25,7 @@ WEIGHT_RENORM_TOL = 1e-9
 def weight_vector(values, dim: int | None = None) -> np.ndarray:
     """Validate `values` as a point on the probability simplex.
 
-    Entries must be nonnegative and sum to 1; sums within
+    Entries must be finite, nonnegative and sum to 1; sums within
     ``WEIGHT_RENORM_TOL`` of 1 are renormalized (tolerating accumulated
     floating-point drift without masking real bugs), larger deviations
     raise ValueError.
@@ -35,6 +35,9 @@ def weight_vector(values, dim: int | None = None) -> np.ndarray:
         raise ValueError("weight vector must be a nonempty 1-D array")
     if dim is not None and arr.size != dim:
         raise ValueError(f"weight vector has length {arr.size}, expected {dim}")
+    # NaN passes both the sign and the sum check below.
+    if not np.isfinite(arr).all():
+        raise ValueError("weight vector entries must be finite")
     if np.any(arr < 0.0):
         raise ValueError("weight vector entries must be nonnegative")
     total = float(arr.sum())

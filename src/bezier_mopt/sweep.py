@@ -2,10 +2,12 @@
 
 Enumerates a triangular lattice of weight vectors and minimizes each
 weighted-sum scalarization by gradient descent with the safeguarded
-diminishing step of `_kernels.descent_sweep`: STEP0 / (1 + k / DECAY_STEPS),
-times a per-weight multiplier that halves whenever the weight's gradient
-reverses (a negative inner product with the previous one). A sweep sets only
-its gradient tolerance and step budget. The converged minimizers approximate
+Barzilai-Borwein step of `_kernels.descent_sweep`. Its schedule is
+STEP0 / (1 + k / DECAY_STEPS), times a per-weight multiplier that halves
+whenever the weight's gradient reverses (a negative inner product with the
+previous one); a reversing step takes the schedule's length, any other the
+BB2 length clipped to between the schedule and BB_CAP times it. A sweep sets
+only its gradient tolerance and step budget. The converged minimizers approximate
 the Pareto set and serve two purposes: the validation sets behind the
 GD/IGD indicators, and the baseline pipeline (sweep, then a single
 all-at-once fit).
@@ -129,13 +131,26 @@ def minimize_scalarizations(problem: Problem, weights, start=None,
     combination of the objective centers for norm-power problems, the
     origin otherwise), a point already close to the target hypersurface.
     Each weight's `status` says how its descent ended (module docstring).
+    Raises ValueError unless `weights` is (n, M), `start` (n, L), `grad_tol`
+    finite and positive, and `max_steps` nonnegative.
     """
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] != problem.num_objectives:
+        raise ValueError(f"weights must be (n, {problem.num_objectives}), "
+                         f"got shape {weights.shape}")
     spec = problem.norm_power
     if start is None:
         start = (weights @ spec.centers if spec is not None
                  else np.zeros((len(weights), problem.num_vars)))
     start = np.asarray(start, dtype=np.float64)
+    if start.shape != (len(weights), problem.num_vars):
+        raise ValueError(f"start must be ({len(weights)}, {problem.num_vars}), "
+                         f"got shape {start.shape}")
+    grad_tol, max_steps = float(grad_tol), int(max_steps)
+    if not (math.isfinite(grad_tol) and grad_tol > 0.0):
+        raise ValueError(f"grad_tol must be finite and > 0, got {grad_tol!r}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
     if spec is not None:
         gradient, radii = norm_power_descent(spec.scales_sq, spec.centers, spec.powers)
         certified = cusp_certificate(spec, weights)
@@ -144,7 +159,7 @@ def minimize_scalarizations(problem: Problem, weights, start=None,
                            lambda x: np.empty((0, x.shape[1])))
         certified = np.zeros((0, len(weights)), dtype=np.bool_)
     points, grad_norms, steps, status = descent_sweep(
-        gradient, radii, certified, weights, start, float(grad_tol), int(max_steps))
+        gradient, radii, certified, weights, start, grad_tol, max_steps)
     return SweepResult(weights=weights, points=points, grad_norms=grad_norms,
                        steps=steps, status=np.array(STATUSES)[status])
 

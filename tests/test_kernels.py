@@ -12,8 +12,10 @@ bit; a weight the descent stops early agrees with the reference run for as
 many steps as it took.
 """
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,20 +190,27 @@ def test_descent_sweep_reaches_quadratic_minimum():
 
 
 def _descent_sweep_rowmajor(scales_sq, centers, powers, weights, start,
-                            grad_tol, max_steps, *, step0, decay_steps):
+                            grad_tol, max_steps, *, step0, decay_steps, bb_cap):
     """Reference for `descent_sweep` without its early stops: one (n, M, L)
     array per step, gathered from and scattered back to the outputs on
-    every step. Step k of a weight is scale * step0 / (1 + k / decay_steps),
-    its scale starting at 1.0 and halved on each step whose gradient has a
-    negative inner product (summed over L in index order) with the
-    previous step's."""
+    every step. A weight's schedule step k is
+    scale * step0 / (1 + k / decay_steps), its scale starting at 1.0 and
+    halved on each step whose gradient has a negative inner product (summed
+    over L in index order) with the previous step's. On any other step with
+    s'y > 0 and y'y > 0 it takes the BB2 length s'y / y'y, clipped to
+    [schedule, bb_cap * schedule], where y = gradient - previous gradient
+    and s'y = -(last step) * (previous gradient)'y, both sums over L in
+    index order. Returns the four outputs of `descent_sweep`, converged for
+    status, and which weights ever took a step longer than the schedule's."""
     n_w, dim = start.shape
     points = start.copy()
     grad_norms = np.full(n_w, np.inf)
     steps = np.zeros(n_w, dtype=np.int64)
     converged = np.zeros(n_w, dtype=np.bool_)
+    lengthened = np.zeros(n_w, dtype=np.bool_)
     scale = np.ones(n_w)
     previous = np.zeros((n_w, dim))
+    last = np.zeros(n_w)
     active = np.arange(n_w)
     for k in range(1, max_steps + 1):
         x = points[active]
@@ -229,17 +238,32 @@ def _descent_sweep_rowmajor(scales_sq, centers, powers, weights, start,
         active = active[keep]
         if active.size == 0:
             break
+        grad = grad[keep]
+        turned = np.zeros(active.size, dtype=np.bool_)
         if k > 1:
             dot = np.zeros(active.size)
             for l in range(dim):
-                dot += grad[keep, l] * previous[active, l]
-            scale[active[dot < 0.0]] *= 0.5
-        previous[active] = grad[keep]
-        alpha = step0 / (1.0 + k / decay_steps)
-        points[active] = x[keep] - (scale[active] * alpha)[:, None] * grad[keep]
+                dot += grad[:, l] * previous[active, l]
+            turned = dot < 0.0
+            scale[active[turned]] *= 0.5
+        sched = scale[active] * (step0 / (1.0 + k / decay_steps))
+        y = grad - previous[active]
+        py = np.zeros(active.size)
+        yy = np.zeros(active.size)
+        for l in range(dim):
+            py += previous[active, l] * y[:, l]
+            yy += y[:, l] ** 2
+        sy = -last[active] * py
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = np.fmin(np.fmax(sy / yy, sched), bb_cap * sched)
+        step = np.where((sy > 0.0) & (yy > 0.0) & ~turned, bb, sched)
+        lengthened[active[step > sched]] = True
+        last[active] = step
+        previous[active] = grad
+        points[active] = x[keep] - step[:, None] * grad
         grad_norms[active] = g_norm[keep]
         steps[active] = k
-    return points, grad_norms, steps, converged
+    return points, grad_norms, steps, converged, lengthened
 
 
 def _assert_bitwise_equal(got, want):
@@ -249,6 +273,9 @@ def _assert_bitwise_equal(got, want):
         if a.dtype.kind == "f":
             finite = ~np.isnan(a)
             assert np.array_equal(np.signbit(a[finite]), np.signbit(b[finite]))
+
+
+_SCHEDULE = dict(step0=kern.STEP0, decay_steps=kern.DECAY_STEPS, bb_cap=kern.BB_CAP)
 
 
 def _sweep_args(problem, weights, max_steps, start=None):
@@ -263,7 +290,8 @@ def _descend_and_check(args):
     every weight that ran to convergence or to max_steps bitwise in all four
     outputs, every weight stopped early against the reference run for as
     many steps as it took, in its iterate and step count. Returns the
-    kernel's outputs."""
+    kernel's four outputs and the reference's mask of the weights that took
+    a step longer than the schedule's."""
     scales_sq, centers, powers, weights, start = args[:5]
     max_steps = args[-1]
     certified = cusp_certificate(NormPowerSpec(scales_sq, centers, powers), weights)
@@ -271,10 +299,10 @@ def _descend_and_check(args):
     points, grad_norms, steps, status = got
     stopped = (status == kern.CUSP) | ((status == kern.DIVERGED) & (steps < max_steps))
     full = ~stopped
-    want = _descent_sweep_rowmajor(*args, step0=kern.STEP0, decay_steps=kern.DECAY_STEPS)
+    want = _descent_sweep_rowmajor(*args, **_SCHEDULE)
     _assert_bitwise_equal((points[full], grad_norms[full], steps[full],
                            status[full] == kern.CONVERGED),
-                          tuple(out[full] for out in want))
+                          tuple(out[full] for out in want[:4]))
     if max_steps > 0:
         ran_out = full & (status != kern.CONVERGED)
         assert np.array_equal(status[ran_out] == kern.DIVERGED,
@@ -284,7 +312,7 @@ def _descend_and_check(args):
         assert count > 0 and count % kern.CHECK_STEPS == 0
         ref = _descent_sweep_rowmajor(scales_sq, centers, powers, weights[rows],
                                       start[rows], args[5], int(count),
-                                      step0=kern.STEP0, decay_steps=kern.DECAY_STEPS)
+                                      **_SCHEDULE)
         _assert_bitwise_equal((points[rows], steps[rows]), (ref[0], ref[2]))
         assert not ref[3].any()
         for i in rows:
@@ -295,7 +323,7 @@ def _descend_and_check(args):
                 assert near.any()
             else:
                 assert not near.any() and not np.isfinite(grad_norms[i])
-    return got
+    return got + (want[4],)
 
 
 # skew-mmd:9 has enough objectives for numpy to sum the M terms pairwise.
@@ -304,10 +332,13 @@ def _descend_and_check(args):
 def test_descent_sweep_matches_rowmajor_reference_bitwise(name):
     problem = get_problem(name)
     weights = triangular_lattice(problem.num_objectives, 60)
-    points, grad_norms, steps, status = _descend_and_check(_sweep_args(problem, weights, 3000))
+    points, grad_norms, steps, status, lengthened = _descend_and_check(
+        _sweep_args(problem, weights, 3000))
     # Converged and cusp weights both occur, except on the quadratic
-    # problem, where every descent converges.
+    # problem, where every descent converges; some converging weight takes a
+    # Barzilai-Borwein step longer than the schedule's.
     converged = status == kern.CONVERGED
+    assert lengthened[converged].any()
     assert converged.any() and (name == "scaled-med" or not converged.all())
     assert (status == kern.CUSP).any() == (name != "scaled-med")
 
@@ -353,7 +384,7 @@ def test_descent_sweep_matches_rowmajor_reference_on_drawn_problems(case):
 def test_descent_sweep_edge_sizes_match_reference(count, max_steps):
     problem = get_problem("skew-3mmd")
     weights = triangular_lattice(3, 60)[:count]
-    points, grad_norms, steps, status = _descend_and_check(
+    points, grad_norms, steps, status, _ = _descend_and_check(
         _sweep_args(problem, weights, max_steps))
     converged = status == kern.CONVERGED
     assert (steps[converged] == 0).all() and (steps[~converged] == max_steps).all()
@@ -364,7 +395,7 @@ def test_descent_sweep_edge_sizes_match_reference(count, max_steps):
 def test_descent_sweep_started_at_minimizers_stops_at_step_zero():
     problem = scaled_med()
     weights = triangular_lattice(3, 60)
-    points, grad_norms, steps, status = _descend_and_check(
+    points, grad_norms, steps, status, _ = _descend_and_check(
         _sweep_args(problem, weights, 100, start=scaled_med_pareto(weights)))
     assert (status == kern.CONVERGED).all() and (steps == 0).all()
 
@@ -390,7 +421,29 @@ def test_descent_sweep_diverging_weight_is_silent_and_unconverged():
     assert (status[[0, 1, 3, 4]] == kern.CONVERGED).all()
     # Running out of steps before the first check, it still ends diverged.
     with np.errstate(over="ignore", invalid="ignore"):
-        points, grad_norms, steps, status = _descend_and_check(
+        points, grad_norms, steps, status, _ = _descend_and_check(
             args[:-1] + (kern.CHECK_STEPS - 200,))
     assert status[2] == kern.DIVERGED and steps[2] == kern.CHECK_STEPS - 200
     assert (status[[0, 1, 3, 4]] == kern.CONVERGED).all()
+
+
+# README's phrases that state the descent constants, each with the
+# constants its numbers must equal, in order.
+README_DESCENT_CONSTANTS = {
+    "schedule": (r"scale \* ([\d.]+) / \(1 \+ k / ([\d.]+)\)", ("STEP0", "DECAY_STEPS")),
+    "schedule-prose": (r"stays near ([\d.]+) for the first ([\d.]+) steps",
+                       ("STEP0", "DECAY_STEPS")),
+    "check-steps": (r"Every ([\d.]+) steps the sweep", ("CHECK_STEPS",)),
+    "cusp-radius": (r"within scaled radius ([\d.]+) of a\s+center certified", ("CUSP_RADIUS",)),
+    "bb-cap": (r"clipped to between the\s+schedule and ([\d.]+) times it", ("BB_CAP",)),
+}
+
+
+@pytest.mark.parametrize("pattern,names", README_DESCENT_CONSTANTS.values(),
+                         ids=README_DESCENT_CONSTANTS.keys())
+def test_readme_states_the_kernels_descent_constants(pattern, names):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = re.findall(pattern, text)
+    assert len(found) == 1, f"README states {pattern!r} {len(found)} times, not once"
+    values = found[0] if isinstance(found[0], tuple) else (found[0],)
+    assert [float(v) for v in values] == [float(getattr(kern, n)) for n in names]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from bezier_mopt.bezier import BezierSimplex
+from bezier_mopt.metrics import loss
+from bezier_mopt.problems import scaled_med, scaled_med_pareto, scalarize
 from bezier_mopt.simplex import (bernstein_vector,
                                  enumerate_multi_indices,
                                  multinomial_coefficient,
@@ -158,3 +161,18 @@ def test_weight_vector_rejects_large_drift_and_negatives():
         weight_vector([-0.1, 0.6, 0.5])
     with pytest.raises(ValueError):
         weight_vector([0.5, 0.5], dim=3)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_weight_vectors_with_a_nan_entry_are_rejected(position):
+    # NaN passes both the sign check and the sum check, so without its own
+    # check [nan, 0.5, 0.5] came back as [nan nan nan].
+    t = [0.5, 0.5, 0.5]
+    t[position] = np.nan
+    basis = enumerate_multi_indices(3, 2)
+    model = BezierSimplex(basis=basis, control_points=np.zeros((basis.size, 3)))
+    for call in (lambda: weight_vector(t), lambda: bernstein_vector(t, basis),
+                 lambda: model.evaluate(t), lambda: scalarize(scaled_med(), t),
+                 lambda: loss(model, t, scaled_med_pareto)):
+        with pytest.raises(ValueError, match="finite"):
+            call()

@@ -41,6 +41,27 @@ def test_lattice_validates_arguments():
         triangular_lattice(3, 0)
 
 
+@pytest.mark.parametrize("weights,start,grad_tol,max_steps,argument", [
+    (np.full((10, 3), 1 / 3), np.zeros((1, 3)), 1e-8, 100, "start"),
+    (np.full((10, 3), 1 / 3), np.zeros((10, 2)), 1e-8, 100, "start"),
+    (np.full((10, 2), 0.5), None, 1e-8, 100, "weights"),
+    (np.full(3, 1 / 3), None, 1e-8, 100, "weights"),
+    (np.full((10, 3), 1 / 3), None, np.nan, 100, "grad_tol"),
+    (np.full((10, 3), 1 / 3), None, -1.0, 100, "grad_tol"),
+    (np.full((10, 3), 1 / 3), None, 0.0, 100, "grad_tol"),
+    (np.full((10, 3), 1 / 3), None, np.inf, 100, "grad_tol"),
+    (np.full((10, 3), 1 / 3), None, 1e-8, -1, "max_steps"),
+], ids=["one-start-row", "start-width", "weight-width", "weights-1d", "grad-tol-nan",
+        "grad-tol-negative", "grad-tol-zero", "grad-tol-inf", "max-steps-negative"])
+def test_minimize_scalarizations_names_a_bad_argument(weights, start, grad_tol, max_steps,
+                                                      argument):
+    # Each of these raised from inside numpy or ran every weight to
+    # max_steps as `stalled`.
+    with pytest.raises(ValueError, match=argument):
+        minimize_scalarizations(scaled_med(), weights, start=start, grad_tol=grad_tol,
+                                max_steps=max_steps)
+
+
 def test_scaled_med_sweep_converges_to_analytic_map():
     problem = scaled_med()
     result = pareto_set_sweep(problem, 100)
@@ -121,17 +142,20 @@ def _lattice_sweep(name, counts):
 
 
 # Converged, cusp, diverged and stalled weights of the validation lattices
-# and of the baseline's stacked population and validation lattices. A change
-# to the descent step shows here first.
-@pytest.mark.parametrize("name,counts,expected", [
-    ("skew-3mmd", (100, 1000), [724, 376, 0, 0]),
-    ("skew-3med", (1000,), [932, 68, 0, 0]),
-    ("skew-med:2", (1000,), [858, 142, 0, 0]),
-    ("skew-mmd:4", (1000,), [758, 242, 0, 0]),
-], ids=["skew-3mmd", "skew-3med", "skew-med:2", "skew-mmd:4"])
-def test_sweep_status_counts_on_the_skew_lattices(name, counts, expected):
-    status = _lattice_sweep(name, counts).status
-    assert [int((status == code).sum()) for code in STATUSES] == expected
+# and of the baseline's stacked population and validation lattices, and the
+# steps of the slowest converging weight. A change to the descent step shows
+# here first.
+@pytest.mark.parametrize("name,counts,expected,slowest", [
+    ("skew-3mmd", (100, 1000), [724, 376, 0, 0], 646),
+    ("skew-3med", (1000,), [932, 68, 0, 0], 121),
+    ("skew-med:2", (1000,), [858, 142, 0, 0], 645),
+    ("skew-mmd:4", (1000,), [759, 241, 0, 0], 1155),
+    ("scaled-med", (1000,), [1000, 0, 0, 0], 17),
+], ids=["skew-3mmd", "skew-3med", "skew-med:2", "skew-mmd:4", "scaled-med"])
+def test_sweep_status_counts_on_the_skew_lattices(name, counts, expected, slowest):
+    result = _lattice_sweep(name, counts)
+    assert [int((result.status == code).sum()) for code in STATUSES] == expected
+    assert int(result.steps[result.converged].max()) == slowest
 
 
 def test_sweep_reports_a_status_per_weight():
@@ -165,14 +189,17 @@ def _overshooting_paths():
 
 @pytest.mark.parametrize("max_steps,expected", [
     (0, ["stalled", "stalled", "stalled"]),
-    (5, ["stalled", "stalled", "stalled"]),
+    (5, ["stalled", "converged", "stalled"]),
     (400, ["diverged", "converged", "converged"]),
 ])
 def test_generic_descent_reports_the_family_kernels_statuses(max_steps, expected):
     # x^4 and (x - 1)^2 on the line. Started at x = 3, the weight on x^4
     # overshoots its center further on every step: the iterate grows like
     # its cube while the halving only halves the step, so it overflows to
-    # inf at step 6 and to NaN at step 8.
+    # inf at step 6 and to NaN at step 8. The weight on (x - 1)^2 alone
+    # converges in 2 steps: on a quadratic the BB2 length of its second
+    # step, 0.5, is the exact one. The third meets the tolerance only at the
+    # gradient after its fifth step, which a 5-step budget never evaluates.
     problem, stripped = _overshooting_paths()
     weights = np.array([[1.0, 0.0], [0.0, 1.0], [0.001, 0.999]])
     start = np.array([[3.0], [0.0], [0.0]])
