@@ -28,13 +28,14 @@ weight index innermost. A weight's step is a Barzilai-Borwein length held
 between a diminishing schedule (STEP0, DECAY_STEPS) and BB_CAP times it, and
 the schedule's own step when the gradient reverses, which also halves the
 weight's schedule for good; its callers set the gradient tolerance and the
-step budget. It takes the
-problem's gradient as a function, so every problem descends through one
-loop. `norm_power_descent` supplies the norm-power family's, with iterates
-bitwise equal to a row-major formulation that the tests keep as a reference.
-Weights that cannot meet the gradient-norm rule stop early, at a certified
-cusp or on a non-finite gradient. ``perfbench/run.py --workload
-baseline-sweep`` measures it end to end and, with ``--trace 1``, as
+step budget. It takes the problem's gradient as one function, which returns
+the iterates' squared scaled radii to the problem's centers beside the
+gradient, so every problem descends through one loop. `norm_power_descent`
+supplies the norm-power family's, with iterates bitwise equal to a row-major
+formulation that the tests keep as a reference. Weights that cannot meet the
+gradient-norm rule stop early, at a certified cusp (read off those radii) or
+on a non-finite gradient. ``perfbench/run.py --workload baseline-sweep``
+measures it end to end and, with ``--trace 1``, as
 ``kernels.descent.busy_s``.
 """
 
@@ -157,14 +158,14 @@ def _sum_rows(terms):
 
 
 def norm_power_descent(scales_sq, centers, powers):
-    """`descent_sweep`'s gradient and radii (to the M centers) for the
-    objectives f_m(x) = (sum_l scales_sq[m,l] (x_l - centers[m,l])^2
-    )^(powers[m]/2), the gradient taken as zero exactly at a center.
+    """`descent_sweep`'s gradient for the objectives f_m(x) = (sum_l
+    scales_sq[m,l] (x_l - centers[m,l])^2)^(powers[m]/2), the gradient
+    taken as zero exactly at a center.
 
-    Arrays are coordinate-major, differences (L, M, w) and radii (M, w).
-    `radii` reuses the arrays `gradient` tiled for the last t, so it takes
-    iterates of that width. `gradient` returns a scratch array that its
-    next call overwrites.
+    Arrays are coordinate-major, differences (L, M, w). `gradient(x, t)`
+    returns the gradient (L, w), a scratch array that its next call
+    overwrites, and the squared scaled radii r2 (M, w) of x to the M
+    centers, from which it computed the gradient.
 
     Per element the arithmetic and its order are those of a row-major
     formulation that gathers one (w, M, L) array per step, so iterates are
@@ -174,15 +175,6 @@ def norm_power_descent(scales_sq, centers, powers):
     """
     n_obj, dim = scales_sq.shape
     t_seen, tiles = None, None
-
-    def radii(x):
-        scales, ctr, _, _, diff, prod = tiles[:6]
-        np.subtract(x[:, None, :], ctr, out=diff)
-        np.multiply(diff, diff, out=prod)
-        np.multiply(scales, prod, out=prod)
-        # Terms are >= +0.0 or NaN, so starting from the first row equals
-        # starting from +0.0.
-        return _sum_rows(prod)
 
     def gradient(x, t):
         nonlocal t_seen, tiles
@@ -197,8 +189,13 @@ def norm_power_descent(scales_sq, centers, powers):
                                 t * powers[:, None], np.empty((dim, n_obj, width)),
                                 np.empty((dim, n_obj, width)), np.empty((n_obj, width)),
                                 np.empty((dim, width)))
-        r2 = radii(x)
-        scales, _, expo, tp, diff, prod, w, grad = tiles
+        scales, ctr, expo, tp, diff, prod, w, grad = tiles
+        np.subtract(x[:, None, :], ctr, out=diff)
+        np.multiply(diff, diff, out=prod)
+        np.multiply(scales, prod, out=prod)
+        # Terms are >= +0.0 or NaN, so starting from the first row equals
+        # starting from +0.0.
+        r2 = _sum_rows(prod)
         np.power(r2, expo, out=w)
         np.multiply(tp, w, out=w)
         # The gradient is zero exactly at a center (r2 == 0); a NaN radius
@@ -208,23 +205,23 @@ def norm_power_descent(scales_sq, centers, powers):
         np.multiply(w, scales, out=prod)
         np.multiply(prod, diff, out=prod)
         if n_obj < 8:
-            return np.add.reduce(prod, axis=1, out=grad)
+            return np.add.reduce(prod, axis=1, out=grad), r2
         # numpy sums eight or more contiguous terms pairwise; lay the M
         # terms out contiguously, as the row-major formulation had.
-        return np.add.reduce(prod.transpose(0, 2, 1).copy(), axis=2, out=grad)
+        return np.add.reduce(prod.transpose(0, 2, 1).copy(), axis=2, out=grad), r2
 
-    return gradient, radii
+    return gradient
 
 
-def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_steps):
+def descent_sweep(gradient, certified, start, weights, grad_tol, max_steps):
     """Gradient descent with a safeguarded Barzilai-Borwein step on each
     weighted-sum scalarization of a problem, all weights at once.
 
-    `gradient(x, t)` returns the scalarized gradients (L, w) of the active
-    iterates x (L, w) for their weights t (M, w); `radii(x)`, called only at
-    check steps and after `gradient` on the same x, the squared scaled radii
-    (C, w) of x to the C centers of `certified` (C, n). Each row i of
-    `weights` descends from `start[i]`, stepping x <- x - a_i * grad. Its
+    `gradient(x, t)` returns, for the active iterates x (L, w) and their
+    weights t (M, w), the scalarized gradients (L, w) and the squared scaled
+    radii (C, w) of x to the C centers of `certified` (C, n), which are
+    read only at check steps. Each row i of `weights` descends from
+    `start[i]`, stepping x <- x - a_i * grad. Its
     schedule is h = scale_i * STEP0/(1 + k/DECAY_STEPS), where scale_i
     starts at 1.0 and halves on each step whose gradient has a negative
     inner product with the previous step's; a_i = h on such a step. On any
@@ -266,7 +263,7 @@ def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_step
     scale, previous, last = np.ones(n_w), np.zeros_like(x), np.zeros(n_w)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(1, max_steps + 1):
-            grad = gradient(x, t)
+            grad, r2 = gradient(x, t)
             g_norm = np.sqrt(_sum_rows(grad * grad))
             check = k % CHECK_STEPS == 1 and k > CHECK_STEPS
             # fmin skips NaN norms, which never converge; min would return NaN.
@@ -274,7 +271,7 @@ def descent_sweep(gradient, radii, certified, weights, start, grad_tol, max_step
                 stop = g_norm < grad_tol
                 if check:
                     # k - 1 steps taken.
-                    near = (radii(x) < CUSP_RADIUS * CUSP_RADIUS) & cert
+                    near = (r2 < CUSP_RADIUS * CUSP_RADIUS) & cert
                     code = np.select([stop, near.any(axis=0), ~np.isfinite(g_norm)],
                                      [CONVERGED, CUSP, DIVERGED], STALLED)
                     stop = code != STALLED

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import os
 import sys
@@ -37,8 +38,8 @@ from .diagnostics import (TEST_GRID_VERSION, perturbation_experiment,
 from .metrics import gd, igd, model_samples, mse
 from .problems import get_problem
 from .simplex import enumerate_multi_indices, sample_uniform_simplex
-from .solver import (METRIC_STREAM, TRIAL_STREAM, SolverAbort, SolverConfig,
-                     derive_seed, run_surface_gd, run_surface_gd_trials)
+from .solver import (METRIC_STREAM, SolverAbort, SolverConfig, derive_seed,
+                     run_surface_gd, run_surface_gd_trials, trial_seeds)
 from .sweep import pareto_set_sweep, triangular_lattice, minimize_scalarizations
 
 # Each metric an experiment can report, with the trials.csv columns it fills.
@@ -296,13 +297,14 @@ def _scores(model, problem, metric_names, seed, mse_samples, validation_count,
     return scores
 
 
-def _experiment_trial(job: dict) -> list[dict]:
-    """A chunk of one cell's trials: one lockstep run of their seeds, then
-    each trial's requested metrics. Returns one plain dict per trial so the
-    worker pool can ship the rows across processes."""
-    problem = get_problem(job["problem"])
-    solver_cfg = job["config"]
-    trials = job["trials"]
+def _experiment_trial(problem_name, metric_names, mse_samples, validation_count,
+                      validation_points, job) -> list[dict]:
+    """A job of one cell, its configuration and a chunk of its trials as
+    (trial, seed) pairs: one lockstep run of their seeds, then each trial's
+    requested metrics. Returns one plain dict per trial so the worker pool
+    can ship the rows across processes."""
+    problem = get_problem(problem_name)
+    solver_cfg, trials = job
     outcomes = run_surface_gd_trials(problem, solver_cfg, [seed for _, seed in trials])
     rows = []
     for (trial, seed), outcome in zip(trials, outcomes):
@@ -314,9 +316,9 @@ def _experiment_trial(job: dict) -> list[dict]:
             row["error"] = str(outcome)
             continue
         model, record = outcome
-        row.update(_scores(model, problem, job["metrics"], seed, job["mse_samples"],
-                           job["validation_count"], job["validation_points"]))
-        if "diagnostics" in job["metrics"]:
+        row.update(_scores(model, problem, metric_names, seed, mse_samples,
+                           validation_count, validation_points))
+        if "diagnostics" in metric_names:
             summary = stability_summary(record)
             row.update({column: summary[column] for column in METRIC_COLUMNS["diagnostics"]})
     return rows
@@ -354,28 +356,19 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
     if "gd" in metric_names or "igd" in metric_names:
         validation_points = pareto_set_sweep(problem, validation_count).converged_points
 
-    trial_seeds = [(trial, derive_seed(root_seed, TRIAL_STREAM, trial))
-                   for trial in range(trials)]
+    seeded = list(enumerate(trial_seeds(root_seed, trials)))
     chunks = np.array_split(np.arange(trials), min(max(threads, 1), trials))
-    jobs = []
-    for config in cell_configs:
-        for chunk in chunks:
-            jobs.append({
-                "problem": str(problem_name),
-                "config": config,
-                "trials": [trial_seeds[trial] for trial in chunk],
-                "metrics": metric_names,
-                "mse_samples": mse_samples,
-                "validation_count": validation_count,
-                "validation_points": validation_points,
-            })
+    jobs = [(config, [seeded[trial] for trial in chunk])
+            for config in cell_configs for chunk in chunks]
+    run_chunk = functools.partial(_experiment_trial, str(problem_name), metric_names,
+                                  mse_samples, validation_count, validation_points)
 
     if threads > 1 and len(jobs) > 1:
         # The pool forks all its workers at once, so it gets no more than jobs.
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            chunk_rows = list(pool.map(_experiment_trial, jobs))
+            chunk_rows = list(pool.map(run_chunk, jobs))
     else:
-        chunk_rows = [_experiment_trial(job) for job in jobs]
+        chunk_rows = [run_chunk(job) for job in jobs]
     rows = [row for chunk in chunk_rows for row in chunk]
 
     aggregate = {"problem": problem.name, "version": __version__,
@@ -440,6 +433,12 @@ def cmd_baseline(ns) -> int:
     comparison = (None if ns.compare_with is None
                   else _read_json(ns.compare_with, "comparison file"))
 
+    basis = enumerate_multi_indices(problem.num_objectives, ns.degree)
+    if ns.population < basis.size:
+        raise ConfigError(
+            f"--population {ns.population} is below the basis size {basis.size} for "
+            f"degree {ns.degree} with {problem.num_objectives} objectives")
+
     # Every weight descends on its own, so one call serves the population
     # lattice and, for gd/igd, the validation lattice stacked below it.
     lattices = [triangular_lattice(problem.num_objectives, count)
@@ -447,7 +446,6 @@ def cmd_baseline(ns) -> int:
     sweep, reference_sweep = minimize_scalarizations(
         problem, np.vstack(lattices)).split(ns.population)
 
-    basis = enumerate_multi_indices(problem.num_objectives, ns.degree)
     n_ok = int(sweep.converged.sum())
     if n_ok < basis.size:
         raise PipelineError(

@@ -30,9 +30,8 @@ import numpy as np
 from .metrics import loss_batch
 from .problems import Problem
 from .simplex import sample_uniform_simplex
-from .solver import (HOLDOUT_STREAM, PERTURB_STREAM, TRIAL_STREAM, RunRecord,
-                     SolverAbort, SolverConfig, derive_seed, run_surface_gd,
-                     run_surface_gd_trials)
+from .solver import (HOLDOUT_STREAM, PERTURB_STREAM, RunRecord, SolverConfig,
+                     completed, run_surface_gd, run_surface_gd_trials, trial_seeds)
 from .sweep import triangular_lattice
 
 # The sup over weights in the perturbation gap is approximated on one fixed
@@ -106,19 +105,14 @@ def perturbation_experiment(problem: Problem, config: SolverConfig, k: int,
     grid = stability_test_grid(problem.num_objectives)
     # All pairs run in one lockstep stack: repeat r's base run at position
     # 2r, its perturbed twin at 2r + 1.
-    seeds, hooks = [], []
-    for r in range(repeats):
-        seed = derive_seed(config.seed, TRIAL_STREAM, r)
-        seeds += [seed, seed]
-        hooks += [None, _replace_last_weight(seed, k, problem.num_objectives)]
-    outcomes = run_surface_gd_trials(problem, config, seeds, hooks)
-    for outcome in outcomes:
-        if isinstance(outcome, SolverAbort):
-            raise outcome
+    seeds = trial_seeds(config.seed, repeats)
+    runs = completed(run_surface_gd_trials(
+        problem, config, [seed for seed in seeds for _ in range(2)],
+        [hook for seed in seeds
+         for hook in (None, _replace_last_weight(seed, k, problem.num_objectives))]))
     reports = []
-    for r in range(repeats):
-        seed = seeds[2 * r]
-        (base_model, base_rec), (pert_model, pert_rec) = outcomes[2 * r:2 * r + 2]
+    for r, seed in enumerate(seeds):
+        (base_model, base_rec), (pert_model, pert_rec) = runs[2 * r:2 * r + 2]
         basis_size = base_model.basis.size
 
         sup_gap = float(np.abs(
@@ -190,22 +184,18 @@ def repeat_generalization_gap(problem: Problem, config: SolverConfig,
                               holdout: int, trials: int) -> dict:
     """Independent repetitions of the generalization-gap experiment.
 
-    Trial i uses the derived seed mix(config.seed, i); the trials run as one
-    lockstep stack, and each reports what `generalization_gap_experiment`
-    would for its seed. Reports per-trial gaps plus mean, mean absolute gap,
-    and standard deviation.
+    Trial i uses seed i of `trial_seeds(config.seed, trials)`; the trials
+    run as one lockstep stack, and each reports what
+    `generalization_gap_experiment` would for its seed. Reports per-trial
+    gaps plus mean, mean absolute gap, and standard deviation.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_gap_inputs(problem, holdout)
-    configs = [replace(config, seed=derive_seed(config.seed, TRIAL_STREAM, i))
-               for i in range(trials)]
-    outcomes = run_surface_gd_trials(problem, config, [cfg.seed for cfg in configs])
-    per_trial = []
-    for cfg, outcome in zip(configs, outcomes):
-        if isinstance(outcome, SolverAbort):
-            raise outcome
-        per_trial.append(_gap_report(problem, cfg, *outcome, holdout))
+    seeds = trial_seeds(config.seed, trials)
+    runs = completed(run_surface_gd_trials(problem, config, seeds))
+    per_trial = [_gap_report(problem, replace(config, seed=seed), *run, holdout)
+                 for seed, run in zip(seeds, runs)]
     gaps = np.array([t["gap"] for t in per_trial])
     return {
         "problem": problem.name,

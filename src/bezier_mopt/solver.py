@@ -60,6 +60,12 @@ def derive_seed(root_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def trial_seeds(root_seed: int, count: int) -> list[int]:
+    """The run seeds of trials 0..count-1 under a root seed; trial i's seed
+    depends on i alone, not on count."""
+    return [derive_seed(root_seed, TRIAL_STREAM, i) for i in range(count)]
+
+
 # Run seeds must fit the four 32-bit entropy words that `iteration_states`
 # lays out; spawn-key words must fit one 32-bit word each.
 MAX_SEED = 2**128
@@ -451,11 +457,13 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
     return outcomes
 
 
-def _single(outcomes: list[TrialOutcome]) -> tuple[BezierSimplex, RunRecord]:
-    (outcome,) = outcomes
-    if isinstance(outcome, SolverAbort):
-        raise outcome
-    return outcome
+def completed(outcomes: list[TrialOutcome]) -> list[tuple[BezierSimplex, RunRecord]]:
+    """The (model, record) pair of every trial of a stack; raises the first
+    SolverAbort among `outcomes` instead."""
+    for outcome in outcomes:
+        if isinstance(outcome, SolverAbort):
+            raise outcome
+    return outcomes
 
 
 def run_generic(problem: Problem, rule: StepRule,
@@ -468,7 +476,7 @@ def run_generic(problem: Problem, rule: StepRule,
             out[n] = rule(points[n], scalarize(problem, weights[n]), k)
         return out
 
-    return _single(_run_loop(problem, batch_step, config, [config.seed]))
+    return completed(_run_loop(problem, batch_step, config, [config.seed]))[0]
 
 
 def _gradient_batch_step(config: SolverConfig):
@@ -480,8 +488,7 @@ def _gradient_batch_step(config: SolverConfig):
     return batch_step
 
 
-def run_surface_gd(problem: Problem, config: SolverConfig,
-                   weight_hook=None) -> tuple[BezierSimplex, RunRecord]:
+def run_surface_gd(problem: Problem, config: SolverConfig) -> tuple[BezierSimplex, RunRecord]:
     """Run the loop with one gradient step per sampled point.
 
     Observationally identical to `run_generic(problem,
@@ -489,8 +496,7 @@ def run_surface_gd(problem: Problem, config: SolverConfig,
     this path advances the whole batch vectorized. Raises SolverAbort when
     the run aborts.
     """
-    return _single(_run_loop(problem, _gradient_batch_step(config), config,
-                             [config.seed], [weight_hook]))
+    return completed(_run_loop(problem, _gradient_batch_step(config), config, [config.seed]))[0]
 
 
 def run_surface_gd_trials(problem: Problem, config: SolverConfig, seeds,
@@ -498,8 +504,9 @@ def run_surface_gd_trials(problem: Problem, config: SolverConfig, seeds,
     """`run_surface_gd` for every seed in `seeds`, stepped in lockstep.
 
     `config.seed` is not used; trial i runs with `seeds[i]` and, when
-    given, `weight_hooks[i]`. Returns one outcome per seed: the (model,
-    record) pair `run_surface_gd` would return, bitwise, or the
-    SolverAbort it would raise.
+    given, `weight_hooks[i]`. Returns one outcome per seed, bitwise what
+    the trial gives in a stack of its own: the (model, record) pair, which
+    `run_surface_gd` returns for a trial without a hook, or the SolverAbort
+    that ended it. `completed` settles a stack whose aborts are errors.
     """
     return _run_loop(problem, _gradient_batch_step(config), config, seeds, weight_hooks)

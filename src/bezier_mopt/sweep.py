@@ -16,9 +16,12 @@ Scalarizations whose minimizer sits exactly at a non-smooth center (norm
 powers q_m <= 1 have cusps there) can never meet a gradient-norm stopping
 rule. Instead of running to `max_steps`, such a weight stops early as
 `cusp` once its iterate is near a center that `cusp_certificate` certifies
-as a local minimizer of its scalarization; a weight whose gradient becomes
-non-finite stops as `diverged`, and one that runs out of steps otherwise
-is `stalled`. None of these count as converged; they are excluded
+as a local minimizer of its scalarization. The descent reads nearness off
+the squared scaled radii that the norm-power gradient
+(`_kernels.norm_power_descent`) returns beside the gradient; a problem
+without norm-power parameters has no centers. A weight whose gradient
+becomes non-finite stops as `diverged`, and one that runs out of steps
+otherwise is `stalled`. None of these count as converged; they are excluded
 downstream, and `SweepResult.status` tells them apart.
 """
 
@@ -152,14 +155,15 @@ def minimize_scalarizations(problem: Problem, weights, start=None,
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
     if spec is not None:
-        gradient, radii = norm_power_descent(spec.scales_sq, spec.centers, spec.powers)
+        gradient = norm_power_descent(spec.scales_sq, spec.centers, spec.powers)
         certified = cusp_certificate(spec, weights)
     else:
-        gradient, radii = (lambda x, t: gradient_batch_stats(problem, x.T, t.T)[0].T,
-                           lambda x: np.empty((0, x.shape[1])))
+        # No centers, so no radii and no cusps.
+        def gradient(x, t):
+            return gradient_batch_stats(problem, x.T, t.T)[0].T, np.empty((0, x.shape[1]))
         certified = np.zeros((0, len(weights)), dtype=np.bool_)
     points, grad_norms, steps, status = descent_sweep(
-        gradient, radii, certified, weights, start, grad_tol, max_steps)
+        gradient, certified, start, weights, grad_tol, max_steps)
     return SweepResult(weights=weights, points=points, grad_norms=grad_norms,
                        steps=steps, status=np.array(STATUSES)[status])
 

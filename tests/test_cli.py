@@ -165,6 +165,34 @@ def test_experiment_worker_pool_matches_serial(tmp_path, capsys):
     assert (serial / "trials.csv").read_bytes() == (pooled / "trials.csv").read_bytes()
 
 
+def test_trials_keep_their_seeds_across_trial_counts_and_commands(tmp_path, capsys):
+    # Adding trials never reshuffles earlier ones, and experiment,
+    # diagnostics perturb and diagnostics gengap give trial i one seed.
+    common = ["--problem", "scaled-med", "--n", "15", "--k", "4", "--seed", "13"]
+
+    def experiment_rows(trials):
+        out_dir = tmp_path / f"experiment{trials}"
+        code, _, _ = run_cli(capsys, "experiment", *common, "--trials", str(trials),
+                             "--threads", "1", "--out-dir", str(out_dir))
+        assert code == 0
+        return (out_dir / "trials.csv").read_text().splitlines()[1:]  # header first
+
+    two, four = experiment_rows(2), experiment_rows(4)
+    assert len(four) == 5 and four[:3] == two
+    seeds = [int(row.split(",")[3]) for row in four[1:]]
+    assert len(set(seeds)) == 4
+    code, _, _ = run_cli(capsys, "diagnostics", "--mode", "perturb", *common,
+                         "--repeats", "4", "--out-dir", str(tmp_path / "perturb"))
+    assert code == 0
+    reports = json.loads((tmp_path / "perturb" / "perturbation.json").read_text())["reports"]
+    assert [report["seed"] for report in reports] == seeds
+    code, _, _ = run_cli(capsys, "diagnostics", "--mode", "gengap", *common, "--trials", "4",
+                         "--holdout", "100", "--out-dir", str(tmp_path / "gengap"))
+    assert code == 0
+    gaps = json.loads((tmp_path / "gengap" / "generalization_gap.json").read_text())["trials"]
+    assert [trial["seed"] for trial in gaps] == seeds
+
+
 def test_solve_divergence_exits_3_with_json_error(tmp_path):
     model_path = tmp_path / "m.json"
     proc = subprocess.run(
@@ -385,14 +413,33 @@ def test_experiment_starts_every_trial_from_the_initial_model(tmp_path, capsys):
 
 
 def test_baseline_small_population_exits_3(tmp_path, capsys):
-    # Too few sweep points converge for the fit; the failed run leaves no
-    # output directory.
+    # Three of the twelve lattice weights stop at cusps, which leaves 9
+    # converged points for the 10 degree-3 basis functions; the failed run
+    # leaves no output directory.
+    out_dir = tmp_path / "never"
+    code, out, err = run_cli(
+        capsys, "baseline", "--problem", "skew-3mmd", "--population", "12",
+        "--degree", "3", "--metrics", "gd", "--validation-count", "10",
+        "--out-dir", str(out_dir))
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "runtime"
+    assert error["message"].startswith("only 9 of 12 sweep points converged")
+    assert not out_dir.exists()
+
+
+def test_baseline_population_below_the_basis_exits_2_before_the_sweep(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setattr(cli, "minimize_scalarizations", None)  # no sweep runs
     out_dir = tmp_path / "never"
     code, out, err = run_cli(
         capsys, "baseline", "--problem", "scaled-med", "--population", "9",
         "--degree", "3", "--out-dir", str(out_dir))
-    assert code == 3 and out == ""
-    assert json.loads(err)["error"]["type"] == "runtime"
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "config"
+    assert all(part in error["message"] for part in ("--population 9", "basis size 10",
+                                                     "degree 3"))
     assert not out_dir.exists()
 
 

@@ -7,7 +7,7 @@ from bezier_mopt.diagnostics import (TEST_GRID_VERSION, generalization_gap_exper
                                      stability_summary, stability_test_grid)
 from bezier_mopt.problems import scaled_med, skew_mmed
 from bezier_mopt.simplex import sample_uniform_simplex
-from bezier_mopt.solver import SolverConfig, run_surface_gd
+from bezier_mopt.solver import SolverConfig, completed, run_surface_gd, run_surface_gd_trials
 from bezier_mopt.sweep import triangular_lattice
 
 
@@ -39,7 +39,8 @@ def test_null_perturbation_is_bitwise_identical():
         return batch
 
     base_model, base_rec = run_surface_gd(problem, cfg)
-    null_model, null_rec = run_surface_gd(problem, cfg, weight_hook=same_weights_hook)
+    ((null_model, null_rec),) = completed(
+        run_surface_gd_trials(problem, cfg, [cfg.seed], [same_weights_hook]))
     assert np.array_equal(base_model.control_points, null_model.control_points)
     assert np.array_equal(base_rec.lambda_min, null_rec.lambda_min)
 

@@ -182,8 +182,8 @@ def test_descent_sweep_reaches_quadratic_minimum():
     weights = sample_uniform_simplex(3, 16, 10)
     start = weights @ spec.centers
     points, grad_norms, steps, status = kern.descent_sweep(
-        *kern.norm_power_descent(spec.scales_sq, spec.centers, spec.powers),
-        cusp_certificate(spec, weights), weights, start, 1e-10, 100000)
+        kern.norm_power_descent(spec.scales_sq, spec.centers, spec.powers),
+        cusp_certificate(spec, weights), start, weights, 1e-10, 100000)
     assert (status == kern.CONVERGED).all()
     assert grad_norms.max() < 1e-10
     assert steps.max() < 1000
@@ -295,7 +295,8 @@ def _descend_and_check(args):
     scales_sq, centers, powers, weights, start = args[:5]
     max_steps = args[-1]
     certified = cusp_certificate(NormPowerSpec(scales_sq, centers, powers), weights)
-    got = kern.descent_sweep(*kern.norm_power_descent(*args[:3]), certified, *args[3:])
+    got = kern.descent_sweep(kern.norm_power_descent(*args[:3]), certified, start, weights,
+                             *args[5:])
     points, grad_norms, steps, status = got
     stopped = (status == kern.CUSP) | ((status == kern.DIVERGED) & (steps < max_steps))
     full = ~stopped
@@ -349,8 +350,8 @@ def test_descent_sweep_sums_squared_gradients_in_index_order():
     # reduction over the lone axis would sum the nine pairwise and keep some.
     grad = np.array([[1e8]] + [[1.0]] * 8)
     points, grad_norms, steps, status = kern.descent_sweep(
-        lambda x, t: grad.copy(), lambda x: np.empty((0, 1)), np.zeros((0, 1), dtype=np.bool_),
-        np.ones((1, 1)), np.zeros((1, 9)), 1e-8, 1)
+        lambda x, t: (grad.copy(), np.empty((0, 1))), np.zeros((0, 1), dtype=np.bool_),
+        np.zeros((1, 9)), np.ones((1, 1)), 1e-8, 1)
     assert grad_norms[0] == 1e8 and steps[0] == 1 and status[0] == kern.STALLED
 
 
@@ -411,8 +412,8 @@ def test_descent_sweep_diverging_weight_is_silent_and_unconverged():
     args = (spec.scales_sq, spec.centers, spec.powers, weights, start, 1e-8, 1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = kern.descent_sweep(*kern.norm_power_descent(*args[:3]),
-                                 cusp_certificate(spec, weights), *args[3:])
+        got = kern.descent_sweep(kern.norm_power_descent(*args[:3]),
+                                 cusp_certificate(spec, weights), start, weights, *args[5:])
     with np.errstate(over="ignore", invalid="ignore"):
         _descend_and_check(args)
     points, grad_norms, steps, status = got

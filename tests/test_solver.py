@@ -8,11 +8,11 @@ from bezier_mopt.bezier import design_matrix
 from bezier_mopt.metrics import loss_batch
 from bezier_mopt.problems import gradient_batch_stats, scaled_med, scalarize
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
-from bezier_mopt.solver import (STATE_BLOCK, TRIAL_STREAM, WEIGHT_STREAM,
-                                RunRecord, SolverAbort, SolverConfig,
-                                derive_seed, gradient_step_rule, iteration_states,
+from bezier_mopt.solver import (STATE_BLOCK, WEIGHT_STREAM, RunRecord,
+                                SolverAbort, SolverConfig, completed,
+                                gradient_step_rule, iteration_states,
                                 run_generic, run_surface_gd,
-                                run_surface_gd_trials)
+                                run_surface_gd_trials, trial_seeds)
 
 
 def iteration_stream(seed, k, retry):
@@ -178,12 +178,20 @@ def recorded(hook):
     return [hook.batches[k] for k in sorted(hook.batches)]
 
 
+def hooked_run(problem, config, hook):
+    """`run_surface_gd`, through a stack of one trial when `hook` is given."""
+    if hook is None:
+        return run_surface_gd(problem, config)
+    (run,) = completed(run_surface_gd_trials(problem, config, [config.seed], [hook]))
+    return run
+
+
 def test_run_record_contents_and_determinism():
     problem = scaled_med()
     cfg = SolverConfig(num_samples=30, num_iterations=20, degree=3, seed=5)
     hook_a, hook_b = recording(), recording()
-    model_a, rec_a = run_surface_gd(problem, cfg, weight_hook=hook_a)
-    model_b, rec_b = run_surface_gd(problem, cfg, weight_hook=hook_b)
+    model_a, rec_a = hooked_run(problem, cfg, hook_a)
+    model_b, rec_b = hooked_run(problem, cfg, hook_b)
     model_plain, rec_plain = run_surface_gd(problem, cfg)
     assert np.array_equal(model_a.control_points, model_b.control_points)
     assert model_plain.control_points.tobytes() == model_a.control_points.tobytes()
@@ -249,7 +257,7 @@ def test_singular_sample_triggers_resample_then_succeeds():
         return batch
 
     cfg = SolverConfig(num_samples=20, num_iterations=3, degree=3, seed=3)
-    model, record = run_surface_gd(problem, cfg, weight_hook=degenerate_once)
+    model, record = hooked_run(problem, cfg, degenerate_once)
     assert record.retries[0] == 1
     assert np.all(record.retries[1:] == 0)
     assert np.all(np.isfinite(model.control_points))
@@ -266,7 +274,7 @@ def test_exhausted_retries_abort_with_payload():
     cfg = SolverConfig(num_samples=20, num_iterations=3, degree=3, seed=3,
                        resample_retries=2)
     with pytest.raises(SolverAbort) as err:
-        run_surface_gd(problem, cfg, weight_hook=always_degenerate)
+        hooked_run(problem, cfg, always_degenerate)
     assert err.value.payload["iteration"] == 2
     assert err.value.payload["resample_retries"] == 2
 
@@ -293,10 +301,6 @@ def assert_same_run(outcome, reference):
             assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes(), field.name
         else:
             assert value == expected, field.name
-
-
-def trial_seeds(count):
-    return [derive_seed(2024, TRIAL_STREAM, t) for t in range(count)]
 
 
 def degenerate_first_draw_at(iteration):
@@ -328,10 +332,10 @@ def test_stacked_trials_equal_single_runs_bitwise(n):
     # both halves of the split each hold a trial without a hook.
     problem = scaled_med()
     config = SolverConfig(num_samples=n, num_iterations=50, degree=3, seed=0)
-    seeds = trial_seeds(20)
+    seeds = trial_seeds(2024, 20)
     single_hooks, stacked_hooks, split_hooks = (
         [None if t in (0, 7) else recording() for t in range(20)] for _ in range(3))
-    singles = [run_surface_gd(problem, dataclasses.replace(config, seed=s), weight_hook=hook)
+    singles = [hooked_run(problem, dataclasses.replace(config, seed=s), hook)
                for s, hook in zip(seeds, single_hooks)]
     stacked = run_surface_gd_trials(problem, config, seeds, stacked_hooks)
     split = (run_surface_gd_trials(problem, config, seeds[:7], split_hooks[:7])
@@ -350,14 +354,14 @@ def test_stacked_trials_equal_single_runs_bitwise(n):
 def test_stacked_trial_retries_alone():
     problem = scaled_med()
     config = SolverConfig(num_samples=30, num_iterations=20, degree=3, seed=0)
-    seeds = trial_seeds(6)
+    seeds = trial_seeds(2024, 6)
     hooks = [None] * 6
     hooks[4] = degenerate_first_draw_at(3)
     stacked = run_surface_gd_trials(problem, config, seeds, hooks)
     for i, seed in enumerate(seeds):
         hook = degenerate_first_draw_at(3) if i == 4 else None
-        assert_same_run(stacked[i], run_surface_gd(
-            problem, dataclasses.replace(config, seed=seed), weight_hook=hook))
+        assert_same_run(stacked[i], hooked_run(
+            problem, dataclasses.replace(config, seed=seed), hook))
     retries = np.array([outcome[1].retries for outcome in stacked])
     assert retries[4, 2] == 1
     assert retries.sum() == 1
@@ -379,7 +383,7 @@ def counted_svd_calls(monkeypatch):
 def test_well_conditioned_trial_stack_makes_no_svd_call(monkeypatch):
     calls = counted_svd_calls(monkeypatch)
     config = SolverConfig(num_samples=30, num_iterations=100, degree=3, seed=0)
-    outcomes = run_surface_gd_trials(scaled_med(), config, trial_seeds(20))
+    outcomes = run_surface_gd_trials(scaled_med(), config, trial_seeds(2024, 20))
     assert not any(isinstance(outcome, SolverAbort) for outcome in outcomes)
     assert calls == []
 
@@ -389,7 +393,7 @@ def test_degenerate_draw_alone_takes_the_svd_path(monkeypatch):
     config = SolverConfig(num_samples=30, num_iterations=20, degree=3, seed=0)
     hooks = [None] * 6
     hooks[4] = degenerate_first_draw_at(3)
-    stacked = run_surface_gd_trials(scaled_med(), config, trial_seeds(6), hooks)
+    stacked = run_surface_gd_trials(scaled_med(), config, trial_seeds(2024, 6), hooks)
     # Only the rank-one design of trial 4 at iteration 3 is refactored by
     # SVD; its resample is well-conditioned again.
     assert calls == [(1, 30, 10)]
@@ -402,12 +406,12 @@ def test_stacked_trial_abort_leaves_the_others_running():
     problem = scaled_med()
     config = SolverConfig(num_samples=20, num_iterations=6, degree=3, seed=0,
                           resample_retries=2)
-    seeds = trial_seeds(3)
+    seeds = trial_seeds(2024, 3)
     stacked = run_surface_gd_trials(problem, config, seeds,
                                     [None, always_degenerate_at(2), None])
     with pytest.raises(SolverAbort) as alone:
-        run_surface_gd(problem, dataclasses.replace(config, seed=seeds[1]),
-                       weight_hook=always_degenerate_at(2))
+        hooked_run(problem, dataclasses.replace(config, seed=seeds[1]),
+                   always_degenerate_at(2))
     assert isinstance(stacked[1], SolverAbort)
     assert stacked[1].payload == alone.value.payload
     assert str(stacked[1]) == str(alone.value)
@@ -478,7 +482,7 @@ def test_recorded_weights_equal_the_seed_sequence_streams():
     assert STATE_BLOCK < num_iterations and num_iterations % STATE_BLOCK
     problem = scaled_med()
     config = SolverConfig(num_samples=20, num_iterations=num_iterations, degree=3, seed=0)
-    seeds = trial_seeds(3)
+    seeds = trial_seeds(2024, 3)
     seen = []
 
     def watching(k, batch):
