@@ -195,7 +195,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     value if given, else its table default. A given value is converted by
     the row's type and checked against its lowest value. An option of
     another mode of the command and a required option of the mode left out
-    are rejected."""
+    are rejected, and so is an output path that no run could write: a file
+    in a missing directory, or an output directory that is a file."""
     command = args.command
     mode = " ".join([command] + [getattr(args, row[1]) for row in OPTIONS
                                  if command in row[5] and isinstance(row[2], tuple)])
@@ -220,6 +221,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
                 raise ConfigError(f"{dest}: cannot read {value!r}: {err}") from err
             if lowest is not None and not lowest <= value < np.inf:
                 raise ConfigError(f"{dest} must be a finite number >= {lowest}, got {value!r}")
+        if dest in ("out", "trace") and value is not None:
+            folder = os.path.dirname(value)
+            if folder and not os.path.isdir(folder):
+                raise ConfigError(f"{flag} {value}: directory {folder} does not exist")
+        if dest == "out_dir" and os.path.exists(value) and not os.path.isdir(value):
+            raise ConfigError(f"{flag} {value} exists and is not a directory")
         setattr(args, dest, value)
     return args
 

@@ -9,7 +9,6 @@ control-point matrices and serialized models throughout the package.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -128,47 +127,20 @@ def bernstein_vector(t, basis: MultiIndexSet) -> np.ndarray:
     return bernstein_design(arr[None, :], basis._exponents_f64, basis.coefficients)[0]
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """A numpy seed sequence that hands PCG64 four precomputed 64-bit words.
+def sample_uniform_simplex_stack(num_objectives: int, count: int, generators) -> np.ndarray:
+    """`sample_uniform_simplex` for a stack of numpy Generators.
 
-    PCG64 seeds itself from `generate_state(4, np.uint64)` of its seed
-    sequence, so a PCG64 built on these words is the generator that the
-    SeedSequence which produced them would build. The type is made on first
-    use so that importing the package does not import numpy.random.
-    """
-
-    class SeedWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("seed words serve only generate_state(4, np.uint64)")
-            return self.words
-
-    return SeedWords
-
-
-def sample_uniform_simplex_stack(num_objectives: int, count: int,
-                                 states: np.ndarray) -> np.ndarray:
-    """`sample_uniform_simplex` for a stack of seeds given as seed words.
-
-    Row t of the (T, 4) uint64 `states` holds the words that
-    `SeedSequence.generate_state(4, np.uint64)` gives for batch t's seed.
     Returns the (T, count, num_objectives) stack of batches; batch t is
-    bit-identical to `sample_uniform_simplex` with that seed.
+    the next `count` points of `generators[t]`, drawn as
+    `sample_uniform_simplex` draws them.
     """
     if num_objectives < 1:
         raise ValueError("num_objectives must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    states = np.asarray(states, dtype=np.uint64)
-    seed_words = _seed_words_type()
-    batch = np.empty((len(states), count, num_objectives))
-    for t, words in enumerate(states):
-        rng = np.random.Generator(np.random.PCG64(seed_words(words)))
-        rng.standard_exponential(out=batch[t])
+    batch = np.empty((len(generators), count, num_objectives))
+    for rng, out in zip(generators, batch):
+        rng.standard_exponential(out=out)
     batch /= batch.sum(axis=2, keepdims=True)
     return batch
 
@@ -181,7 +153,4 @@ def sample_uniform_simplex(num_objectives: int, count: int, seed) -> np.ndarray:
     numpy.random.SeedSequence; output is bit-identical for equal seeds.
     Returns a (count, num_objectives) array whose rows are weight vectors.
     """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    words = seed.generate_state(4, np.uint64)
-    return sample_uniform_simplex_stack(num_objectives, count, words[None])[0]
+    return sample_uniform_simplex_stack(num_objectives, count, [np.random.default_rng(seed)])[0]

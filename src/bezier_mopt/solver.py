@@ -18,15 +18,14 @@ stack and the others go on. Every per-trial quantity is computed from that
 trial's rows only, so a trial's model and trace are bitwise the same alone
 as in any stack. A single run is a stack of one.
 
-RNG discipline: every run owns a single integer seed in [0, 2**128).
-Iteration k draws its weight batch from the substream (WEIGHT_STREAM, k,
-retry), the PCG64 stream of SeedSequence(seed, spawn_key=(WEIGHT_STREAM, k,
-retry)), so a resample after a singular fit never perturbs later
-iterations, and runs that share a seed share every iteration prefix
-regardless of the total iteration count. The engine does not build those
-SeedSequences: `iteration_states` computes their seed words for a block of
-iterations of every trial in one vectorized pass, and the stack's batches
-are drawn from the words; the streams are bit for bit the same.
+RNG discipline: every run owns a single integer seed in [0, 2**128). A
+trial draws iteration k's weight batch as the next batch of its main
+stream, the PCG64 stream of SeedSequence(seed, spawn_key=(WEIGHT_STREAM,)),
+one generator per trial. Resample r >= 1 after a singular fit at iteration
+k draws from its own stream, SeedSequence(seed, spawn_key=(WEIGHT_STREAM,
+k, r)), so a resample never perturbs later iterations, and runs that share
+a seed share every iteration prefix regardless of the total iteration
+count.
 """
 
 from __future__ import annotations
@@ -66,74 +65,9 @@ def trial_seeds(root_seed: int, count: int) -> list[int]:
     return [derive_seed(root_seed, TRIAL_STREAM, i) for i in range(count)]
 
 
-# Run seeds must fit the four 32-bit entropy words that `iteration_states`
-# lays out; spawn-key words must fit one 32-bit word each.
+# Run seeds lie in [0, MAX_SEED); num_iterations and resample_retries lie
+# below 2**32. These are the documented input ranges of a run.
 MAX_SEED = 2**128
-_MASK32 = 0xFFFFFFFF
-
-# numpy's SeedSequence hash: entropy words are hashed into a pool of four
-# 32-bit words with multipliers advanced from INIT_A by MULT_A, pool words
-# are combined by `_mix`, and output words are hashed from the pool with
-# multipliers advanced from INIT_B by MULT_B.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int):
-    """The (xor, multiply) constant pairs of successive hash calls; they
-    do not depend on the data, so every (trial, k) pair shares them."""
-    const = init
-    while True:
-        advanced = (const * mult) & _MASK32
-        yield np.uint32(const), np.uint32(advanced)
-        const = advanced
-
-
-def _hash(value: np.ndarray, constants) -> np.ndarray:
-    xor, mult = next(constants)
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return value ^ (value >> np.uint32(16))
-
-
-def iteration_states(seeds, ks, retry: int) -> np.ndarray:
-    """Seed words of the weight substreams of every seed at every k.
-
-    Returns the (len(seeds), len(ks), 4) uint64 array whose [t, i] entry is
-    `SeedSequence(entropy=seeds[t], spawn_key=(WEIGHT_STREAM, ks[i],
-    retry)).generate_state(4, np.uint64)`, the words PCG64 seeds itself
-    from. The SeedSequence entropy of such a key is seven 32-bit words: the
-    seed as four little-endian words, then WEIGHT_STREAM, k and retry; the
-    hash runs on wrapping uint32 arrays over all (seed, k) pairs at once.
-    """
-    seeds = [int(seed) for seed in seeds]
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    outside = [seed for seed in seeds if not 0 <= seed < MAX_SEED]
-    if outside:
-        raise ValueError(f"run seeds must lie in [0, 2**128), got {outside}")
-    if np.any(ks < 0) or np.any(ks > _MASK32) or not 0 <= retry <= _MASK32:
-        raise ValueError("iterations and retries must lie in [0, 2**32)")
-    entropy = np.array([[(seed >> (32 * w)) & _MASK32 for w in range(4)] for seed in seeds],
-                       dtype=np.uint32).reshape(-1, 4)
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(entropy[:, w:w + 1], constants) for w in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
-    for word in (WEIGHT_STREAM, ks[None, :], retry):
-        word = np.array(word, dtype=np.uint32, ndmin=1)
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, constants))
-    pool = [np.broadcast_to(word, (len(seeds), len(ks))) for word in pool]
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    words = np.stack([_hash(pool[w % 4], constants) for w in range(8)], axis=-1)
-    return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +116,7 @@ class SolverConfig:
 
     num_samples must cover the basis size; step sizes must stay in (0, 1]
     over the whole horizon; the seed must lie in [0, 2**128), and
-    num_iterations and resample_retries below 2**32, as the weight
-    substreams key k and retry by 32-bit words.
+    num_iterations and resample_retries below 2**32.
     `initial_control_points=None` starts from the zero matrix.
     `resample_retries` bounds how many fresh weight batches an iteration may
     draw after a numerically singular fit before aborting.
@@ -199,14 +132,14 @@ class SolverConfig:
 
     def validate(self, problem: Problem) -> None:
         basis = enumerate_multi_indices(problem.num_objectives, self.degree)
-        if not 1 <= self.num_iterations <= _MASK32:
+        if not 1 <= self.num_iterations < 2**32:
             raise ValueError(f"num_iterations {self.num_iterations} is outside [1, 2**32)")
         if self.num_samples < basis.size:
             raise ValueError(
                 f"num_samples={self.num_samples} is below the basis size "
                 f"{basis.size} for degree {self.degree} with "
                 f"{problem.num_objectives} objectives")
-        if not 0 <= self.resample_retries <= _MASK32:
+        if not 0 <= self.resample_retries < 2**32:
             raise ValueError(f"resample_retries {self.resample_retries} is outside [0, 2**32)")
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError(f"seed {self.seed} is outside [0, 2**128)")
@@ -303,13 +236,14 @@ def _initial_control_points(config: SolverConfig, basis, num_vars: int) -> np.nd
     return np.array(config.initial_control_points, dtype=np.float64)
 
 
-# The engine computes the seed words of this many iterations at a time, so
-# their memory stays O(T * STATE_BLOCK) for any iteration count.
-STATE_BLOCK = 256
-
 # What the engine returns per trial: the fitted model and its trace, or the
 # abort that ended the trial.
 TrialOutcome = Union[tuple[BezierSimplex, RunRecord], SolverAbort]
+
+
+def _weight_stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of a run's weight stream (WEIGHT_STREAM, *key)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(WEIGHT_STREAM, *key)))
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -339,6 +273,9 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
     alpha = resolve_schedule(config.step_schedule)
     start = _initial_control_points(config, basis, problem.num_vars)
     seeds = [int(seed) for seed in seeds]
+    outside = [seed for seed in seeds if not 0 <= seed < MAX_SEED]
+    if outside:
+        raise ValueError(f"run seeds must lie in [0, 2**128), got {outside}")
     hooks = [None] * len(seeds) if weight_hooks is None else list(weight_hooks)
     if len(hooks) != len(seeds):
         raise ValueError(f"{len(hooks)} weight hooks for {len(seeds)} seeds")
@@ -355,11 +292,13 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
     active = np.arange(len(seeds))
     control = np.repeat(start[None], len(seeds), axis=0)
     weights = np.empty((len(seeds), n, m))
+    # One main stream per trial, even where two trials share a seed.
+    streams = [_weight_stream(seed) for seed in seeds]
 
-    def draw(rows, k, retry, states):
-        """Stack rows `rows` draw iteration k's batches from their seed
-        words `states`."""
-        weights[rows] = sample_uniform_simplex_stack(m, n, states)
+    def draw(rows, k, retry, generators):
+        """Stack rows `rows` draw iteration k's batches, one from each of
+        `generators`."""
+        weights[rows] = sample_uniform_simplex_stack(m, n, generators)
         retries_used[active[rows], k - 1] = retry
         if hooked:
             for p in rows:
@@ -383,9 +322,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
         for k in range(1, kk + 1):
             if not active.size:
                 break
-            if (k - 1) % STATE_BLOCK == 0:
-                block = iteration_states(seeds, range(k, min(k + STATE_BLOCK, kk + 1)), 0)
-            draw(np.arange(len(active)), k, 0, block[active, (k - 1) % STATE_BLOCK])
+            draw(np.arange(len(active)), k, 0, [streams[i] for i in active])
             design = designs(slice(None))
             grams, lambda_min, singular, fallback = factor_designs(design)
             retrying = np.flatnonzero(singular)
@@ -393,7 +330,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                 if not retrying.size:
                     break
                 draw(retrying, k, retry,
-                     iteration_states([seeds[i] for i in active[retrying]], [k], retry)[:, 0])
+                     [_weight_stream(seeds[i], k, retry) for i in active[retrying]])
                 design[retrying] = designs(retrying)
                 (grams[retrying], lambda_min[retrying], singular,
                  fallback[retrying]) = factor_designs(design[retrying])

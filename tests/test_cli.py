@@ -291,6 +291,30 @@ def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys, monkeyp
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv,path,message", [
+    (["solve", "--problem", "scaled-med", "--k", "2", "--n", "12", "--out", "m.json",
+      "--trace", "nodir/t.json"], "nodir/t.json", "directory nodir does not exist"),
+    (["sample", "--model", "model.json", "--n", "3", "--out", "nodir/s.csv"], "nodir/s.csv",
+     "directory nodir does not exist"),
+    (["experiment", "--problem", "scaled-med", "--k", "2", "--n", "12", "--trials", "1",
+      "--threads", "1", "--out-dir", "model.json"], "model.json",
+     "exists and is not a directory"),
+], ids=["solve-trace", "sample-out", "experiment-out-dir"])
+def test_unwritable_output_location_exits_2_before_any_work(argv, path, message, tmp_path,
+                                                           capsys, monkeypatch):
+    for name in ("run_surface_gd", "run_surface_gd_trials", "sample_uniform_simplex"):
+        monkeypatch.setattr(cli, name, None)  # no run and no draw starts
+    monkeypatch.chdir(tmp_path)
+    model = write_model(tmp_path / "model.json").read_bytes()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "config"
+    assert path in error["message"] and message in error["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    assert (tmp_path / "model.json").read_bytes() == model
+
+
 def test_experiment_pool_has_no_more_workers_than_jobs(tmp_path, capsys, monkeypatch):
     # A pool forks all its workers at its first job, so --threads 1000 must
     # not ask for 1000. The stand-in pool runs the jobs in this process.
@@ -322,9 +346,9 @@ def test_experiment_pool_has_no_more_workers_than_jobs(tmp_path, capsys, monkeyp
 
 
 def test_experiment_aborts_trials_whose_trace_stops_being_finite(tmp_path):
-    # Trials 0 and 2 keep finite control points near 1e300 while their
-    # design-weighted gradient overflows; they fail instead of reporting
-    # mse = inf, and no overflow warning reaches stderr.
+    # Every trial keeps finite control points, up to about 1e154, while a
+    # trace value overflows; they fail instead of reporting mse = inf, and
+    # no overflow warning reaches stderr.
     out_dir = tmp_path / "exp"
     proc = subprocess.run(
         [sys.executable, "-m", "bezier_mopt.cli", "experiment", "--problem",
@@ -338,7 +362,7 @@ def test_experiment_aborts_trials_whose_trace_stops_being_finite(tmp_path):
     rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
     assert [r["status"] for r in rows] == ["failed"] * 3
     assert [r["error"] for r in rows] == [
-        f"non-finite values at iteration {k}" for k in (478, 474, 483)]
+        f"non-finite values at iteration {k}" for k in (475, 487, 475)]
     agg = json.loads((out_dir / "aggregate.json").read_text())
     assert agg["settings"][0]["failed"] == 3
 
@@ -861,8 +885,8 @@ def test_option_of_another_mode_exits_2_before_any_run(mode, flag, how, tmp_path
                          ids=["k-2^32+1", "k-10^13", "retries-2^32"])
 def test_counts_beyond_32_bit_words_exit_2_before_any_run(command, flags, tmp_path, capsys,
                                                           monkeypatch):
-    # The weight substreams key k and retry by 32-bit words; a run this long
-    # would also fail to allocate its trace.
+    # Iteration and retry counts must lie below 2**32, their documented
+    # range; a run this long would also fail to allocate its trace.
     monkeypatch.setattr(cli, "run_surface_gd", None)
     monkeypatch.setattr(cli, "run_surface_gd_trials", None)
     tail = ["--out", str(tmp_path / "m.json")] if command == "solve" else [

@@ -116,20 +116,19 @@ def test_sampling_matches_seed_sequence_generator_bitwise(m, count):
         expected = flat_dirichlet_oracle(m, count, np.random.SeedSequence(seed)
                                          if isinstance(seed, int) else seed)
         assert sample_uniform_simplex(m, count, seed).tobytes() == expected.tobytes()
-    states = np.array([seed.generate_state(4, np.uint64) for seed in seeds])
-    stack = sample_uniform_simplex_stack(m, count, states)
+    stack = sample_uniform_simplex_stack(m, count, [np.random.default_rng(seed) for seed in seeds])
     assert stack.shape == (len(seeds), count, m)
     for batch, seed in zip(stack, seeds):
         assert batch.tobytes() == flat_dirichlet_oracle(m, count, seed).tobytes()
 
 
 def test_stack_sampler_validates_arguments():
-    states = np.random.SeedSequence(1).generate_state(4, np.uint64)[None]
+    generators = [np.random.default_rng(1)]
     with pytest.raises(ValueError):
-        sample_uniform_simplex_stack(0, 5, states)
+        sample_uniform_simplex_stack(0, 5, generators)
     with pytest.raises(ValueError):
-        sample_uniform_simplex_stack(3, 0, states)
-    assert sample_uniform_simplex_stack(3, 4, states[:0]).shape == (0, 4, 3)
+        sample_uniform_simplex_stack(3, 0, generators)
+    assert sample_uniform_simplex_stack(3, 4, []).shape == (0, 4, 3)
 
 
 def test_sampling_m1_is_point():

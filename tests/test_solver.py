@@ -8,17 +8,16 @@ from bezier_mopt.bezier import design_matrix
 from bezier_mopt.metrics import loss_batch
 from bezier_mopt.problems import gradient_batch_stats, scaled_med, scalarize
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
-from bezier_mopt.solver import (STATE_BLOCK, WEIGHT_STREAM, RunRecord,
-                                SolverAbort, SolverConfig, completed,
-                                gradient_step_rule, iteration_states,
+from bezier_mopt.solver import (WEIGHT_STREAM, RunRecord, SolverAbort,
+                                SolverConfig, completed, gradient_step_rule,
                                 run_generic, run_surface_gd,
                                 run_surface_gd_trials, trial_seeds)
 
 
-def iteration_stream(seed, k, retry):
-    """The SeedSequence of iteration k's weight substream under a run seed;
-    the engine draws from its seed words, computed by `iteration_states`."""
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=(WEIGHT_STREAM, int(k), int(retry)))
+def weight_stream(seed, *key):
+    """The SeedSequence of a run's weight stream: (WEIGHT_STREAM,) is the
+    trial's main stream, (WEIGHT_STREAM, k, r) resample r at iteration k."""
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=(WEIGHT_STREAM, *key))
 
 
 def closed_form_control_step(problem, control, weights, alpha, basis):
@@ -84,8 +83,9 @@ def test_config_validation():
         SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0,
                      step_schedule="const:0").validate(problem)
     SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0).validate(problem)
-    # The weight substreams key k and retry by 32-bit words. Validating
-    # allocates nothing, so the largest legal counts are checked as they are.
+    # Iteration and retry counts must lie below 2**32, their documented
+    # range. Validating allocates nothing, so the largest legal counts are
+    # checked as they are.
     base = SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0)
     for field, bad in (("num_iterations", (2**32, 10**13)), ("resample_retries", (-1, 2**32))):
         for value in bad:
@@ -138,7 +138,7 @@ def test_first_iteration_from_zero_matches_hand_computation():
     problem = scaled_med()
     cfg = SolverConfig(num_samples=12, num_iterations=1, degree=3, seed=31)
     model, _ = run_surface_gd(problem, cfg)
-    weights = sample_uniform_simplex(3, 12, iteration_stream(31, 1, 0))
+    weights = sample_uniform_simplex(3, 12, weight_stream(31))
     jac0 = central_jacobian(problem, np.zeros(3))
     stepped = -1.0 * weights @ jac0  # alpha(1) = 1, rows J(0)' t_n
     assert np.abs(model.evaluate_batch(weights) - stepped).max() < 1e-6
@@ -153,7 +153,7 @@ def test_closed_form_control_update_cross_check():
                        step_schedule="const:0.5",
                        initial_control_points=control)
     model, _ = run_surface_gd(problem, cfg)
-    weights = sample_uniform_simplex(3, 40, iteration_stream(13, 1, 0))
+    weights = sample_uniform_simplex(3, 40, weight_stream(13))
     reference = closed_form_control_step(problem, control, weights, 0.5, basis)
     assert np.linalg.norm(model.control_points - reference) < 1e-8
 
@@ -239,8 +239,8 @@ def test_progress_lowers_test_loss():
         long = SolverConfig(num_samples=30, num_iterations=50, degree=3, seed=seed)
         model_1, _ = run_surface_gd(problem, short)
         model_k, _ = run_surface_gd(problem, long)
-        # per-iteration substreams make the one-iteration run a prefix of the
-        # fifty-iteration run with the same seed
+        # the one-iteration run is a prefix of the fifty-iteration run with
+        # the same seed: both draw from the seed's one main weight stream
         early = loss_batch(model_1, grid, problem.pareto_map).mean()
         late = loss_batch(model_k, grid, problem.pareto_map).mean()
         assert late < early
@@ -442,59 +442,47 @@ def test_divergence_aborts_at_the_first_non_finite_model():
 
 
 # ---------------------------------------------------------------------------
-# Weight substreams from precomputed seed words.
+# Weight streams.
 # ---------------------------------------------------------------------------
 
-STATE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1]
-STATE_KS = [1, 255, 256, 257, 2**31]
-
-
-@pytest.mark.parametrize("retry", range(6))
-def test_iteration_states_equal_seed_sequence_words(retry):
-    states = iteration_states(STATE_SEEDS, STATE_KS, retry)
-    assert states.shape == (len(STATE_SEEDS), len(STATE_KS), 4)
-    assert states.dtype == np.uint64
-    for t, seed in enumerate(STATE_SEEDS):
-        for i, k in enumerate(STATE_KS):
-            expected = iteration_stream(seed, k, retry).generate_state(4, np.uint64)
-            assert states[t, i].tobytes() == expected.tobytes(), (seed, k, retry)
-
-
-def test_iteration_states_reject_seeds_outside_the_entropy_layout():
+def test_run_seeds_outside_the_documented_range_are_rejected():
     for seed in (-1, 2**128):
-        with pytest.raises(ValueError, match="2\\*\\*128"):
-            iteration_states([0, seed], [1], 0)
         config = SolverConfig(num_samples=20, num_iterations=2, degree=3, seed=seed)
         with pytest.raises(ValueError, match="2\\*\\*128"):
             config.validate(scaled_med())
         with pytest.raises(ValueError):
             run_surface_gd(scaled_med(), config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2\\*\\*128"):
             run_surface_gd_trials(scaled_med(), dataclasses.replace(config, seed=0), [3, seed])
-    with pytest.raises(ValueError):
-        iteration_states([0], [2**32], 0)
 
 
 def test_recorded_weights_equal_the_seed_sequence_streams():
-    # K crosses a seed-word block boundary without being a multiple of it,
-    # and trial 1 resamples once after the boundary.
-    num_iterations = 300
-    assert STATE_BLOCK < num_iterations and num_iterations % STATE_BLOCK
+    # Trial 1 resamples once, at iteration `resampled`.
+    num_iterations, resampled = 300, 261
     problem = scaled_med()
     config = SolverConfig(num_samples=20, num_iterations=num_iterations, degree=3, seed=0)
     seeds = trial_seeds(2024, 3)
-    seen = []
+    seen = [[], []]
 
-    def watching(k, batch):
-        seen.append((k, batch.copy()))
-        return batch
+    def watching(trial, inner=None):
+        def hook(k, batch):
+            seen[trial].append((k, batch.copy()))
+            return batch if inner is None else inner(k, batch)
+        return recording(hook)
 
-    hooks = [recording(watching), recording(degenerate_first_draw_at(STATE_BLOCK + 5)), None]
+    hooks = [watching(0), watching(1, degenerate_first_draw_at(resampled)), None]
     outcomes = run_surface_gd_trials(problem, config, seeds, hooks)
     retries = [record.retries for _, record in outcomes]
-    assert retries[1][STATE_BLOCK + 4] == 1
+    assert retries[1][resampled - 1] == 1
     assert sum(int(r.sum()) for r in retries) == 1
-    for seed, hook, (_, record) in zip(seeds, hooks, outcomes):
+    # Batch k of a trial's main stream is its k-th successive (20, 3) draw.
+    mains = []
+    for seed in seeds:
+        draws = np.random.default_rng(weight_stream(seed)).standard_exponential(
+            (num_iterations, 20, 3))
+        mains.append(draws / draws.sum(axis=2, keepdims=True))
+    resample = sample_uniform_simplex(3, 20, weight_stream(seeds[1], resampled, 1))
+    for seed, main, hook, (_, record) in zip(seeds, mains, hooks, outcomes):
         if hook is None:
             # A trial without a hook keeps only its last batch.
             batches = {num_iterations: record.final_weights}
@@ -503,11 +491,18 @@ def test_recorded_weights_equal_the_seed_sequence_streams():
             assert sorted(batches) == list(range(1, num_iterations + 1))
             assert batches[num_iterations].tobytes() == record.final_weights.tobytes()
         for k, batch in batches.items():
-            expected = sample_uniform_simplex(
-                3, 20, iteration_stream(seed, k, record.retries[k - 1]))
+            expected = resample if record.retries[k - 1] else main[k - 1]
             assert batch.tobytes() == expected.tobytes(), (seed, k)
-    # Hooks receive the normalized batch of their own trial.
-    assert [k for k, _ in seen] == list(range(1, num_iterations + 1))
-    for k, batch in seen:
-        assert batch.tobytes() == sample_uniform_simplex(
-            3, 20, iteration_stream(seeds[0], k, 0)).tobytes()
+    # Hooks receive the normalized batches of their own trial: each main
+    # batch, and trial 1 its resample too.
+    assert [k for k, _ in seen[0]] == list(range(1, num_iterations + 1))
+    for k, batch in seen[0]:
+        assert batch.tobytes() == mains[0][k - 1].tobytes()
+    ks = [k for k, _ in seen[1]]
+    assert ks == list(range(1, resampled + 1)) + list(range(resampled, num_iterations + 1))
+    assert seen[1][resampled][1].tobytes() == resample.tobytes()
+    # The resample drew from its own stream, so the main stream is not
+    # shifted by it: the next iteration takes the main stream's next batch.
+    assert seen[1][resampled + 1][1].tobytes() == mains[1][resampled].tobytes()
+    for k, batch in seen[1][:resampled] + seen[1][resampled + 1:]:
+        assert batch.tobytes() == mains[1][k - 1].tobytes()

@@ -25,14 +25,19 @@ PROBE = ROOT / "perfbench" / "probe.py"
 
 # Each case: CLI arguments, and the (name, label) of a span it must report.
 # The baseline descends its 30 population and 60 validation weights in one
-# call.
+# call. The engine draws every trial's weight batches through the stack
+# sampler, whose span stands for the weight-sampling layer. With only the
+# diagnostics columns no metric draw goes through it, so the span counts the
+# engine's draws alone.
+EXPERIMENT = ["experiment", "--problem", "scaled-med", "--k", "20", "--n", "30",
+              "--trials", "3", "--threads", "1"]
 CASES = {
     "baseline": (["baseline", "--problem", "skew-3mmd", "--degree", "2", "--metrics", "gd,igd",
                   "--population", "30", "--validation-count", "60"],
                  ("_kernels.descent_sweep", "90w")),
-    "experiment": (["experiment", "--problem", "scaled-med", "--k", "20", "--n", "30",
-                    "--trials", "3", "--threads", "1"],
-                   ("cli._experiment_trial", "")),
+    "experiment": (EXPERIMENT, ("cli._experiment_trial", "")),
+    "experiment-draws": (EXPERIMENT + ["--metrics", "diagnostics"],
+                         ("simplex.sample_uniform_simplex_stack", "")),
 }
 
 
