@@ -84,10 +84,8 @@ class BezierSimplex:
         return self.evaluate_batch(weight_vector(t, dim=self.num_objectives)[None, :])[0]
 
     def evaluate_batch(self, weights) -> np.ndarray:
-        """Evaluate at every row of `weights`; returns (N, L)."""
-        arr = np.asarray(weights, dtype=np.float64)
-        z = bernstein_design(arr, self.basis._exponents_f64, self.basis.coefficients)
-        return z @ self.control_points
+        """Evaluate at every row of a nonempty (N, M) `weights`; returns (N, L)."""
+        return design_matrix(weights, self.basis) @ self.control_points
 
     # -- serialization ------------------------------------------------------
 

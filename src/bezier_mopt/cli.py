@@ -10,8 +10,10 @@ metrics its --metric; an option of another mode is rejected. An argument
 `@FILE` stands for the lines of FILE, one argument per line in flag
 spelling, expanded before parsing; a later argument wins over an earlier
 one, and an argument that begins with `@` is always read as a file. Exit
-codes: 0 success, 2 configuration error, 3 runtime or numerical failure
-(out of memory included); failures emit one JSON object on stderr.
+codes: 0 success, 2 configuration error (an output location that no run
+could write included, caught before any work), 3 runtime or numerical
+failure (out of memory included); failures emit one JSON object on stderr,
+whose message is the JSON payload of a run's SolverAbort in every command.
 
 The trials of each experiment sample count run as one lockstep stack. With
 a worker pool the stack is split into one contiguous chunk per worker; the
@@ -195,8 +197,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     value if given, else its table default. A given value is converted by
     the row's type and checked against its lowest value. An option of
     another mode of the command and a required option of the mode left out
-    are rejected, and so is an output path that no run could write: a file
-    in a missing directory, or an output directory that is a file."""
+    are rejected, and so is an output location that no run could write: an
+    empty path, a missing directory, a directory named as a file, a file as a directory."""
     command = args.command
     mode = " ".join([command] + [getattr(args, row[1]) for row in OPTIONS
                                  if command in row[5] and isinstance(row[2], tuple)])
@@ -221,12 +223,20 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
                 raise ConfigError(f"{dest}: cannot read {value!r}: {err}") from err
             if lowest is not None and not lowest <= value < np.inf:
                 raise ConfigError(f"{dest} must be a finite number >= {lowest}, got {value!r}")
+        if dest in ("out", "trace", "out_dir") and value == "":
+            raise ConfigError(f"{flag} is an empty path")
         if dest in ("out", "trace") and value is not None:
             folder = os.path.dirname(value)
             if folder and not os.path.isdir(folder):
                 raise ConfigError(f"{flag} {value}: directory {folder} does not exist")
-        if dest == "out_dir" and os.path.exists(value) and not os.path.isdir(value):
-            raise ConfigError(f"{flag} {value} exists and is not a directory")
+            if os.path.isdir(value):
+                raise ConfigError(f"{flag} {value} is a directory, not a file")
+        if dest == "out_dir":
+            ancestor = value
+            while ancestor and not os.path.exists(ancestor):
+                ancestor = os.path.dirname(ancestor)
+            if ancestor and not os.path.isdir(ancestor):
+                raise ConfigError(f"{flag} {value}: {ancestor} exists and is not a directory")
         setattr(args, dest, value)
     return args
 
@@ -262,10 +272,7 @@ def _model_payload(model: BezierSimplex, config_echo: dict) -> dict:
 def cmd_solve(ns) -> int:
     problem = _resolve_problem(ns.problem)
     solver_cfg = _solver_config(ns, problem)
-    try:
-        model, record = run_surface_gd(problem, solver_cfg)
-    except SolverAbort as err:
-        raise PipelineError(json.dumps(err.payload)) from err
+    model, record = run_surface_gd(problem, solver_cfg)
 
     echo = solver_cfg.echo()
     echo["problem"] = problem.name
@@ -675,7 +682,10 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(_error_json("config", str(err)), file=sys.stderr)
         return 2
-    except (PipelineError, SolverAbort, SingularFitError, MemoryError) as err:
+    except SolverAbort as err:
+        print(_error_json("runtime", json.dumps(err.payload)), file=sys.stderr)
+        return 3
+    except (PipelineError, SingularFitError, MemoryError) as err:
         print(_error_json("runtime", str(err) or repr(err)), file=sys.stderr)
         return 3
     except OSError as err:

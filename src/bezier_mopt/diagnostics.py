@@ -23,7 +23,7 @@ realized batch and is asserted by `stability_summary`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .metrics import loss_batch
 from .problems import Problem
 from .simplex import sample_uniform_simplex
 from .solver import (HOLDOUT_STREAM, PERTURB_STREAM, RunRecord, SolverConfig,
-                     completed, run_surface_gd, run_surface_gd_trials, trial_seeds)
+                     completed, run_surface_gd_trials, trial_seeds)
 from .sweep import triangular_lattice
 
 # The sup over weights in the perturbation gap is approximated on one fixed
@@ -144,40 +144,36 @@ def loss_gap(model, pareto_map, train_weights, holdout_weights) -> dict:
             "gap": empirical - holdout}
 
 
-def _check_gap_inputs(problem: Problem, holdout: int) -> None:
+def _gap_reports(problem: Problem, config: SolverConfig, holdout: int, seeds) -> list[dict]:
+    """One generalization-gap report per seed, from one lockstep stack.
+
+    Seed s's run trains under `config` with seed s. Its report sets the
+    mean loss over the run's final training batch against that over
+    `holdout` uniform weights drawn from (s, HOLDOUT_STREAM), and echoes
+    the run's configuration. Raises the first SolverAbort of the stack."""
     if holdout < 1:
         raise ValueError("holdout must be >= 1")
     if problem.pareto_map is None:
         raise ValueError("the generalization gap is defined on losses and "
                          "needs a problem with an analytical map")
-
-
-def _gap_report(problem: Problem, config: SolverConfig, model, record: RunRecord,
-                holdout: int) -> dict:
-    holdout_weights = sample_uniform_simplex(
-        problem.num_objectives, holdout,
-        np.random.SeedSequence(entropy=int(config.seed), spawn_key=(HOLDOUT_STREAM,)))
-    report = loss_gap(model, problem.pareto_map, record.final_weights, holdout_weights)
-    report.update({
-        "problem": problem.name,
-        "config": config.echo(),
-        "seed": config.seed,
-        "holdout": holdout,
-    })
-    return report
+    runs = completed(run_surface_gd_trials(problem, config, seeds))
+    reports = []
+    for seed, (model, record) in zip(seeds, runs):
+        holdout_weights = sample_uniform_simplex(
+            problem.num_objectives, holdout,
+            np.random.SeedSequence(entropy=int(seed), spawn_key=(HOLDOUT_STREAM,)))
+        report = loss_gap(model, problem.pareto_map, record.final_weights, holdout_weights)
+        report.update({"problem": problem.name, "config": record.config, "seed": seed,
+                       "holdout": holdout})
+        reports.append(report)
+    return reports
 
 
 def generalization_gap_experiment(problem: Problem, config: SolverConfig,
                                   holdout: int) -> dict:
-    """Train once, then compare the final training batch's mean loss to the
-    mean loss on fresh uniform weights.
-
-    The report echoes the configuration and all seeds so the run can be
-    reproduced exactly.
-    """
-    _check_gap_inputs(problem, holdout)
-    model, record = run_surface_gd(problem, config)
-    return _gap_report(problem, config, model, record, holdout)
+    """Train once with `config.seed`, then compare the final training
+    batch's mean loss to the mean loss on fresh uniform weights."""
+    return _gap_reports(problem, config, holdout, [config.seed])[0]
 
 
 def repeat_generalization_gap(problem: Problem, config: SolverConfig,
@@ -191,11 +187,7 @@ def repeat_generalization_gap(problem: Problem, config: SolverConfig,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_gap_inputs(problem, holdout)
-    seeds = trial_seeds(config.seed, trials)
-    runs = completed(run_surface_gd_trials(problem, config, seeds))
-    per_trial = [_gap_report(problem, replace(config, seed=seed), *run, holdout)
-                 for seed, run in zip(seeds, runs)]
+    per_trial = _gap_reports(problem, config, holdout, trial_seeds(config.seed, trials))
     gaps = np.array([t["gap"] for t in per_trial])
     return {
         "problem": problem.name,

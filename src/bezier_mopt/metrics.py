@@ -41,21 +41,23 @@ def _as_points(value) -> np.ndarray:
     return pts
 
 
-def loss(model: BezierSimplex, t, pareto_map) -> float:
-    """Euclidean distance between the model and the map at one weight."""
+def _squared_errors(model: BezierSimplex, weights, pareto_map) -> np.ndarray:
+    """Per-row squared model-to-map distances for a weight batch; (n,)."""
     if pareto_map is None:
-        raise UnsupportedMetricError("loss needs an analytical weight-to-minimizer map")
+        raise UnsupportedMetricError("loss and mse need an analytical weight-to-minimizer map")
+    diff = model.evaluate_batch(weights) - np.asarray(pareto_map(weights), dtype=np.float64)
+    return (diff * diff).sum(axis=1)
+
+
+def loss(model: BezierSimplex, t, pareto_map) -> float:
+    """Model-to-map distance at one weight: `loss_batch` of the validated `t`."""
     arr = weight_vector(t, dim=model.num_objectives)
-    return float(np.linalg.norm(model.evaluate(arr) - np.asarray(pareto_map(arr), dtype=np.float64)))
+    return float(loss_batch(model, arr[None], pareto_map)[0])
 
 
 def loss_batch(model: BezierSimplex, weights, pareto_map) -> np.ndarray:
     """Per-row losses for a weight batch; (n,)."""
-    if pareto_map is None:
-        raise UnsupportedMetricError("loss needs an analytical weight-to-minimizer map")
-    arr = np.asarray(weights, dtype=np.float64)
-    diff = model.evaluate_batch(arr) - np.asarray(pareto_map(arr), dtype=np.float64)
-    return np.sqrt((diff * diff).sum(axis=1))
+    return np.sqrt(_squared_errors(model, np.asarray(weights, dtype=np.float64), pareto_map))
 
 
 def mse(model: BezierSimplex, pareto_map, count: int = 10000, seed: int = 0) -> float:
@@ -66,11 +68,8 @@ def mse(model: BezierSimplex, pareto_map, count: int = 10000, seed: int = 0) -> 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if pareto_map is None:
-        raise UnsupportedMetricError("mse needs an analytical weight-to-minimizer map")
     weights = sample_uniform_simplex(model.num_objectives, count, seed)
-    diff = model.evaluate_batch(weights) - np.asarray(pareto_map(weights), dtype=np.float64)
-    return float((diff * diff).sum(axis=1).mean())
+    return float(_squared_errors(model, weights, pareto_map).mean())
 
 
 def gd(approximation, reference) -> float:

@@ -89,6 +89,12 @@ def test_design_matrix_rows_and_errors():
     with pytest.raises(ValueError):
         design_matrix([[0.3, 0.3, 0.4]], basis)
 
+    # A model evaluates a batch through the same checks.
+    model = BezierSimplex(basis=enumerate_multi_indices(3, 3), control_points=np.ones((10, 3)))
+    for weights in ([[0.5, 0.5]], [[0.25] * 4], np.empty((0, 3))):
+        with pytest.raises(ValueError):
+            model.evaluate_batch(weights)
+
 
 def test_planted_model_exact_recovery():
     rng = np.random.default_rng(42)

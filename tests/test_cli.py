@@ -210,6 +210,21 @@ def test_solve_divergence_exits_3_with_json_error(tmp_path):
     assert not model_path.exists()
 
 
+def test_diagnostics_divergence_exits_3_with_the_abort_payload(tmp_path, capsys):
+    out_dir = tmp_path / "d"
+    code, out, err = run_cli(
+        capsys, "diagnostics", "--mode", "gengap", "--schedule", "const:1", "--k", "2000",
+        "--trials", "2", "--holdout", "10", "--out-dir", str(out_dir))
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "runtime"
+    detail = json.loads(error["message"])
+    assert detail["seed"] == solver.trial_seeds(0, 2)[0] == 9489810283428522141
+    assert detail["iteration"] == 239
+    assert isinstance(detail["control_delta"], float)
+    assert not out_dir.exists()
+
+
 def test_experiment_fails_only_the_diverging_trial(tmp_path, capsys, monkeypatch):
     base = ["experiment", "--problem", "scaled-med", "--n", "15", "--k", "10",
             "--trials", "3", "--seed", "4", "--metrics", "mse,diagnostics",
@@ -291,27 +306,49 @@ def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys, monkeyp
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("argv,path,message", [
-    (["solve", "--problem", "scaled-med", "--k", "2", "--n", "12", "--out", "m.json",
-      "--trace", "nodir/t.json"], "nodir/t.json", "directory nodir does not exist"),
-    (["sample", "--model", "model.json", "--n", "3", "--out", "nodir/s.csv"], "nodir/s.csv",
-     "directory nodir does not exist"),
-    (["experiment", "--problem", "scaled-med", "--k", "2", "--n", "12", "--trials", "1",
-      "--threads", "1", "--out-dir", "model.json"], "model.json",
-     "exists and is not a directory"),
-], ids=["solve-trace", "sample-out", "experiment-out-dir"])
+# A valid command line for each scope of an output row of cli.OPTIONS; a
+# later --out replaces solve's.
+OUTPUT_BASES = {
+    "solve": ["solve", "--problem", "scaled-med", "--k", "2", "--n", "12", "--out", "m.json"],
+    "sample": ["sample", "--model", "model.json", "--n", "3"],
+    "metrics": ["metrics", "--metric", "mse", "--problem", "scaled-med", "--model", "model.json"],
+    "experiment": ["experiment", "--problem", "scaled-med", "--k", "2", "--n", "12",
+                   "--trials", "1", "--threads", "1"],
+    "baseline": ["baseline", "--problem", "scaled-med"],
+    "diagnostics": ["diagnostics", "--mode", "gengap", "--k", "2", "--n", "12", "--trials", "1"],
+}
+# Locations no run could write, by the kind of output, with a part of the
+# message each must get; the first of each kind goes unlabelled in the case id.
+UNWRITABLE = {
+    "file": [("", "nodir/x", "directory nodir does not exist"),
+             ("directory", "adir", "is a directory"), ("empty", "", "empty path")],
+    "directory": [("", "model.json", "exists and is not a directory"),
+                  ("file-parent", "model.json/sub", "model.json exists and is not a directory"),
+                  ("empty", "", "empty path")],
+}
+OUTPUT_CASES = [
+    pytest.param(OUTPUT_BASES[scope] + [flag, path], path, message,
+                 id="-".join(filter(None, [scope, flag[2:], label])))
+    for flag, *_, scopes, text in cli.OPTIONS if "output" in text for scope in scopes
+    for label, path, message in UNWRITABLE["directory" if "directory" in text else "file"]]
+
+
+@pytest.mark.parametrize("argv,path,message", OUTPUT_CASES)
 def test_unwritable_output_location_exits_2_before_any_work(argv, path, message, tmp_path,
                                                            capsys, monkeypatch):
-    for name in ("run_surface_gd", "run_surface_gd_trials", "sample_uniform_simplex"):
+    for name in ("run_surface_gd", "run_surface_gd_trials", "sample_uniform_simplex",
+                 "minimize_scalarizations", "repeat_generalization_gap", "mse"):
         monkeypatch.setattr(cli, name, None)  # no run and no draw starts
     monkeypatch.chdir(tmp_path)
     model = write_model(tmp_path / "model.json").read_bytes()
+    (tmp_path / "adir").mkdir()
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "config"
     assert path in error["message"] and message in error["message"]
-    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
+    assert not any((tmp_path / "adir").iterdir())
     assert (tmp_path / "model.json").read_bytes() == model
 
 

@@ -4,14 +4,14 @@ Each subcommand, and each mode of `diagnostics` and `metrics`, starts from
 a small valid command line (tiny k and n, one worker). Hypothesis replaces
 some of its options with values drawn from the option's row in
 `cli.OPTIONS`: integers around the row's lowest value, floats, text that is
-not a number, names of files of every kind, and `@` arguments. Each value
-goes either in the flag's argument (`--k=5`) or in an argument of its own
-(`--k 5`), where one that begins with `@` is read as a file. Half the
-command lines move a run of their arguments into an args file, passed as
-`@args`. One draw in ten also gives an option that only another mode reads,
-which must exit 2. Whatever the input, `main()` must exit 0, 2 or 3, emit
-no warning, print exactly one JSON object on stderr when it fails, and
-print strict JSON from `metrics`.
+not a number, names of files of every kind and of a directory, and `@`
+arguments. Each value goes either in the flag's argument (`--k=5`) or in an
+argument of its own (`--k 5`), where one that begins with `@` is read as a
+file. Half the command lines move a run of their arguments into an args
+file, passed as `@args`. One draw in ten also gives an option that only
+another mode reads, which must exit 2. Whatever the input, `main()` must
+exit 0, 2 or 3, emit no warning, print exactly one JSON object on stderr
+when it fails, and print strict JSON from `metrics`.
 """
 import contextlib
 import io
@@ -61,7 +61,7 @@ FILES = {
 }
 MODELS = ["model.json", "d2.json", "huge.json", "m2.json", "bad.json", "list.json",
           "broken.json", "x.csv", "missing.json"]
-OUTPUTS = ["o", "sub/x", "x.csv", ""]
+OUTPUTS = ["o", "sub/x", "x.csv", "adir", ""]
 # Values worth trying for the text options, beside junk text.
 TEXT_VALUES = {
     "problem": ["scaled-med", "skew-3med", "skew-3mmd", "skew-med:1", "skew-mmd:x", "nope"],
@@ -146,6 +146,7 @@ def write_fixtures(directory):
             fh.write(text)
     with open(os.path.join(directory, "bytes.bin"), "wb") as fh:
         fh.write(b"\xff\xfe--k\n")
+    os.mkdir(os.path.join(directory, "adir"))
 
 
 def reject_constant(name):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from bezier_mopt.diagnostics import (TEST_GRID_VERSION, generalization_gap_exper
                                      stability_summary, stability_test_grid)
 from bezier_mopt.problems import scaled_med, skew_mmed
 from bezier_mopt.simplex import sample_uniform_simplex
-from bezier_mopt.solver import SolverConfig, completed, run_surface_gd, run_surface_gd_trials
+from bezier_mopt.solver import (SolverConfig, completed, run_surface_gd, run_surface_gd_trials,
+                               trial_seeds)
 from bezier_mopt.sweep import triangular_lattice
 
 
@@ -154,6 +157,9 @@ def test_repeat_generalization_gap_aggregates():
     assert report["gap_mean"] == pytest.approx(np.mean(gaps))
     assert report["gap_abs_mean"] == pytest.approx(np.mean(np.abs(gaps)))
     assert len({t["seed"] for t in report["trials"]}) == 4
+    # Trial i is the single-run experiment under trial i's seed, bit for bit.
+    for seed, trial in zip(trial_seeds(cfg.seed, 4), report["trials"]):
+        assert generalization_gap_experiment(problem, replace(cfg, seed=seed), 500) == trial
 
 
 def test_stability_summary_flags():
