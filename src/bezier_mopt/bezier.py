@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import bernstein_design
-from .simplex import MultiIndexSet, enumerate_multi_indices, weight_vector
+from .simplex import (MultiIndexSet, check_weight_rows, enumerate_multi_indices,
+                      weight_vector)
 
 # A design matrix is declared numerically singular when its smallest
 # singular value falls below this fraction of the largest. Random weight
@@ -84,8 +85,8 @@ class BezierSimplex:
         return self.evaluate_batch(weight_vector(t, dim=self.num_objectives)[None, :])[0]
 
     def evaluate_batch(self, weights) -> np.ndarray:
-        """Evaluate at every row of a nonempty (N, M) `weights`; returns (N, L)."""
-        return design_matrix(weights, self.basis) @ self.control_points
+        """Evaluate at every row, a weight vector, of a nonempty (N, M) `weights`; (N, L)."""
+        return design_matrix(check_weight_rows(weights), self.basis) @ self.control_points
 
     # -- serialization ------------------------------------------------------
 
@@ -129,9 +130,10 @@ def load_model(path) -> BezierSimplex:
 
 
 def design_matrix(weights, basis: MultiIndexSet) -> np.ndarray:
-    """Stack Bernstein basis vectors for a weight batch; (N, J).
+    """Stack Bernstein basis vectors for a batch of simplex rows; (N, J).
 
-    Every row sums to one and all entries lie in [0, 1].
+    Checks only the batch's shape. For weight-vector rows, every row of the
+    result sums to one and all entries lie in [0, 1].
     """
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -185,12 +187,12 @@ def solve_factored(designs: np.ndarray, grams: np.ndarray, fallback: np.ndarray,
 def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
     """Fit control points minimizing the mean squared residual over the batch.
 
-    `weights` is (N, M), `points` is (N, L), and N must be at least the
-    basis size. Raises SingularFitError for rank-deficient designs, carrying
-    the offending smallest singular value.
+    `weights` is (N, M) with weight-vector rows, `points` is (N, L), and N
+    must be at least the basis size. Raises SingularFitError for
+    rank-deficient designs, carrying the offending smallest singular value.
     """
     pts = np.asarray(points, dtype=np.float64)
-    arr = np.asarray(weights, dtype=np.float64)
+    arr = check_weight_rows(weights)
     if pts.ndim != 2 or arr.ndim != 2 or pts.shape[0] != arr.shape[0]:
         raise ValueError("weights and points must be 2-D with matching row counts")
     design = design_matrix(arr, basis)

@@ -89,6 +89,20 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write(ns, *contents) -> str:
+    """Writes `contents` under --out-dir, which it creates, to the run's
+    OUT_DIR_FILES in order: a dict as JSON, a (header, rows, preamble) triple
+    as CSV. Returns the line that names the written paths."""
+    os.makedirs(ns.out_dir, exist_ok=True)
+    paths = [os.path.join(ns.out_dir, name) for name in OUT_DIR_FILES[ns.scope]]
+    for path, content in zip(paths, contents):
+        if isinstance(content, dict):
+            write_json(path, content)
+        else:
+            write_csv(path, *content)
+    return "wrote " + " and ".join(paths)
+
+
 def _read_json(path, what: str):
     try:
         with open(path) as fh:
@@ -190,18 +204,24 @@ OPTIONS = (
 )
 # Table defaults by dest; run_experiment takes its defaults from here.
 DEFAULTS = {dest: default for _, dest, _, default, *_ in OPTIONS}
+# The files each scope that reads --out-dir writes there, in writing order.
+OUT_DIR_FILES = {"experiment": ("trials.csv", "aggregate.json"),
+                 "baseline": ("baseline_model.json", "baseline_report.json"),
+                 "diagnostics perturb": ("perturbation.csv", "perturbation.json"),
+                 "diagnostics gengap": ("generalization_gap.json",)}
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Sets every option that `args.command` reads in its mode to its flag
-    value if given, else its table default. A given value is converted by
-    the row's type and checked against its lowest value. An option of
-    another mode of the command and a required option of the mode left out
-    are rejected, and so is an output location that no run could write: an
-    empty path, a missing directory, a directory named as a file, a file as a directory."""
+    """Sets `args.scope` to the mode of `args.command`, and every option the
+    mode reads to its flag value if given, else its table default. A given
+    value is converted by the row's type and checked against its lowest
+    value. An option of another mode of the command and a required option
+    of the mode left out are rejected, and so is an output location that no
+    run could write: an empty path, a missing directory, a directory named
+    as a file (an --out-dir file included), a file as a directory."""
     command = args.command
-    mode = " ".join([command] + [getattr(args, row[1]) for row in OPTIONS
-                                 if command in row[5] and isinstance(row[2], tuple)])
+    mode = args.scope = " ".join([command] + [getattr(args, row[1]) for row in OPTIONS
+                                              if command in row[5] and isinstance(row[2], tuple)])
     rows = [row for row in OPTIONS if {command, mode} & set(row[5])]
     for row in OPTIONS:
         flag, dest, *_, scopes, _ = row
@@ -237,6 +257,9 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
                 ancestor = os.path.dirname(ancestor)
             if ancestor and not os.path.isdir(ancestor):
                 raise ConfigError(f"{flag} {value}: {ancestor} exists and is not a directory")
+            for path in (os.path.join(value, name) for name in OUT_DIR_FILES[mode]):
+                if os.path.isdir(path):
+                    raise ConfigError(f"{flag} {value}: {path} is a directory, not a file")
         setattr(args, dest, value)
     return args
 
@@ -420,19 +443,12 @@ def cmd_experiment(ns) -> int:
         validation_count=ns.validation_count, threads=ns.threads,
         initial_control_points=initial_control_points)
 
-    os.makedirs(ns.out_dir, exist_ok=True)
     columns = ["problem", "n", "trial", "seed", "status"]
     columns += [column for name, names in METRIC_COLUMNS.items() if name in ns.metrics
                 for column in names] + ["error"]
-    csv_path = os.path.join(ns.out_dir, "trials.csv")
-    write_csv(csv_path, columns,
-              [[row.get(c, "") for c in columns] for row in result["rows"]],
-              preamble=config_echo)
-    agg_path = os.path.join(ns.out_dir, "aggregate.json")
-    payload = result["aggregate"]
-    payload["config"] = config_echo
-    write_json(agg_path, payload)
-    print(f"wrote {csv_path} and {agg_path}")
+    result["aggregate"]["config"] = config_echo
+    print(_write(ns, (columns, [[row.get(c, "") for c in columns] for row in result["rows"]],
+                      config_echo), result["aggregate"]))
     return 0
 
 
@@ -491,12 +507,7 @@ def cmd_baseline(ns) -> int:
     if comparison is not None:
         report["proposed_comparison"] = comparison
 
-    os.makedirs(ns.out_dir, exist_ok=True)
-    model_path = os.path.join(ns.out_dir, "baseline_model.json")
-    write_json(model_path, _model_payload(model, config_echo))
-    report_path = os.path.join(ns.out_dir, "baseline_report.json")
-    write_json(report_path, report)
-    print(f"wrote {model_path} and {report_path}")
+    print(_write(ns, _model_payload(model, config_echo), report))
     return 0
 
 
@@ -602,19 +613,13 @@ def cmd_diagnostics(ns) -> int:
             reports = perturbation_experiment(problem, solver_cfg, k, ns.repeats)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        os.makedirs(ns.out_dir, exist_ok=True)
         echo = {"command": "diagnostics", "mode": "perturb", "version": __version__,
                 "problem": problem.name, "perturb_iteration": k, "repeats": ns.repeats,
                 "grid_version": TEST_GRID_VERSION, "config": solver_cfg.echo()}
-        csv_path = os.path.join(ns.out_dir, "perturbation.csv")
-        write_csv(csv_path, ["k", "n", "repeat", "sup_gap", "frob_gap", "bound_value"],
-                  [(r.iteration, solver_cfg.num_samples, r.repeat, r.sup_gap, r.frob_gap,
-                    r.bound_value) for r in reports],
-                  preamble=echo)
-        json_path = os.path.join(ns.out_dir, "perturbation.json")
-        write_json(json_path, {"config": echo,
-                               "reports": [r.to_dict() for r in reports]})
-        print(f"wrote {csv_path} and {json_path}")
+        print(_write(ns, (["k", "n", "repeat", "sup_gap", "frob_gap", "bound_value"],
+                          [(r.iteration, solver_cfg.num_samples, r.repeat, r.sup_gap,
+                            r.frob_gap, r.bound_value) for r in reports], echo),
+                     {"config": echo, "reports": [r.to_dict() for r in reports]}))
         return 0
 
     # gengap
@@ -623,10 +628,7 @@ def cmd_diagnostics(ns) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     report["version"] = __version__
-    os.makedirs(ns.out_dir, exist_ok=True)
-    json_path = os.path.join(ns.out_dir, "generalization_gap.json")
-    write_json(json_path, report)
-    print(f"wrote {json_path}")
+    print(_write(ns, report))
     return 0
 
 

@@ -31,7 +31,7 @@ from .metrics import loss_batch
 from .problems import Problem
 from .simplex import sample_uniform_simplex
 from .solver import (HOLDOUT_STREAM, PERTURB_STREAM, RunRecord, SolverConfig,
-                     completed, run_surface_gd_trials, trial_seeds)
+                     completed, run_surface_gd_trials, stream, trial_seeds)
 from .sweep import triangular_lattice
 
 # The sup over weights in the perturbation gap is approximated on one fixed
@@ -73,9 +73,7 @@ class PerturbationReport:
 
 def _replace_last_weight(seed: int, k: int, num_objectives: int):
     """Hook replacing the last weight of iteration k with a fresh draw."""
-    replacement = sample_uniform_simplex(
-        num_objectives, 1,
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(PERTURB_STREAM, int(k))))[0]
+    replacement = sample_uniform_simplex(num_objectives, 1, stream(seed, PERTURB_STREAM, k))[0]
 
     def hook(iteration, batch):
         if iteration == k:
@@ -150,7 +148,7 @@ def _gap_reports(problem: Problem, config: SolverConfig, holdout: int, seeds) ->
     Seed s's run trains under `config` with seed s. Its report sets the
     mean loss over the run's final training batch against that over
     `holdout` uniform weights drawn from (s, HOLDOUT_STREAM), and echoes
-    the run's configuration. Raises the first SolverAbort of the stack."""
+    the run's configuration. Raises the stack's aborts as `completed` does."""
     if holdout < 1:
         raise ValueError("holdout must be >= 1")
     if problem.pareto_map is None:
@@ -159,9 +157,8 @@ def _gap_reports(problem: Problem, config: SolverConfig, holdout: int, seeds) ->
     runs = completed(run_surface_gd_trials(problem, config, seeds))
     reports = []
     for seed, (model, record) in zip(seeds, runs):
-        holdout_weights = sample_uniform_simplex(
-            problem.num_objectives, holdout,
-            np.random.SeedSequence(entropy=int(seed), spawn_key=(HOLDOUT_STREAM,)))
+        holdout_weights = sample_uniform_simplex(problem.num_objectives, holdout,
+                                                 stream(seed, HOLDOUT_STREAM))
         report = loss_gap(model, problem.pareto_map, record.final_weights, holdout_weights)
         report.update({"problem": problem.name, "config": record.config, "seed": seed,
                        "holdout": holdout})

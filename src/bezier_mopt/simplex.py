@@ -21,27 +21,36 @@ from ._kernels import bernstein_design
 WEIGHT_RENORM_TOL = 1e-9
 
 
+def check_weight_rows(values) -> np.ndarray:
+    """`values` as a float64 array, once each of its rows is a weight vector:
+    finite, nonnegative entries summing to 1 within ``WEIGHT_RENORM_TOL``.
+    Raises ValueError otherwise; never renormalizes, so rows keep their bits."""
+    arr = np.asarray(values, dtype=np.float64)
+    # NaN passes both the sign and the sum check below.
+    if not np.isfinite(arr).all():
+        raise ValueError("weight vector entries must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("weight vector entries must be nonnegative")
+    sums = arr.sum(axis=-1) if arr.ndim else arr
+    off = np.abs(sums - 1.0) > WEIGHT_RENORM_TOL
+    if np.any(off):
+        raise ValueError(f"weight vector sums to {float(sums[off][0])!r}, not 1")
+    return arr
+
+
 def weight_vector(values, dim: int | None = None) -> np.ndarray:
     """Validate `values` as a point on the probability simplex.
 
-    Entries must be finite, nonnegative and sum to 1; sums within
-    ``WEIGHT_RENORM_TOL`` of 1 are renormalized (tolerating accumulated
-    floating-point drift without masking real bugs), larger deviations
-    raise ValueError.
+    The one row must pass `check_weight_rows`; a sum off 1 by at most
+    ``WEIGHT_RENORM_TOL`` is renormalized (tolerating accumulated
+    floating-point drift without masking real bugs).
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("weight vector must be a nonempty 1-D array")
     if dim is not None and arr.size != dim:
         raise ValueError(f"weight vector has length {arr.size}, expected {dim}")
-    # NaN passes both the sign and the sum check below.
-    if not np.isfinite(arr).all():
-        raise ValueError("weight vector entries must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("weight vector entries must be nonnegative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > WEIGHT_RENORM_TOL:
-        raise ValueError(f"weight vector sums to {total!r}, not 1")
+    total = float(check_weight_rows(arr).sum())
     if total != 1.0:
         arr = arr / total
     return arr
@@ -149,8 +158,8 @@ def sample_uniform_simplex(num_objectives: int, count: int, seed) -> np.ndarray:
     """Draw `count` i.i.d. uniform points on the probability simplex.
 
     Normalizes unit-rate exponential draws (a flat Dirichlet), which is
-    exact and O(M) per sample. `seed` may be an int or a
-    numpy.random.SeedSequence; output is bit-identical for equal seeds.
+    exact and O(M) per sample. `seed` may be an int, a SeedSequence or a
+    Generator, whose stream the draw advances; equal seeds draw equal bits.
     Returns a (count, num_objectives) array whose rows are weight vectors.
     """
     return sample_uniform_simplex_stack(num_objectives, count, [np.random.default_rng(seed)])[0]

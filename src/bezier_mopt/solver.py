@@ -230,20 +230,15 @@ class RunRecord:
 # The iteration engine.
 # ---------------------------------------------------------------------------
 
-def _initial_control_points(config: SolverConfig, basis, num_vars: int) -> np.ndarray:
-    if config.initial_control_points is None:
-        return np.zeros((basis.size, num_vars))
-    return np.array(config.initial_control_points, dtype=np.float64)
-
-
 # What the engine returns per trial: the fitted model and its trace, or the
 # abort that ended the trial.
 TrialOutcome = Union[tuple[BezierSimplex, RunRecord], SolverAbort]
 
 
-def _weight_stream(seed: int, *key: int) -> np.random.Generator:
-    """The generator of a run's weight stream (WEIGHT_STREAM, *key)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(WEIGHT_STREAM, *key)))
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of substream `key` under a run seed: the PCG64 stream
+    of SeedSequence(seed, spawn_key=key)."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -256,22 +251,23 @@ def _last_finite(values: np.ndarray) -> Optional[float]:
     return float(finite[-1]) if finite.size else None
 
 
-def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
-              weight_hooks=None) -> list[TrialOutcome]:
+def _run_loop(problem: Problem, config: SolverConfig, seeds, weight_hooks=None,
+              rule: Optional[StepRule] = None) -> list[TrialOutcome]:
     """Shared engine: sample, evaluate, step, refit, K times, for a stack
     of trials in lockstep.
 
-    Trial i runs `config` with seed `seeds[i]`. `batch_step(points,
-    weights, grads, k)` advances the sampled rows of all trials, given
-    their scalarized gradients. `weight_hooks[i](k, weights)`, when given
-    and not None, may replace trial i's sampled batch; it exists for the
-    stability diagnostics and must return an array of the same shape.
-    Returns one outcome per seed, in order.
+    Trial i runs `config` with seed `seeds[i]`. A sampled row x of weight t
+    steps to x - alpha(k) * grad of its scalarization, or, given a per-point
+    `rule`, to `rule(x, scalarize(problem, t), k)`. `weight_hooks[i](k,
+    weights)`, when given and not None, may replace trial i's sampled batch;
+    it exists for the stability diagnostics and must return an array of the
+    same shape. Returns one outcome per seed, in order.
     """
     config.validate(problem)
     basis = enumerate_multi_indices(problem.num_objectives, config.degree)
     alpha = resolve_schedule(config.step_schedule)
-    start = _initial_control_points(config, basis, problem.num_vars)
+    start = (np.zeros((basis.size, problem.num_vars)) if config.initial_control_points is None
+             else np.array(config.initial_control_points, dtype=np.float64))
     seeds = [int(seed) for seed in seeds]
     outside = [seed for seed in seeds if not 0 <= seed < MAX_SEED]
     if outside:
@@ -293,7 +289,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
     control = np.repeat(start[None], len(seeds), axis=0)
     weights = np.empty((len(seeds), n, m))
     # One main stream per trial, even where two trials share a seed.
-    streams = [_weight_stream(seed) for seed in seeds]
+    streams = [stream(seed, WEIGHT_STREAM) for seed in seeds]
 
     def draw(rows, k, retry, generators):
         """Stack rows `rows` draw iteration k's batches, one from each of
@@ -330,7 +326,7 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
                 if not retrying.size:
                     break
                 draw(retrying, k, retry,
-                     [_weight_stream(seeds[i], k, retry) for i in active[retrying]])
+                     [stream(seeds[i], WEIGHT_STREAM, k, retry) for i in active[retrying]])
                 design[retrying] = designs(retrying)
                 (grams[retrying], lambda_min[retrying], singular,
                  fallback[retrying]) = factor_designs(design[retrying])
@@ -352,7 +348,11 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
             rows = surface_points.reshape(-1, problem.num_vars)
             flat_weights = weights.reshape(-1, m)
             grads, objective_norms = gradient_batch_stats(problem, rows, flat_weights)
-            stepped = batch_step(rows, flat_weights, grads, k).reshape(surface_points.shape)
+            if rule is None:
+                stepped = surface_points - alpha(k) * grads.reshape(surface_points.shape)
+            else:
+                stepped = np.array([rule(x, scalarize(problem, t), k) for x, t
+                                    in zip(rows, flat_weights)]).reshape(surface_points.shape)
             effective_grads = (surface_points - stepped) / alpha(k)
             new_control = solve_factored(design, grams, fallback, stepped)
 
@@ -396,33 +396,20 @@ def _run_loop(problem: Problem, batch_step, config: SolverConfig, seeds,
 
 def completed(outcomes: list[TrialOutcome]) -> list[tuple[BezierSimplex, RunRecord]]:
     """The (model, record) pair of every trial of a stack; raises the first
-    SolverAbort among `outcomes` instead."""
-    for outcome in outcomes:
-        if isinstance(outcome, SolverAbort):
-            raise outcome
+    SolverAbort among `outcomes` instead. When more trials aborted, its
+    payload gains "other_aborts", their payloads in stack order."""
+    aborts = [outcome for outcome in outcomes if isinstance(outcome, SolverAbort)]
+    if len(aborts) > 1:
+        aborts[0].payload["other_aborts"] = [abort.payload for abort in aborts[1:]]
+    if aborts:
+        raise aborts[0]
     return outcomes
 
 
 def run_generic(problem: Problem, rule: StepRule,
                 config: SolverConfig) -> tuple[BezierSimplex, RunRecord]:
     """Run the loop with an arbitrary per-point step rule."""
-
-    def batch_step(points, weights, grads, k):
-        out = np.empty_like(points)
-        for n in range(points.shape[0]):
-            out[n] = rule(points[n], scalarize(problem, weights[n]), k)
-        return out
-
-    return completed(_run_loop(problem, batch_step, config, [config.seed]))[0]
-
-
-def _gradient_batch_step(config: SolverConfig):
-    alpha = resolve_schedule(config.step_schedule)
-
-    def batch_step(points, weights, grads, k):
-        return points - alpha(k) * grads
-
-    return batch_step
+    return completed(_run_loop(problem, config, [config.seed], rule=rule))[0]
 
 
 def run_surface_gd(problem: Problem, config: SolverConfig) -> tuple[BezierSimplex, RunRecord]:
@@ -433,7 +420,7 @@ def run_surface_gd(problem: Problem, config: SolverConfig) -> tuple[BezierSimple
     this path advances the whole batch vectorized. Raises SolverAbort when
     the run aborts.
     """
-    return completed(_run_loop(problem, _gradient_batch_step(config), config, [config.seed]))[0]
+    return completed(_run_loop(problem, config, [config.seed]))[0]
 
 
 def run_surface_gd_trials(problem: Problem, config: SolverConfig, seeds,
@@ -446,4 +433,4 @@ def run_surface_gd_trials(problem: Problem, config: SolverConfig, seeds,
     `run_surface_gd` returns for a trial without a hook, or the SolverAbort
     that ended it. `completed` settles a stack whose aborts are errors.
     """
-    return _run_loop(problem, _gradient_batch_step(config), config, seeds, weight_hooks)
+    return _run_loop(problem, config, seeds, weight_hooks)

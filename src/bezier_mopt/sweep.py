@@ -35,7 +35,7 @@ import numpy as np
 from ._kernels import CONVERGED, STATUSES, descent_sweep, norm_power_descent
 from .problems import (NormPowerSpec, Problem, _norm_power_jacobian,
                        gradient_batch_stats)
-from .simplex import _descending_lex_exponents
+from .simplex import _descending_lex_exponents, check_weight_rows
 
 DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_MAX_STEPS = 100_000
@@ -134,10 +134,10 @@ def minimize_scalarizations(problem: Problem, weights, start=None,
     combination of the objective centers for norm-power problems, the
     origin otherwise), a point already close to the target hypersurface.
     Each weight's `status` says how its descent ended (module docstring).
-    Raises ValueError unless `weights` is (n, M), `start` (n, L), `grad_tol`
-    finite and positive, and `max_steps` nonnegative.
+    Raises ValueError unless `weights` is (n, M) of weight vectors, `start`
+    (n, L), `grad_tol` finite and positive, and `max_steps` nonnegative.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = check_weight_rows(weights)
     if weights.ndim != 2 or weights.shape[1] != problem.num_objectives:
         raise ValueError(f"weights must be (n, {problem.num_objectives}), "
                          f"got shape {weights.shape}")

@@ -89,11 +89,20 @@ def test_design_matrix_rows_and_errors():
     with pytest.raises(ValueError):
         design_matrix([[0.3, 0.3, 0.4]], basis)
 
-    # A model evaluates a batch through the same checks.
+    # A model evaluates a batch through the same checks, and checks that
+    # each row is a weight vector: [[5, 5, 5]] evaluated far outside the
+    # control points' hull.
     model = BezierSimplex(basis=enumerate_multi_indices(3, 3), control_points=np.ones((10, 3)))
-    for weights in ([[0.5, 0.5]], [[0.25] * 4], np.empty((0, 3))):
+    for weights in ([[0.5, 0.5]], [[0.25] * 4], np.empty((0, 3)), [[5.0, 5.0, 5.0]],
+                    [[2.0, -1.0, 0.0]], [[np.nan, 0.5, 0.5]]):
         with pytest.raises(ValueError):
             model.evaluate_batch(weights)
+    # So does a fit, which also pairs its weights with its points row by row.
+    fit_weights = sample_uniform_simplex(3, 12, 1)
+    for weights, points in ((fit_weights, np.zeros((11, 3))),
+                            (fit_weights * 5.0, np.zeros((12, 3)))):
+        with pytest.raises(ValueError):
+            fit_least_squares(weights, points, model.basis)
 
 
 def test_planted_model_exact_recovery():
@@ -227,6 +236,10 @@ def test_rejects_nonfinite_control_points():
     bad[1, 1] = np.inf
     with pytest.raises(ValueError):
         BezierSimplex(basis=basis, control_points=bad)
+    # Control points must also be a matrix with one row per basis function.
+    for shape in ((3,), (4, 2)):
+        with pytest.raises(ValueError):
+            BezierSimplex(basis=basis, control_points=np.ones(shape))
 
 
 def random_designs(basis, rows, count, first_seed):

@@ -207,6 +207,7 @@ def test_solve_divergence_exits_3_with_json_error(tmp_path):
     assert detail["seed"] == 0
     assert 1 < detail["iteration"] < 2000
     assert isinstance(detail["control_delta"], float)
+    assert "other_aborts" not in detail
     assert not model_path.exists()
 
 
@@ -222,6 +223,11 @@ def test_diagnostics_divergence_exits_3_with_the_abort_payload(tmp_path, capsys)
     assert detail["seed"] == solver.trial_seeds(0, 2)[0] == 9489810283428522141
     assert detail["iteration"] == 239
     assert isinstance(detail["control_delta"], float)
+    # Trial 1 aborts too; its payload rides along with the first.
+    (other,) = detail["other_aborts"]
+    assert other["seed"] == solver.trial_seeds(0, 2)[1] == 3112434154281347295
+    assert other["iteration"] == 240
+    assert isinstance(other["control_delta"], float)
     assert not out_dir.exists()
 
 
@@ -295,8 +301,9 @@ def test_experiment_bad_n_exits_2(tmp_path, capsys):
     ["experiment", "--problem", "nope"],
     ["diagnostics", "--mode", "perturb", "--n", "12", "--k", "3", "--perturb-iteration", "9"],
     ["baseline", "--problem", "skew-3mmd", "--metrics", "mse,gd"],
+    ["diagnostics", "--mode", "gengap", "--problem", "skew-3mmd", "--n", "12", "--k", "3"],
 ], ids=["experiment-unknown-problem", "diagnostics-late-perturbation",
-        "baseline-mse-without-map"])
+        "baseline-mse-without-map", "gengap-without-map"])
 def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "minimize_scalarizations", None)  # no baseline sweep runs
     out_dir = tmp_path / "never"
@@ -331,23 +338,36 @@ OUTPUT_CASES = [
                  id="-".join(filter(None, [scope, flag[2:], label])))
     for flag, *_, scopes, text in cli.OPTIONS if "output" in text for scope in scopes
     for label, path, message in UNWRITABLE["directory" if "directory" in text else "file"]]
+# An --out-dir "taken" in which one of the files its scope writes exists as
+# a directory, so no run could write that file.
+SCOPE_BASES = {**OUTPUT_BASES, "diagnostics gengap": OUTPUT_BASES["diagnostics"],
+               "diagnostics perturb": ["diagnostics", "--mode", "perturb", "--k", "2",
+                                       "--n", "12", "--repeats", "1"]}
+OUTPUT_CASES += [
+    pytest.param(SCOPE_BASES[scope] + ["--out-dir", "taken"], f"taken/{name}",
+                 "is a directory, not a file", id=f"{scope.replace(' ', '-')}-out-dir-{name}")
+    for scope, names in cli.OUT_DIR_FILES.items() for name in names]
 
 
 @pytest.mark.parametrize("argv,path,message", OUTPUT_CASES)
 def test_unwritable_output_location_exits_2_before_any_work(argv, path, message, tmp_path,
                                                            capsys, monkeypatch):
     for name in ("run_surface_gd", "run_surface_gd_trials", "sample_uniform_simplex",
-                 "minimize_scalarizations", "repeat_generalization_gap", "mse"):
+                 "minimize_scalarizations", "repeat_generalization_gap", "mse",
+                 "perturbation_experiment"):
         monkeypatch.setattr(cli, name, None)  # no run and no draw starts
     monkeypatch.chdir(tmp_path)
     model = write_model(tmp_path / "model.json").read_bytes()
     (tmp_path / "adir").mkdir()
+    if path.startswith("taken/"):
+        (tmp_path / path).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "config"
     assert path in error["message"] and message in error["message"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "model.json"]
+    assert sorted(tmp_path.rglob("*")) == before
     assert not any((tmp_path / "adir").iterdir())
     assert (tmp_path / "model.json").read_bytes() == model
 
@@ -505,11 +525,15 @@ def test_baseline_population_below_the_basis_exits_2_before_the_sweep(tmp_path, 
 
 
 def test_baseline_writes_model_and_report(tmp_path, capsys):
+    comparison = {"problem": "scaled-med", "settings": [{"n": 30, "mse": {"mean": 1e-4}}]}
+    (tmp_path / "aggregate.json").write_text(json.dumps(comparison))
     code, _, _ = run_cli(
         capsys, "baseline", "--problem", "scaled-med", "--population", "100",
-        "--degree", "3", "--metrics", "mse", "--out-dir", str(tmp_path))
+        "--degree", "3", "--metrics", "mse", "--out-dir", str(tmp_path),
+        "--compare-with", str(tmp_path / "aggregate.json"))
     assert code == 0
     report = json.loads((tmp_path / "baseline_report.json").read_text())
+    assert report["proposed_comparison"] == comparison
     assert report["mse"] > 0.0
     assert report["converged"] == 100
     assert "substitute" in report["config"]["method"]
@@ -623,9 +647,9 @@ def test_metrics_between_files(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "x_1,x_2\n0.0,0.0\n1,abc\n", "x_1,x_2\n0.0,0.0\n1\n", "a,b\n0.0,\n",
     "x_1,x_2\n0.0,nan\n", "x_1,x_2\ninf,0.0\n", "0,0\n3,0\n", "a,b\n0,0,7\n3,0,9\n",
-    "x_1,x_2,w_1\n0.0,0.0\n",
+    "x_1,x_2,w_1\n0.0,0.0\n", "x_1,x_2,x_3\n0.0,0.0,0.0\n", "# a comment\n", "x_1,x_2\n",
 ], ids=["non-numeric", "short-row", "empty-cell", "nan-cell", "inf-cell", "no-header",
-        "long-row", "short-row-unread-cell"])
+        "long-row", "short-row-unread-cell", "other-width", "comments-only", "header-only"])
 def test_metrics_malformed_csv_exits_2(metric, text, tmp_path, capsys):
     x = tmp_path / "x.csv"
     y = tmp_path / "y.csv"
@@ -673,6 +697,18 @@ def test_metrics_mse_against_model(tmp_path, capsys):
                            "--count", "2000", "--seed", "3")
     assert code == 0
     assert json.loads(out)["value"] > 0.0
+
+
+def test_metrics_mse_without_a_model_exits_2_naming_the_option(capsys):
+    code, out, err = run_cli(capsys, "metrics", "--metric", "mse", "--problem", "scaled-med")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "config", "version": cli.__version__,
+                                        "message": "metrics mse needs --model"}
+
+
+def test_run_experiment_needs_a_trial():
+    with pytest.raises(cli.ConfigError, match="trials must be >= 1"):
+        cli.run_experiment("scaled-med", [30], trials=0, root_seed=0, metric_names="mse")
 
 
 def test_metrics_mse_zero_count_exits_2(tmp_path, capsys):

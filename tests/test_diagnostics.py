@@ -148,6 +148,12 @@ def test_generalization_gap_requires_map():
         generalization_gap_experiment(skew_mmed(3), config(k=5), holdout=10)
 
 
+@pytest.mark.parametrize("holdout,trials", [(0, 2), (10, 0)])
+def test_repeat_generalization_gap_needs_a_holdout_and_a_trial(holdout, trials):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        repeat_generalization_gap(scaled_med(), config(k=5), holdout=holdout, trials=trials)
+
+
 def test_repeat_generalization_gap_aggregates():
     problem = scaled_med()
     cfg = config(n=30, k=15, seed=11)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,11 @@ def test_loss_requires_map():
         loss(zero_model(), [1.0, 0.0, 0.0], None)
     with pytest.raises(UnsupportedMetricError):
         mse(zero_model(), None)
+
+
+def test_mse_needs_a_weight():
+    with pytest.raises(ValueError, match="count"):
+        mse(zero_model(), scaled_med_pareto, count=0)
 
 
 def test_loss_invariant_under_joint_row_permutation():
@@ -158,3 +165,12 @@ def test_loss_batch_matches_scalar_loss():
     for i in range(20):
         assert np.isclose(batch[i], loss(model, weights[i], scaled_med_pareto),
                           rtol=1e-12)
+    # Both reject a weight off the simplex before the map sees it: loss_batch
+    # returned inf, with a RuntimeWarning from the map, and nan.
+    for bad in ([2.0, -1.0, 0.0], [np.nan, 0.5, 0.5], [5.0, 5.0, 5.0]):
+        for call in (lambda: loss(model, bad, scaled_med_pareto),
+                     lambda: loss_batch(model, [bad], scaled_med_pareto)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="weight vector"):
+                    call()

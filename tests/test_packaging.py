@@ -68,3 +68,35 @@ def _environment_reads(directory: Path) -> list[str]:
 def test_package_reads_no_environment_variables():
     """Every setting comes from a flag, a config file or a parameter."""
     assert _environment_reads(ROOT / "src" / "bezier_mopt") == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The module-level names of `tree` that begin with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [leaf.id for target in targets for leaf in ast.walk(target)
+                      if isinstance(leaf, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_module_name_is_used():
+    """A module-level private name that no code of the package reads is
+    dead code: a helper left behind when its last caller went."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "bezier_mopt").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name in _private_definitions(tree) if name not in used]
+    assert dead == []

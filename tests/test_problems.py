@@ -124,6 +124,11 @@ def test_skew_mmmd_gradient_zero_at_centers():
 def test_skew_mmmd_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
         skew_mmmd(np.ones((2, 2)), np.eye(2), [1.0, 0.0])
+    # ... and scales, centers and powers of mismatched shapes.
+    with pytest.raises(ValueError, match="matching shapes"):
+        skew_mmmd(np.ones((2, 2)), np.eye(3), [1.0, 1.0])
+    with pytest.raises(ValueError, match="one entry per objective"):
+        skew_mmmd(np.ones((2, 2)), np.eye(2), [1.0, 1.0, 1.0])
 
 
 def test_skew_mmmd_jacobian_fd():
@@ -178,6 +183,8 @@ def test_registry_names():
         get_problem("nope")
     with pytest.raises(ValueError):
         get_problem("skew-med:x")
+    with pytest.raises(ValueError):
+        get_problem("skew-mmd:1")
 
 
 def test_objectives_nonnegative_everywhere_sampled():

@@ -160,6 +160,8 @@ def test_weight_vector_rejects_large_drift_and_negatives():
         weight_vector([-0.1, 0.6, 0.5])
     with pytest.raises(ValueError):
         weight_vector([0.5, 0.5], dim=3)
+    with pytest.raises(ValueError, match="1-D"):
+        weight_vector([[0.5, 0.5]])
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])

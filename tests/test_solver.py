@@ -454,6 +454,9 @@ def test_run_seeds_outside_the_documented_range_are_rejected():
             run_surface_gd(scaled_med(), config)
         with pytest.raises(ValueError, match="2\\*\\*128"):
             run_surface_gd_trials(scaled_med(), dataclasses.replace(config, seed=0), [3, seed])
+    # Each seed takes at most one weight hook.
+    with pytest.raises(ValueError, match="2 weight hooks for 1 seeds"):
+        run_surface_gd_trials(scaled_med(), dataclasses.replace(config, seed=0), [3], [None] * 2)
 
 
 def test_recorded_weights_equal_the_seed_sequence_streams():

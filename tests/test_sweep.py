@@ -18,6 +18,8 @@ def test_lattice_exact_size_without_thinning():
     scaled = [tuple(row) for row in np.round(pts * 3).astype(int).tolist()]
     assert sorted(scaled, reverse=True) == scaled
     assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-15)
+    # One objective has a single weight, repeated.
+    assert np.array_equal(triangular_lattice(1, 4), np.ones((4, 1)))
 
 
 def test_lattice_thins_to_requested_count():
@@ -51,8 +53,10 @@ def test_lattice_validates_arguments():
     (np.full((10, 3), 1 / 3), None, 0.0, 100, "grad_tol"),
     (np.full((10, 3), 1 / 3), None, np.inf, 100, "grad_tol"),
     (np.full((10, 3), 1 / 3), None, 1e-8, -1, "max_steps"),
+    (np.full((10, 3), 0.5), None, 1e-8, 100, "weight vector"),
 ], ids=["one-start-row", "start-width", "weight-width", "weights-1d", "grad-tol-nan",
-        "grad-tol-negative", "grad-tol-zero", "grad-tol-inf", "max-steps-negative"])
+        "grad-tol-negative", "grad-tol-zero", "grad-tol-inf", "max-steps-negative",
+        "weights-off-simplex"])
 def test_minimize_scalarizations_names_a_bad_argument(weights, start, grad_tol, max_steps,
                                                       argument):
     # Each of these raised from inside numpy or ran every weight to
