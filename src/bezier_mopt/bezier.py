@@ -130,10 +130,13 @@ def load_model(path) -> BezierSimplex:
 
 
 def design_matrix(weights, basis: MultiIndexSet) -> np.ndarray:
-    """Stack Bernstein basis vectors for a batch of simplex rows; (N, J).
+    """Stack Bernstein basis vectors for a batch of simplex rows; (N, J),
+    C-contiguous.
 
     Checks only the batch's shape. For weight-vector rows, every row of the
-    result sums to one and all entries lie in [0, 1].
+    result sums to one and all entries lie in [0, 1]. Row-major because
+    products with the design round by layout, and library results keep
+    their row-major bits; the kernel builds it coordinate-major.
     """
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -142,7 +145,7 @@ def design_matrix(weights, basis: MultiIndexSet) -> np.ndarray:
         raise ValueError(
             f"weights have dimension {arr.shape[1]}, basis expects "
             f"{basis.num_objectives}")
-    return bernstein_design(arr, basis._exponents_f64, basis.coefficients)
+    return np.ascontiguousarray(bernstein_design(arr, basis._exponents_f64, basis.coefficients))
 
 
 def factor_designs(designs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -169,19 +172,25 @@ def factor_designs(designs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def solve_factored(designs: np.ndarray, grams: np.ndarray, fallback: np.ndarray,
-                   targets: np.ndarray) -> np.ndarray:
+                   targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solutions, each design's on its own, of nonsingular
-    designs factored by `factor_designs` for their (N, L) targets: the
-    normal equations (Z'Z) P = Z'X by LU, or for fallback designs, rare
-    enough to redo their thin SVD here, the pseudo-inverse V diag(1/s) U'."""
+    designs factored by `factor_designs` for their (N, L) targets X.
+
+    Returns (solutions, rhs), rhs the products Z'X: a design solves the
+    normal equations (Z'Z) P = Z'X by LU, or, for fallback designs, rare
+    enough to redo their thin SVD here, takes the pseudo-inverse
+    V diag(1/s) U' X. When no design falls back, the whole stack is one LU
+    solve.
+    """
     rhs = np.swapaxes(designs, 1, 2) @ targets
+    if not fallback.any():
+        return np.linalg.solve(grams, rhs), rhs
     solution = np.empty_like(rhs)
     solution[~fallback] = np.linalg.solve(grams[~fallback], rhs[~fallback])
-    if fallback.any():
-        u, s, vt = np.linalg.svd(designs[fallback], full_matrices=False)
-        pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
-        solution[fallback] = pinv @ targets[fallback]
-    return solution
+    u, s, vt = np.linalg.svd(designs[fallback], full_matrices=False)
+    pinv = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+    solution[fallback] = pinv @ targets[fallback]
+    return solution, rhs
 
 
 def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
@@ -208,4 +217,5 @@ def fit_least_squares(weights, points, basis: MultiIndexSet) -> BezierSimplex:
             f"design matrix is numerically singular "
             f"(smallest singular value {smallest:.3e})",
             smallest_singular_value=smallest)
-    return BezierSimplex(basis, solve_factored(design[None], grams, fallback, pts[None])[0])
+    (solution,), _ = solve_factored(design[None], grams, fallback, pts[None])
+    return BezierSimplex(basis, solution)

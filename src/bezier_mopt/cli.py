@@ -24,7 +24,6 @@ than the chunks to run.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import json
@@ -401,6 +400,8 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
                                   mse_samples, validation_count, validation_points)
 
     if threads > 1 and len(jobs) > 1:
+        # Imported here: only a pool needs it, and every command starts faster.
+        import concurrent.futures
         # The pool forks all its workers at once, so it gets no more than jobs.
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             chunk_rows = list(pool.map(run_chunk, jobs))

@@ -7,11 +7,20 @@ step rule applied to its weighted-sum scalarization, then refits the control
 points to the stepped batch by least squares. The surface-wise gradient
 descent specialization uses one plain gradient step per point.
 
+The refit fits the step, not the stepped points: with design Z, control
+points C, step size alpha and per-point steps E (the scalarized gradients,
+or (X - stepped) / alpha for a per-point rule), the least-squares fit of
+ZC - alpha*E is C - alpha * (Z'Z)^-1 Z'E, so the engine solves for the step
+and subtracts it. Fitting the stepped points instead would lose a small
+step to cancellation against ZC. The one product Z'E per iteration feeds
+both the solve and the `ztg_norm` trace field.
+
 The engine steps a stack of trials that share one configuration in
 lockstep. Each iteration assembles the designs and the scalarized gradients
-of all T trials at once over their T*N rows, and one batched factorization
-of the (T, N, J) designs (`bezier.factor_designs`: Gram eigenvalues, thin
-SVD where Z'Z is ill-conditioned) gives every trial its singularity gate and
+of all T trials at once over their T*N rows, and keeps the designs as the
+(T, J, N) view Z' of the design kernel's coordinate-major output. One
+batched factorization (`bezier.factor_designs`: Gram eigenvalues, thin SVD
+where Z'Z is ill-conditioned) gives every trial its singularity gate and
 smallest Gram eigenvalue, then one batched refit (`solve_factored`). A trial
 whose design is singular resamples alone; a trial that aborts leaves the
 stack and the others go on. Every per-trial quantity is computed from that
@@ -35,8 +44,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .bezier import (BezierSimplex, design_matrix, factor_designs,
-                     solve_factored)
+from ._kernels import bernstein_design
+from .bezier import BezierSimplex, factor_designs, solve_factored
 from .problems import Problem, gradient_batch_stats, scalarize
 from .simplex import enumerate_multi_indices, sample_uniform_simplex_stack
 
@@ -188,13 +197,14 @@ class RunRecord:
     """Per-iteration trace of a run plus a footer.
 
     Arrays have one entry per iteration: the smallest eigenvalue of the
-    design Gram matrix, the Frobenius norm of the design-weighted effective
-    gradient matrix (computed from the realized steps as (B - X) / alpha),
-    the control-point step size, the largest scalarized gradient norm and
-    largest single-objective gradient norm over the batch, the largest
-    basis-vector 2-norm, the worst partition-of-unity error, and how many
-    resamples the iteration needed. Only the final iteration's weight batch
-    is kept.
+    design Gram matrix, the Frobenius norm ||Z'E||_F of the refit's own
+    product of the design with the steps E (the scalarized gradients, or
+    for a per-point rule the realized steps (X - stepped) / alpha), the
+    control-point step size ||C' - C||_F, the largest scalarized gradient
+    norm and largest single-objective gradient norm over the batch, the
+    largest basis-vector 2-norm, the worst partition-of-unity error, and how
+    many resamples the iteration needed. Only the final iteration's weight
+    batch is kept.
     """
 
     seed: int
@@ -292,44 +302,48 @@ def _run_loop(problem: Problem, config: SolverConfig, seeds, weight_hooks=None,
     streams = [stream(seed, WEIGHT_STREAM) for seed in seeds]
 
     def draw(rows, k, retry, generators):
-        """Stack rows `rows` draw iteration k's batches, one from each of
-        `generators`."""
+        """Stack rows `rows` (a slice or indices) draw iteration k's
+        batches, one from each of `generators`."""
         weights[rows] = sample_uniform_simplex_stack(m, n, generators)
         retries_used[active[rows], k - 1] = retry
         if hooked:
-            for p in rows:
+            for p in np.arange(len(active))[rows]:
                 if hooks[active[p]] is not None:
                     weights[p] = hooks[active[p]](k, weights[p].copy())
 
-    def designs(rows):
-        return design_matrix(weights[rows].reshape(-1, m), basis).reshape(-1, n, j)
+    def transposed_designs(rows):
+        """The designs Z' (R, J, N) of stack rows `rows`: a view of the
+        kernel's coordinate-major (J, R*N) output, not a copy."""
+        flat = bernstein_design(weights[rows].reshape(-1, m), basis._exponents_f64,
+                                basis.coefficients)
+        return np.swapaxes(flat.T.reshape(j, -1, n), 0, 1)
 
     def drop(leaving, aborts):
-        nonlocal active, control, weights, design, grams, lambda_min, fallback
+        nonlocal active, control, weights, zt, grams, lambda_min, fallback
         for p, abort in zip(leaving, aborts):
             outcomes[active[p]] = abort
         keep = np.ones(len(active), dtype=bool)
         keep[leaving] = False
         active, control, weights = active[keep], control[keep], weights[keep]
-        design, grams = design[keep], grams[keep]
+        zt, grams = zt[keep], grams[keep]
         lambda_min, fallback = lambda_min[keep], fallback[keep]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, kk + 1):
             if not active.size:
                 break
-            draw(np.arange(len(active)), k, 0, [streams[i] for i in active])
-            design = designs(slice(None))
-            grams, lambda_min, singular, fallback = factor_designs(design)
+            draw(slice(None), k, 0, [streams[i] for i in active])
+            zt = transposed_designs(slice(None))
+            grams, lambda_min, singular, fallback = factor_designs(np.swapaxes(zt, 1, 2))
             retrying = np.flatnonzero(singular)
             for retry in range(1, config.resample_retries + 1):
                 if not retrying.size:
                     break
                 draw(retrying, k, retry,
                      [stream(seeds[i], WEIGHT_STREAM, k, retry) for i in active[retrying]])
-                design[retrying] = designs(retrying)
+                zt[retrying] = transposed_designs(retrying)
                 (grams[retrying], lambda_min[retrying], singular,
-                 fallback[retrying]) = factor_designs(design[retrying])
+                 fallback[retrying]) = factor_designs(np.swapaxes(zt[retrying], 1, 2))
                 retrying = retrying[singular]
             if retrying.size:
                 drop(retrying, [SolverAbort(
@@ -344,27 +358,33 @@ def _run_loop(problem: Problem, config: SolverConfig, seeds, weight_hooks=None,
                 if not active.size:
                     break
 
+            design = np.swapaxes(zt, 1, 2)
             surface_points = design @ control
             rows = surface_points.reshape(-1, problem.num_vars)
             flat_weights = weights.reshape(-1, m)
             grads, objective_norms = gradient_batch_stats(problem, rows, flat_weights)
+            # The refit fits the steps E (see the module docstring). The
+            # gradients' E is a (T, N, L) view of the gradient kernel's
+            # coordinate-major buffer.
             if rule is None:
-                stepped = surface_points - alpha(k) * grads.reshape(surface_points.shape)
+                steps = grads.reshape(surface_points.shape)
             else:
                 stepped = np.array([rule(x, scalarize(problem, t), k) for x, t
                                     in zip(rows, flat_weights)]).reshape(surface_points.shape)
-            effective_grads = (surface_points - stepped) / alpha(k)
-            new_control = solve_factored(design, grams, fallback, stepped)
+                steps = (surface_points - stepped) / alpha(k)
+            delta, ztg = solve_factored(design, grams, fallback, steps)
+            new_control = control - alpha(k) * delta
 
-            # One row per TRACE_FIELDS entry, in that order.
+            # One row per TRACE_FIELDS entry, in that order. The basis sums
+            # run over axis 1 of Z', in J order whatever the stack's layout.
             values = np.stack([
                 lambda_min,
-                _frobenius(np.swapaxes(design, 1, 2) @ effective_grads),
+                _frobenius(ztg),
                 _frobenius(new_control - control),
                 np.sqrt((grads * grads).sum(axis=1).reshape(-1, n).max(axis=1)),
                 objective_norms.reshape(-1, n).max(axis=1),
-                np.sqrt((design * design).sum(axis=2).max(axis=1)),
-                np.abs(design.sum(axis=2) - 1.0).max(axis=1),
+                np.sqrt((zt * zt).sum(axis=1).max(axis=1)),
+                np.abs(zt.sum(axis=1) - 1.0).max(axis=1),
             ])
             trace[:, active, k - 1] = values
             control = new_control

@@ -83,6 +83,9 @@ def test_design_matrix_rows_and_errors():
     batch = sample_uniform_simplex(2, 40, 9)
     rows = design_matrix(batch, basis)
     assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-12
+    # Row-major, whatever layout the kernel builds: products with the
+    # design, and so every library result, round by layout.
+    assert rows.flags.c_contiguous
 
     with pytest.raises(ValueError):
         design_matrix(np.empty((0, 2)), basis)
@@ -249,7 +252,7 @@ def random_designs(basis, rows, count, first_seed):
 
 def factor_and_solve(designs, targets):
     grams, _, _, fallback = factor_designs(designs)
-    return solve_factored(designs, grams, fallback, targets)
+    return solve_factored(designs, grams, fallback, targets)[0]
 
 
 def check_against_svd(designs, rng):
@@ -269,7 +272,7 @@ def check_against_svd(designs, rng):
 
     ok = ~singular
     targets = rng.normal(size=(int(ok.sum()), designs.shape[1], 3))
-    solution = solve_factored(designs[ok], grams[ok], fallback[ok], targets)
+    solution, _ = solve_factored(designs[ok], grams[ok], fallback[ok], targets)
     for i in range(len(targets)):
         alone = factor_and_solve(designs[ok][i:i + 1], targets[i:i + 1])
         assert alone[0].tobytes() == solution[i].tobytes()
@@ -337,7 +340,10 @@ def test_solve_factored_mixed_stack_matches_each_design_alone():
     grams, _, singular, fallback = factor_designs(stack)
     assert not singular.any()
     assert np.array_equal(fallback, [False, False, True, False, False])
-    solution = solve_factored(stack, grams, fallback, targets)
+    solution, rhs = solve_factored(stack, grams, fallback, targets)
+    # The products Z'X come back beside the solutions, the fallback
+    # design's included.
+    assert rhs.tobytes() == (np.swapaxes(stack, 1, 2) @ targets).tobytes()
     for i in range(len(stack)):
         alone = factor_and_solve(stack[i:i + 1], targets[i:i + 1])
         assert alone[0].tobytes() == solution[i].tobytes()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import json
 import shlex
@@ -390,7 +391,7 @@ def test_experiment_pool_has_no_more_workers_than_jobs(tmp_path, capsys, monkeyp
         def map(self, func, jobs):
             return map(func, jobs)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     base = ["experiment", "--problem", "scaled-med", "--n", "15,20", "--k", "5",
             "--trials", "3", "--seed", "6", "--metrics", "mse"]
     for threads in ("1", "1000"):

@@ -6,7 +6,7 @@ import pytest
 
 from bezier_mopt.bezier import design_matrix
 from bezier_mopt.metrics import loss_batch
-from bezier_mopt.problems import gradient_batch_stats, scaled_med, scalarize
+from bezier_mopt.problems import gradient_batch_stats, get_problem, scaled_med, scalarize
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
 from bezier_mopt.solver import (WEIGHT_STREAM, RunRecord, SolverAbort,
                                 SolverConfig, completed, gradient_step_rule,
@@ -25,8 +25,8 @@ def closed_form_control_step(problem, control, weights, alpha, basis):
 
     Computes P - alpha * (Z'Z)^(-1) Z'G for the given weight batch, where
     G stacks the scalarized gradients at the current surface points: an
-    independent cross-check of the solver's stepped-points-plus-refit path.
-    The two agree up to solver round-off.
+    independent cross-check of the solver's step refit, through the
+    row-major design. The two agree up to solver round-off.
     """
     design = design_matrix(weights, basis)
     surface_points = design @ control
@@ -144,18 +144,40 @@ def test_first_iteration_from_zero_matches_hand_computation():
     assert np.abs(model.evaluate_batch(weights) - stepped).max() < 1e-6
 
 
-def test_closed_form_control_update_cross_check():
+@pytest.mark.parametrize("schedule", ["const:0.5", "const:1e-3", "const:1e-6", "const:1e-9"])
+def test_closed_form_control_update_cross_check(schedule):
+    # The error is bounded relative to the step itself: a refit of the
+    # stepped points would lose a small step to cancellation against Z'ZC.
     problem = scaled_med()
     basis = enumerate_multi_indices(3, 3)
     rng = np.random.default_rng(7)
     control = rng.uniform(-1, 1, size=(basis.size, 3))
     cfg = SolverConfig(num_samples=40, num_iterations=1, degree=3, seed=13,
-                       step_schedule="const:0.5",
-                       initial_control_points=control)
+                       step_schedule=schedule, initial_control_points=control)
     model, _ = run_surface_gd(problem, cfg)
     weights = sample_uniform_simplex(3, 40, weight_stream(13))
-    reference = closed_form_control_step(problem, control, weights, 0.5, basis)
-    assert np.linalg.norm(model.control_points - reference) < 1e-8
+    alpha = float(schedule[len("const:"):])
+    reference = closed_form_control_step(problem, control, weights, alpha, basis)
+    step = np.linalg.norm(reference - control)
+    assert np.linalg.norm(model.control_points - reference) <= 1e-12 * step
+
+
+def test_step_below_round_off_leaves_model_and_traces_the_gradient():
+    # At alpha = 1e-17 the step is below the control points' round-off:
+    # the model stays put to 1e-15, and ztg_norm is still ||Z'G||_F.
+    problem = scaled_med()
+    basis = enumerate_multi_indices(3, 3)
+    control = np.random.default_rng(7).uniform(-1, 1, size=(basis.size, 3))
+    cfg = SolverConfig(num_samples=30, num_iterations=1, degree=3, seed=5,
+                       step_schedule="const:1e-17", initial_control_points=control)
+    model, record = run_surface_gd(problem, cfg)
+    weights = sample_uniform_simplex(3, 30, weight_stream(5))
+    design = design_matrix(weights, basis)
+    grads, _ = gradient_batch_stats(problem, design @ control, weights)
+    expected = np.linalg.norm(design.T @ grads)
+    assert abs(expected - 57.0688) < 1e-4
+    assert abs(record.ztg_norm[0] - expected) <= 1e-12 * expected
+    assert np.linalg.norm(model.control_points - control) <= 1e-15
 
 
 def recording(inner=None):
@@ -326,11 +348,19 @@ def always_degenerate_at(iteration):
     return hook
 
 
-@pytest.mark.parametrize("n", [30, 100])
-def test_stacked_trials_equal_single_runs_bitwise(n):
+@pytest.mark.parametrize("n, problem_name", [
+    pytest.param(30, "scaled-med", id="30"),
+    pytest.param(100, "scaled-med", id="100"),
+    # An odd n puts trials' blocks of the shared design and gradient
+    # buffers at offsets that are not multiples of 32 bytes.
+    pytest.param(31, "scaled-med", id="31"),
+    # skew-3mmd's gradient takes the pow path.
+    pytest.param(30, "skew-3mmd", id="skew-3mmd"),
+])
+def test_stacked_trials_equal_single_runs_bitwise(n, problem_name):
     # Every trial but 0 and 7 records its batches, so the whole stack and
     # both halves of the split each hold a trial without a hook.
-    problem = scaled_med()
+    problem = get_problem(problem_name)
     config = SolverConfig(num_samples=n, num_iterations=50, degree=3, seed=0)
     seeds = trial_seeds(2024, 20)
     single_hooks, stacked_hooks, split_hooks = (
