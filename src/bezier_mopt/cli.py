@@ -3,17 +3,19 @@
 Subcommands: solve (one optimizer run), experiment (multi-trial metric
 sweeps), baseline (scalarization-sweep pipeline), sample (draw points from
 a model file), metrics (indicators between files), diagnostics (stability
-probes). Every option is declared once, in OPTIONS: its flag, its type,
-its default, its lowest allowed value and the subcommands, or the modes of
-a subcommand, that read it. The mode of diagnostics is its --mode, that of
-metrics its --metric; an option of another mode is rejected. An argument
-`@FILE` stands for the lines of FILE, one argument per line in flag
-spelling, expanded before parsing; a later argument wins over an earlier
-one, and an argument that begins with `@` is always read as a file. Exit
-codes: 0 success, 2 configuration error (an output location that no run
-could write included, caught before any work), 3 runtime or numerical
-failure (out of memory included); failures emit one JSON object on stderr,
-whose message is the JSON payload of a run's SolverAbort in every command.
+probes). A subcommand resolves its options, calls the library and writes
+its files; only the experiment's grid runner, `run_experiment`, lives here.
+Every option is declared once, in OPTIONS: its flag, its type, its default,
+its lowest allowed value and the subcommands, or the modes of a subcommand,
+that read it. The mode of diagnostics is its --mode, that of metrics its
+--metric; an option of another mode is rejected. An argument `@FILE` stands
+for the lines of FILE, one argument per line in flag spelling, expanded
+before parsing; a later argument wins over an earlier one, and an argument
+that begins with `@` is always read as a file. Exit codes: 0 success, 2
+configuration error (the library's ConfigError, and an output location that
+no run could write, caught before any work), 3 runtime or numerical failure
+(out of memory included); failures emit one JSON object on stderr, whose
+message is the JSON payload of a run's SolverAbort in every command.
 
 The trials of each experiment sample count run as one lockstep stack. With
 a worker pool the stack is split into one contiguous chunk per worker; the
@@ -33,27 +35,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bezier import BezierSimplex, SingularFitError, fit_least_squares, load_model
-from .diagnostics import (TEST_GRID_VERSION, perturbation_experiment,
-                          repeat_generalization_gap, stability_summary)
-from .metrics import gd, igd, model_samples, mse
+from .bezier import BezierSimplex, SingularFitError, load_model
+from .diagnostics import (TEST_GRID_VERSION, perturbation_experiment, repeat_generalization_gap,
+                          run_baseline, score_model, stability_summary)
+from .metrics import gd, igd, mse
 from .problems import get_problem
-from .simplex import enumerate_multi_indices, sample_uniform_simplex
-from .solver import (METRIC_STREAM, SolverAbort, SolverConfig, derive_seed,
-                     run_surface_gd, run_surface_gd_trials, trial_seeds)
-from .sweep import pareto_set_sweep, triangular_lattice, minimize_scalarizations
+from .simplex import sample_uniform_simplex
+from .solver import (ConfigError, SolverAbort, SolverConfig, run_surface_gd,
+                     run_surface_gd_trials, trial_seeds)
+from .sweep import pareto_set_sweep
 
 # Each metric an experiment can report, with the trials.csv columns it fills.
 METRIC_COLUMNS = {"mse": ["mse"], "gd": ["gd"], "igd": ["igd"], "diagnostics": [
     "lambda_min_min", "ztg_norm_max", "ztg_bound_ok", "basis_norm_ok"]}
-
-
-class ConfigError(ValueError):
-    """Bad configuration: wrong names, invalid ranges, malformed files."""
-
-
-class PipelineError(RuntimeError):
-    """Runtime or numerical failure inside an otherwise valid run."""
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +211,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     value. An option of another mode of the command and a required option
     of the mode left out are rejected, and so is an output location that no
     run could write: an empty path, a missing directory, a directory named
-    as a file (an --out-dir file included), a file as a directory."""
+    as a file (an --out-dir file included), a file as a directory, and an
+    output file that another path option names too."""
     command = args.command
     mode = args.scope = " ".join([command] + [getattr(args, row[1]) for row in OPTIONS
                                               if command in row[5] and isinstance(row[2], tuple)])
@@ -248,90 +243,48 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             folder = os.path.dirname(value)
             if folder and not os.path.isdir(folder):
                 raise ConfigError(f"{flag} {value}: directory {folder} does not exist")
-            if os.path.isdir(value):
-                raise ConfigError(f"{flag} {value} is a directory, not a file")
         if dest == "out_dir":
             ancestor = value
             while ancestor and not os.path.exists(ancestor):
                 ancestor = os.path.dirname(ancestor)
             if ancestor and not os.path.isdir(ancestor):
                 raise ConfigError(f"{flag} {value}: {ancestor} exists and is not a directory")
-            for path in (os.path.join(value, name) for name in OUT_DIR_FILES[mode]):
-                if os.path.isdir(path):
-                    raise ConfigError(f"{flag} {value}: {path} is a directory, not a file")
         setattr(args, dest, value)
+    # Every output must be writable as a file, and no output may name the
+    # file of another path option of the run.
+    paths = [(flag, getattr(args, dest)) for flag, dest, *_ in rows if dest in (
+        "out", "trace", "model", "initial_model", "x_file", "y_file", "compare_with")]
+    paths = [(flag, path) for flag, path in paths
+             if path is not None and (flag, path) != ("--initial-model", "zero")]
+    outputs = [(flag, flag, path) for flag, path in paths if flag in ("--out", "--trace")]
+    outputs += [(f"--out-dir {args.out_dir}:", "--out-dir", os.path.join(args.out_dir, name))
+                for name in OUT_DIR_FILES.get(mode, ())]
+    for where, flag, path in outputs:
+        if os.path.isdir(path):
+            raise ConfigError(f"{where} {path} is a directory, not a file")
+        for other, value in paths:
+            if other != flag and os.path.realpath(path) == os.path.realpath(value):
+                raise ConfigError(f"{where} {path} names the same file as {other} {value}")
     return args
-
-
-def _validated(config: SolverConfig, problem) -> SolverConfig:
-    """`config`, once `SolverConfig.validate` accepts it for `problem`."""
-    try:
-        config.validate(problem)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return config
 
 
 def _solver_config(ns, problem) -> SolverConfig:
     """The validated configuration of a single run (solve, diagnostics)."""
-    return _validated(SolverConfig(
+    config = SolverConfig(
         num_samples=ns.num_samples, num_iterations=ns.iterations, degree=ns.degree,
         seed=ns.seed, step_schedule=ns.schedule, resample_retries=ns.resample_retries,
-        initial_control_points=_initial_control_points(ns.initial_model)), problem)
+        initial_control_points=_initial_control_points(ns.initial_model))
+    config.validate(problem)
+    return config
 
 
 def _model_payload(model: BezierSimplex, config_echo: dict) -> dict:
-    payload = model.to_dict()
-    payload["version"] = __version__
-    payload["config"] = config_echo
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# solve
-# ---------------------------------------------------------------------------
-
-def cmd_solve(ns) -> int:
-    problem = _resolve_problem(ns.problem)
-    solver_cfg = _solver_config(ns, problem)
-    model, record = run_surface_gd(problem, solver_cfg)
-
-    echo = solver_cfg.echo()
-    echo["problem"] = problem.name
-    write_json(ns.out, _model_payload(model, echo))
-    if ns.trace is not None:
-        trace = record.to_dict()
-        trace["version"] = __version__
-        trace["footer"]["problem"] = problem.name
-        write_json(ns.trace, trace)
-    print(f"wrote model to {ns.out}")
-    return 0
+    return {**model.to_dict(), "version": __version__, "config": config_echo}
 
 
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
-
-def _scores(model, problem, metric_names, seed, mse_samples, validation_count,
-            reference) -> dict:
-    """The requested mse, gd and igd of a fitted model under a run seed.
-
-    mse averages over weights drawn from (seed, METRIC_STREAM, 0); gd and
-    igd compare `validation_count` model samples, drawn from (seed,
-    METRIC_STREAM, 1), with the `reference` points."""
-    scores = {}
-    if "mse" in metric_names:
-        scores["mse"] = mse(model, problem.pareto_map, mse_samples,
-                            seed=derive_seed(seed, METRIC_STREAM, 0))
-    if "gd" in metric_names or "igd" in metric_names:
-        samples = model_samples(model, validation_count,
-                                seed=derive_seed(seed, METRIC_STREAM, 1))
-        if "gd" in metric_names:
-            scores["gd"] = gd(samples, reference)
-        if "igd" in metric_names:
-            scores["igd"] = igd(samples, reference)
-    return scores
-
 
 def _experiment_trial(problem_name, metric_names, mse_samples, validation_count,
                       validation_points, job) -> list[dict]:
@@ -352,8 +305,8 @@ def _experiment_trial(problem_name, metric_names, mse_samples, validation_count,
             row["error"] = str(outcome)
             continue
         model, record = outcome
-        row.update(_scores(model, problem, metric_names, seed, mse_samples,
-                           validation_count, validation_points))
+        row.update(score_model(model, problem, metric_names, seed, mse_samples,
+                               validation_count, validation_points))
         if "diagnostics" in metric_names:
             summary = stability_summary(record)
             row.update({column: summary[column] for column in METRIC_COLUMNS["diagnostics"]})
@@ -384,10 +337,12 @@ def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
         raise ConfigError(f"sample counts repeat: {list(n_values)}")
     # One validated configuration per sample count; its seed is unused, as
     # each trial runs with its own.
-    cell_configs = [_validated(SolverConfig(
+    cell_configs = [SolverConfig(
         num_samples=int(n), num_iterations=iterations, degree=degree, seed=0,
         step_schedule=schedule, initial_control_points=initial_control_points,
-        resample_retries=resample_retries), problem) for n in n_values]
+        resample_retries=resample_retries) for n in n_values]
+    for config in cell_configs:
+        config.validate(problem)
     validation_points = None
     if "gd" in metric_names or "igd" in metric_names:
         validation_points = pareto_set_sweep(problem, validation_count).converged_points
@@ -454,67 +409,46 @@ def cmd_experiment(ns) -> int:
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# The other subcommands: each reads its inputs, calls the library and writes
+# its outputs.
 # ---------------------------------------------------------------------------
+
+def cmd_solve(ns) -> int:
+    problem = _resolve_problem(ns.problem)
+    solver_cfg = _solver_config(ns, problem)
+    model, record = run_surface_gd(problem, solver_cfg)
+
+    echo = solver_cfg.echo()
+    echo["problem"] = problem.name
+    write_json(ns.out, _model_payload(model, echo))
+    if ns.trace is not None:
+        trace = record.to_dict()
+        trace["version"] = __version__
+        trace["footer"]["problem"] = problem.name
+        write_json(ns.trace, trace)
+    print(f"wrote model to {ns.out}")
+    return 0
+
 
 def cmd_baseline(ns) -> int:
     metric_names = _parse_metrics(ns.metrics, known=("mse", "gd", "igd"))
     problem = _resolve_problem(ns.problem, metric_names)
-    validation_count = ns.validation_count if {"gd", "igd"} & set(metric_names) else None
     comparison = (None if ns.compare_with is None
                   else _read_json(ns.compare_with, "comparison file"))
-
-    basis = enumerate_multi_indices(problem.num_objectives, ns.degree)
-    if ns.population < basis.size:
-        raise ConfigError(
-            f"--population {ns.population} is below the basis size {basis.size} for "
-            f"degree {ns.degree} with {problem.num_objectives} objectives")
-
-    # Every weight descends on its own, so one call serves the population
-    # lattice and, for gd/igd, the validation lattice stacked below it.
-    lattices = [triangular_lattice(problem.num_objectives, count)
-                for count in (ns.population, validation_count) if count is not None]
-    sweep, reference_sweep = minimize_scalarizations(
-        problem, np.vstack(lattices)).split(ns.population)
-
-    n_ok = int(sweep.converged.sum())
-    if n_ok < basis.size:
-        raise PipelineError(
-            f"only {n_ok} of {ns.population} sweep points converged; "
-            f"fitting degree {ns.degree} needs at least {basis.size}")
-
-    model = fit_least_squares(sweep.converged_weights, sweep.converged_points, basis)
-
-    config_echo = {
+    model, report = run_baseline(problem, ns.population, ns.degree, metric_names, ns.seed,
+                                 ns.mse_samples, ns.validation_count)
+    report["config"] = {
         "command": "baseline", "version": __version__,
         "method": "scalarization-sweep baseline (deterministic substitute "
                   "for an evolutionary baseline)",
         "problem": problem.name, "population": ns.population, "degree": ns.degree,
         "seed": ns.seed, "metrics": metric_names,
     }
-    report = {
-        "config": config_echo,
-        "converged": n_ok,
-        "non_converged": ns.population - n_ok,
-        "non_converged_lattice_indices":
-            np.nonzero(~sweep.converged)[0].tolist(),
-    }
-    for status in ("cusp", "diverged", "stalled"):
-        report[f"{status}_lattice_indices"] = np.nonzero(sweep.status == status)[0].tolist()
-    reference = reference_sweep.converged_points
-    report.update(_scores(model, problem, metric_names, ns.seed, ns.mse_samples,
-                          validation_count, reference))
-
     if comparison is not None:
         report["proposed_comparison"] = comparison
-
-    print(_write(ns, _model_payload(model, config_echo), report))
+    print(_write(ns, _model_payload(model, report["config"]), report))
     return 0
 
-
-# ---------------------------------------------------------------------------
-# sample
-# ---------------------------------------------------------------------------
 
 def cmd_sample(ns) -> int:
     model = _load_model_file(ns.model)
@@ -529,10 +463,6 @@ def cmd_sample(ns) -> int:
     print(f"wrote {ns.out}")
     return 0
 
-
-# ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
 
 def _read_points_csv(path) -> np.ndarray:
     """Points from a CSV file with a header row: uses the x_* columns when
@@ -550,9 +480,7 @@ def _read_points_csv(path) -> np.ndarray:
         pass  # a header row
     else:
         raise ConfigError(f"{path} has no header row: its first line is all numbers")
-    cols = [i for i, name in enumerate(header) if name.startswith("x_")]
-    if not cols:
-        cols = list(range(len(header)))
+    cols = [i for i, name in enumerate(header) if name.startswith("x_")] or range(len(header))
     rows = []
     for number, parsed in enumerate(reader, start=1):
         try:
@@ -592,17 +520,12 @@ def cmd_metrics(ns) -> int:
         report.update({"model": ns.model, "problem": problem.name,
                        "count": ns.count, "seed": ns.seed, "value": value})
     if not np.isfinite(value):  # finite inputs can still overflow
-        raise PipelineError(f"{metric} overflowed to {value}")
-    text = json.dumps(report, indent=2, sort_keys=True)
+        raise OverflowError(f"{metric} overflowed to {value}")
     if ns.out is not None:
         write_json(ns.out, report)
-    print(text)
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
 
 def cmd_diagnostics(ns) -> int:
     problem = _resolve_problem(ns.problem)
@@ -610,10 +533,7 @@ def cmd_diagnostics(ns) -> int:
 
     if ns.mode == "perturb":
         k = ns.perturb_iteration or max(1, solver_cfg.num_iterations // 2)
-        try:
-            reports = perturbation_experiment(problem, solver_cfg, k, ns.repeats)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        reports = perturbation_experiment(problem, solver_cfg, k, ns.repeats)
         echo = {"command": "diagnostics", "mode": "perturb", "version": __version__,
                 "problem": problem.name, "perturb_iteration": k, "repeats": ns.repeats,
                 "grid_version": TEST_GRID_VERSION, "config": solver_cfg.echo()}
@@ -624,10 +544,7 @@ def cmd_diagnostics(ns) -> int:
         return 0
 
     # gengap
-    try:
-        report = repeat_generalization_gap(problem, solver_cfg, ns.holdout, ns.trials)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    report = repeat_generalization_gap(problem, solver_cfg, ns.holdout, ns.trials)
     report["version"] = __version__
     print(_write(ns, report))
     return 0
@@ -688,7 +605,7 @@ def main(argv=None) -> int:
     except SolverAbort as err:
         print(_error_json("runtime", json.dumps(err.payload)), file=sys.stderr)
         return 3
-    except (PipelineError, SingularFitError, MemoryError) as err:
+    except (OverflowError, SingularFitError, MemoryError) as err:
         print(_error_json("runtime", str(err) or repr(err)), file=sys.stderr)
         return 3
     except OSError as err:

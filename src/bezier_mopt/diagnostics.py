@@ -1,9 +1,14 @@
-"""Empirical stability diagnostics.
+"""Scoring, the baseline, and empirical stability diagnostics.
 
-These probes measure, on real runs, the quantities that the solver's
-stability analysis is built from: minimal eigenvalues of the design Gram
-matrices, the design-weighted gradient-norm bound, one-sample perturbation
-gaps between paired runs, and train-versus-holdout generalization gaps.
+`score_model` scores a fitted model under a run seed, for experiment trials
+and the baseline alike; `run_baseline` fits and scores the scalarization-sweep
+baseline. Rejected input raises `solver.ConfigError` before any run starts.
+
+The stability probes measure, on real runs, the quantities that the
+solver's stability analysis is built from: minimal eigenvalues of the design
+Gram matrices, the design-weighted gradient-norm bound, one-sample
+perturbation gaps between paired runs, and train-versus-holdout
+generalization gaps.
 
 The perturbation and generalization experiments report realized proxies of
 analysis constants (they are not hypothesis tests): eta_hat is the smallest
@@ -27,12 +32,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .metrics import loss_batch
+from .bezier import SingularFitError, fit_least_squares
+from .metrics import gd, igd, loss_batch, model_samples, mse
 from .problems import Problem
-from .simplex import sample_uniform_simplex
-from .solver import (HOLDOUT_STREAM, PERTURB_STREAM, RunRecord, SolverConfig,
-                     completed, run_surface_gd_trials, stream, trial_seeds)
-from .sweep import triangular_lattice
+from .simplex import enumerate_multi_indices, sample_uniform_simplex
+from .solver import (HOLDOUT_STREAM, METRIC_STREAM, PERTURB_STREAM, ConfigError, RunRecord,
+                     SolverConfig, completed, derive_seed, run_surface_gd_trials, stream,
+                     trial_seeds)
+from .sweep import minimize_scalarizations, triangular_lattice
 
 # The sup over weights in the perturbation gap is approximated on one fixed
 # grid so reports stay comparable across runs and releases; reports name it
@@ -41,6 +48,68 @@ TEST_GRID_VERSION = "v1"
 _GRID_SEED = 202409
 _GRID_LATTICE = 1000
 _GRID_RANDOM = 1000
+
+
+def score_model(model, problem, metric_names, seed, mse_samples, validation_count,
+                reference) -> dict:
+    """The requested mse, gd and igd of a fitted model under a run seed.
+
+    mse averages over weights drawn from (seed, METRIC_STREAM, 0); gd and
+    igd compare `validation_count` model samples, drawn from (seed,
+    METRIC_STREAM, 1), with the `reference` points."""
+    scores = {}
+    if "mse" in metric_names:
+        scores["mse"] = mse(model, problem.pareto_map, mse_samples,
+                            seed=derive_seed(seed, METRIC_STREAM, 0))
+    if "gd" in metric_names or "igd" in metric_names:
+        samples = model_samples(model, validation_count,
+                                seed=derive_seed(seed, METRIC_STREAM, 1))
+        if "gd" in metric_names:
+            scores["gd"] = gd(samples, reference)
+        if "igd" in metric_names:
+            scores["igd"] = igd(samples, reference)
+    return scores
+
+
+def run_baseline(problem: Problem, population: int, degree: int, metric_names, seed: int,
+                 mse_samples: int, validation_count: int):
+    """The scalarization-sweep baseline, as (model, report): each weight of
+    a `population`-weight triangular lattice descends alone, and the model
+    is the degree-`degree` least-squares fit to the converged points. The
+    report counts and lists the weights by status and holds `score_model`'s
+    scores under `seed`; for gd/igd a `validation_count`-weight lattice gives
+    the reference points. Raises ConfigError for a population below the
+    basis size, before any descent, and SingularFitError when fewer weights
+    converge than the basis has functions."""
+    basis = enumerate_multi_indices(problem.num_objectives, degree)
+    if population < basis.size:
+        raise ConfigError(
+            f"--population {population} is below the basis size {basis.size} for "
+            f"degree {degree} with {problem.num_objectives} objectives")
+    if not {"gd", "igd"} & set(metric_names):
+        validation_count = None
+
+    # Every weight descends on its own, so one call serves the population
+    # lattice and, for gd/igd, the validation lattice stacked below it.
+    lattices = [triangular_lattice(problem.num_objectives, count)
+                for count in (population, validation_count) if count is not None]
+    sweep, reference_sweep = minimize_scalarizations(
+        problem, np.vstack(lattices)).split(population)
+
+    n_ok = int(sweep.converged.sum())
+    if n_ok < basis.size:
+        raise SingularFitError(
+            f"only {n_ok} of {population} sweep points converged; "
+            f"fitting degree {degree} needs at least {basis.size}", smallest_singular_value=0.0)
+
+    model = fit_least_squares(sweep.converged_weights, sweep.converged_points, basis)
+    report = {"converged": n_ok, "non_converged": population - n_ok,
+              "non_converged_lattice_indices": np.nonzero(~sweep.converged)[0].tolist()}
+    for status in ("cusp", "diverged", "stalled"):
+        report[f"{status}_lattice_indices"] = np.nonzero(sweep.status == status)[0].tolist()
+    report.update(score_model(model, problem, metric_names, seed, mse_samples,
+                              validation_count, reference_sweep.converged_points))
+    return model, report
 
 
 def stability_test_grid(num_objectives: int) -> np.ndarray:
@@ -94,11 +163,11 @@ def perturbation_experiment(problem: Problem, config: SolverConfig, k: int,
     sup gap is measured on losses.
     """
     if not (1 <= k <= config.num_iterations):
-        raise ValueError(f"perturbed iteration {k} outside 1..{config.num_iterations}")
+        raise ConfigError(f"perturbed iteration {k} outside 1..{config.num_iterations}")
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ConfigError("repeats must be >= 1")
     if problem.pareto_map is None:
-        raise ValueError("the perturbation gap is defined on losses and "
+        raise ConfigError("the perturbation gap is defined on losses and "
                          "needs a problem with an analytical map")
     grid = stability_test_grid(problem.num_objectives)
     # All pairs run in one lockstep stack: repeat r's base run at position
@@ -150,9 +219,9 @@ def _gap_reports(problem: Problem, config: SolverConfig, holdout: int, seeds) ->
     `holdout` uniform weights drawn from (s, HOLDOUT_STREAM), and echoes
     the run's configuration. Raises the stack's aborts as `completed` does."""
     if holdout < 1:
-        raise ValueError("holdout must be >= 1")
+        raise ConfigError("holdout must be >= 1")
     if problem.pareto_map is None:
-        raise ValueError("the generalization gap is defined on losses and "
+        raise ConfigError("the generalization gap is defined on losses and "
                          "needs a problem with an analytical map")
     runs = completed(run_surface_gd_trials(problem, config, seeds))
     reports = []
@@ -183,7 +252,7 @@ def repeat_generalization_gap(problem: Problem, config: SolverConfig,
     gaps plus mean, mean absolute gap, and standard deviation.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     per_trial = _gap_reports(problem, config, holdout, trial_seeds(config.seed, trials))
     gaps = np.array([t["gap"] for t in per_trial])
     return {

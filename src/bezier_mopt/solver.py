@@ -86,16 +86,20 @@ MAX_SEED = 2**128
 def resolve_schedule(spec: str) -> Callable[[int], float]:
     """Turn a schedule spec into a callable k -> step size.
 
-    Accepts the string "1/k" or "const:<value>".
+    Accepts the string "1/k" or "const:<value>"; raises ConfigError for
+    anything else.
     """
     if isinstance(spec, str):
         text = spec.strip().lower()
         if text == "1/k":
             return lambda k: 1.0 / k
         if text.startswith("const:"):
-            value = float(text[len("const:"):])
-            return lambda k: value
-    raise ValueError(f"unknown step schedule {spec!r}")
+            try:
+                value = float(text[len("const:"):])
+                return lambda k: value
+            except ValueError:
+                pass
+    raise ConfigError(f"unknown step schedule {spec!r}")
 
 
 StepRule = Callable[[np.ndarray, object, int], np.ndarray]
@@ -125,7 +129,8 @@ class SolverConfig:
 
     num_samples must cover the basis size; step sizes must stay in (0, 1]
     over the whole horizon; the seed must lie in [0, 2**128), and
-    num_iterations and resample_retries below 2**32.
+    num_iterations and resample_retries below 2**32; `validate` raises
+    ConfigError for a setting outside these ranges.
     `initial_control_points=None` starts from the zero matrix.
     `resample_retries` bounds how many fresh weight batches an iteration may
     draw after a numerically singular fit before aborting.
@@ -142,26 +147,26 @@ class SolverConfig:
     def validate(self, problem: Problem) -> None:
         basis = enumerate_multi_indices(problem.num_objectives, self.degree)
         if not 1 <= self.num_iterations < 2**32:
-            raise ValueError(f"num_iterations {self.num_iterations} is outside [1, 2**32)")
+            raise ConfigError(f"num_iterations {self.num_iterations} is outside [1, 2**32)")
         if self.num_samples < basis.size:
-            raise ValueError(
+            raise ConfigError(
                 f"num_samples={self.num_samples} is below the basis size "
                 f"{basis.size} for degree {self.degree} with "
                 f"{problem.num_objectives} objectives")
         if not 0 <= self.resample_retries < 2**32:
-            raise ValueError(f"resample_retries {self.resample_retries} is outside [0, 2**32)")
+            raise ConfigError(f"resample_retries {self.resample_retries} is outside [0, 2**32)")
         if not 0 <= self.seed < MAX_SEED:
-            raise ValueError(f"seed {self.seed} is outside [0, 2**128)")
+            raise ConfigError(f"seed {self.seed} is outside [0, 2**128)")
         if self.initial_control_points is not None:
             shape = np.shape(self.initial_control_points)
             if shape != (basis.size, problem.num_vars):
-                raise ValueError(
+                raise ConfigError(
                     f"initial control points have shape {shape}, expected "
                     f"({basis.size}, {problem.num_vars})")
         # Neither schedule ever steps further than at k = 1, nor reaches 0.
         a = resolve_schedule(self.step_schedule)(1)
         if not (0.0 < a <= 1.0):
-            raise ValueError(f"step size {a!r} at iteration 1 is outside (0, 1]")
+            raise ConfigError(f"step size {a!r} at iteration 1 is outside (0, 1]")
 
     def echo(self) -> dict:
         """JSON-ready snapshot of the resolved configuration."""
@@ -175,6 +180,11 @@ class SolverConfig:
             "initial_control_points": "zero" if initial is None else np.asarray(initial).tolist(),
             "resample_retries": self.resample_retries,
         }
+
+
+class ConfigError(ValueError):
+    """Rejected input: a setting outside its range, or an argument no run
+    can use. Raised where the input is checked, before any work."""
 
 
 class SolverAbort(RuntimeError):
@@ -281,10 +291,10 @@ def _run_loop(problem: Problem, config: SolverConfig, seeds, weight_hooks=None,
     seeds = [int(seed) for seed in seeds]
     outside = [seed for seed in seeds if not 0 <= seed < MAX_SEED]
     if outside:
-        raise ValueError(f"run seeds must lie in [0, 2**128), got {outside}")
+        raise ConfigError(f"run seeds must lie in [0, 2**128), got {outside}")
     hooks = [None] * len(seeds) if weight_hooks is None else list(weight_hooks)
     if len(hooks) != len(seeds):
-        raise ValueError(f"{len(hooks)} weight hooks for {len(seeds)} seeds")
+        raise ConfigError(f"{len(hooks)} weight hooks for {len(seeds)} seeds")
 
     n, m, j = config.num_samples, problem.num_objectives, basis.size
     kk = config.num_iterations

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bezier_mopt import cli, solver
+from bezier_mopt import cli, diagnostics, solver
 from bezier_mopt.cli import main
 from bezier_mopt.bezier import load_model
 
@@ -143,15 +143,28 @@ def test_experiment_single_trial_flags_degenerate_std(tmp_path, capsys):
     assert agg["settings"][0]["mse"]["degenerate_std"] is True
 
 
-def test_experiment_rerun_byte_identical(tmp_path, capsys):
+# A small run of every scope that writes under --out-dir.
+RERUN_ARGV = {
+    "experiment": ["experiment", "--problem", "scaled-med", "--n", "15,20", "--k", "15",
+                   "--trials", "2", "--seed", "5", "--metrics", "mse"],
+    "baseline": ["baseline", "--problem", "scaled-med", "--population", "30", "--seed", "5",
+                 "--metrics", "mse,gd,igd", "--mse-samples", "500", "--validation-count", "60"],
+    "diagnostics perturb": ["diagnostics", "--mode", "perturb", "--n", "15", "--k", "10",
+                            "--repeats", "2", "--seed", "5"],
+    "diagnostics gengap": ["diagnostics", "--mode", "gengap", "--n", "15", "--k", "10",
+                           "--trials", "2", "--holdout", "100", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("scope", list(cli.OUT_DIR_FILES),
+                         ids=[scope.replace(" ", "-") for scope in cli.OUT_DIR_FILES])
+def test_out_dir_rerun_byte_identical(scope, tmp_path, capsys):
     dirs = [tmp_path / "r1", tmp_path / "r2"]
     for d in dirs:
-        code, _, _ = run_cli(
-            capsys, "experiment", "--problem", "scaled-med", "--n", "15,20",
-            "--k", "15", "--trials", "2", "--seed", "5", "--metrics", "mse",
-            "--out-dir", str(d))
+        code, _, _ = run_cli(capsys, *RERUN_ARGV[scope], "--out-dir", str(d))
         assert code == 0
-    assert (dirs[0] / "trials.csv").read_bytes() == (dirs[1] / "trials.csv").read_bytes()
+    for name in cli.OUT_DIR_FILES[scope]:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 def test_experiment_worker_pool_matches_serial(tmp_path, capsys):
@@ -306,7 +319,7 @@ def test_experiment_bad_n_exits_2(tmp_path, capsys):
 ], ids=["experiment-unknown-problem", "diagnostics-late-perturbation",
         "baseline-mse-without-map", "gengap-without-map"])
 def test_rejected_run_leaves_no_output_directory(argv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "minimize_scalarizations", None)  # no baseline sweep runs
+    monkeypatch.setattr(diagnostics, "minimize_scalarizations", None)  # no baseline sweep runs
     out_dir = tmp_path / "never"
     code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
     assert code == 2 and out == ""
@@ -348,15 +361,32 @@ OUTPUT_CASES += [
     pytest.param(SCOPE_BASES[scope] + ["--out-dir", "taken"], f"taken/{name}",
                  "is a directory, not a file", id=f"{scope.replace(' ', '-')}-out-dir-{name}")
     for scope, names in cli.OUT_DIR_FILES.items() for name in names]
+# An output that names the file of another path option of its run, which
+# would lose one of the two.
+OUTPUT_CASES += [
+    pytest.param(OUTPUT_BASES["solve"] + ["--trace", "m.json"], "m.json",
+                 "same file as --trace", id="solve-out-is-trace"),
+    pytest.param(OUTPUT_BASES["sample"] + ["--out", "./model.json"], "./model.json",
+                 "same file as --model", id="sample-out-is-model"),
+    pytest.param(OUTPUT_BASES["metrics"] + ["--out", "model.json"], "model.json",
+                 "same file as --model", id="metrics-out-is-model"),
+    pytest.param(OUTPUT_BASES["experiment"] + ["--out-dir", ".", "--initial-model",
+                                               "trials.csv"], "./trials.csv",
+                 "same file as --initial-model", id="experiment-out-dir-file-is-initial-model"),
+    pytest.param(OUTPUT_BASES["baseline"] + ["--out-dir", "out", "--compare-with",
+                                             "out/baseline_report.json"],
+                 "out/baseline_report.json", "same file as --compare-with",
+                 id="baseline-out-dir-file-is-compare-with"),
+]
 
 
 @pytest.mark.parametrize("argv,path,message", OUTPUT_CASES)
 def test_unwritable_output_location_exits_2_before_any_work(argv, path, message, tmp_path,
                                                            capsys, monkeypatch):
     for name in ("run_surface_gd", "run_surface_gd_trials", "sample_uniform_simplex",
-                 "minimize_scalarizations", "repeat_generalization_gap", "mse",
-                 "perturbation_experiment"):
+                 "repeat_generalization_gap", "mse", "perturbation_experiment"):
         monkeypatch.setattr(cli, name, None)  # no run and no draw starts
+    monkeypatch.setattr(diagnostics, "minimize_scalarizations", None)
     monkeypatch.chdir(tmp_path)
     model = write_model(tmp_path / "model.json").read_bytes()
     (tmp_path / "adir").mkdir()
@@ -512,7 +542,7 @@ def test_baseline_small_population_exits_3(tmp_path, capsys):
 
 def test_baseline_population_below_the_basis_exits_2_before_the_sweep(tmp_path, capsys,
                                                                       monkeypatch):
-    monkeypatch.setattr(cli, "minimize_scalarizations", None)  # no sweep runs
+    monkeypatch.setattr(diagnostics, "minimize_scalarizations", None)  # no sweep runs
     out_dir = tmp_path / "never"
     code, out, err = run_cli(
         capsys, "baseline", "--problem", "scaled-med", "--population", "9",
@@ -547,8 +577,9 @@ def test_baseline_report_lists_weights_by_status(status, tmp_path, capsys, monke
     # skew-3mmd's non-converged lattice weights sit at cusps; with fewer
     # steps than one stop check they run out of steps instead.
     if status == "stalled":
-        monkeypatch.setattr(cli, "minimize_scalarizations",
-                            functools.partial(cli.minimize_scalarizations, max_steps=300))
+        monkeypatch.setattr(diagnostics, "minimize_scalarizations",
+                            functools.partial(diagnostics.minimize_scalarizations,
+                                              max_steps=300))
     code, _, _ = run_cli(
         capsys, "baseline", "--problem", "skew-3mmd", "--population", "100",
         "--degree", "3", "--metrics", "gd", "--validation-count", "10",
@@ -566,7 +597,7 @@ def test_baseline_non_json_comparison_file_exits_2_before_the_sweep(tmp_path, ca
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep started")
 
-    monkeypatch.setattr(cli, "minimize_scalarizations", no_sweep)
+    monkeypatch.setattr(diagnostics, "minimize_scalarizations", no_sweep)
     (tmp_path / "aggregate.json").write_text("trials,mse\n")
     code, _, err = run_cli(
         capsys, "baseline", "--problem", "scaled-med", "--population", "100",
@@ -589,7 +620,7 @@ def test_baseline_bad_descent_settings_exit_2_before_the_sweep(flags, tmp_path, 
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep started")
 
-    monkeypatch.setattr(cli, "minimize_scalarizations", no_sweep)
+    monkeypatch.setattr(diagnostics, "minimize_scalarizations", no_sweep)
     code = exit_code(["baseline", "--problem", "scaled-med", "--population", "100",
                       "--out-dir", str(tmp_path), *flags])
     captured = capsys.readouterr()
@@ -607,13 +638,13 @@ def test_baseline_stacked_lattices_match_separate_sweeps(tmp_path, capsys, monke
     from bezier_mopt.problems import get_problem
     from bezier_mopt.sweep import pareto_set_sweep
     references = []
-    real_gd = cli.gd
+    real_gd = diagnostics.gd
 
     def recording_gd(samples, reference):
         references.append(reference)
         return real_gd(samples, reference)
 
-    monkeypatch.setattr(cli, "gd", recording_gd)
+    monkeypatch.setattr(diagnostics, "gd", recording_gd)
     base = ["baseline", "--problem", "scaled-med", "--population", "60", "--degree", "3"]
     runs = {"stacked": ["--metrics", "mse,gd,igd", "--validation-count", "300"],
             "alone": ["--metrics", "mse"]}
@@ -828,7 +859,7 @@ def test_config_value_exits_like_the_same_flag_text(command, flag, text, expecte
                                                     capsys, monkeypatch):
     # The flag and its text as two lines of an @FILE, then on the command line.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "minimize_scalarizations", None)  # no baseline sweep runs
+    monkeypatch.setattr(diagnostics, "minimize_scalarizations", None)  # no baseline sweep runs
     base = [command] + [arg for arg in TINY[command] if not arg.startswith(flag + "=")]
     (tmp_path / "run.args").write_text(f"{flag}\n{text}\n")
     for argv in (base + ["@run.args"], base + [f"{flag}={text}"]):

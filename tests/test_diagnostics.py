@@ -3,15 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bezier_mopt import diagnostics
+from bezier_mopt.bezier import SingularFitError
 from bezier_mopt.diagnostics import (TEST_GRID_VERSION, generalization_gap_experiment,
                                      loss_gap, perturbation_experiment,
-                                     repeat_generalization_gap,
+                                     repeat_generalization_gap, run_baseline, score_model,
                                      stability_summary, stability_test_grid)
-from bezier_mopt.problems import scaled_med, skew_mmed
+from bezier_mopt.metrics import mse
+from bezier_mopt.problems import get_problem, scaled_med, skew_mmed
 from bezier_mopt.simplex import sample_uniform_simplex
-from bezier_mopt.solver import (SolverConfig, completed, run_surface_gd, run_surface_gd_trials,
-                               trial_seeds)
-from bezier_mopt.sweep import triangular_lattice
+from bezier_mopt.solver import (METRIC_STREAM, ConfigError, SolverConfig, completed, derive_seed,
+                                run_surface_gd, run_surface_gd_trials, trial_seeds)
+from bezier_mopt.sweep import pareto_set_sweep, triangular_lattice
 
 
 def config(n=30, k=20, seed=0):
@@ -107,11 +110,11 @@ def test_early_perturbations_vanish_for_quadratic_problems():
 
 def test_perturbation_validates_arguments():
     problem = scaled_med()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         perturbation_experiment(problem, config(k=10), k=11, repeats=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         perturbation_experiment(problem, config(k=10), k=5, repeats=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         perturbation_experiment(skew_mmed(3), config(k=10), k=5, repeats=2)
 
 
@@ -144,13 +147,13 @@ def test_generalization_gap_report_echoes_config():
 
 
 def test_generalization_gap_requires_map():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         generalization_gap_experiment(skew_mmed(3), config(k=5), holdout=10)
 
 
 @pytest.mark.parametrize("holdout,trials", [(0, 2), (10, 0)])
 def test_repeat_generalization_gap_needs_a_holdout_and_a_trial(holdout, trials):
-    with pytest.raises(ValueError, match="must be >= 1"):
+    with pytest.raises(ConfigError, match="must be >= 1"):
         repeat_generalization_gap(scaled_med(), config(k=5), holdout=holdout, trials=trials)
 
 
@@ -179,3 +182,31 @@ def test_stability_summary_flags():
         assert summary["lambda_min_min"] > 0.0
         assert summary["lambda_min_median"] >= summary["lambda_min_min"]
         assert np.isfinite(summary["ztg_norm_max"])
+
+
+def test_run_baseline_population_below_the_basis_raises_before_any_descent(monkeypatch):
+    monkeypatch.setattr(diagnostics, "minimize_scalarizations", None)  # no descent runs
+    with pytest.raises(ConfigError, match="population 9 is below the basis size 10"):
+        run_baseline(scaled_med(), 9, 3, ["mse"], seed=0, mse_samples=10, validation_count=10)
+
+
+def test_run_baseline_with_too_few_converged_weights_raises_singular_fit():
+    # Three of the twelve lattice weights stop at cusps, which leaves 9
+    # converged points for the 10 degree-3 basis functions.
+    with pytest.raises(SingularFitError, match="only 9 of 12 sweep points converged; "
+                                               "fitting degree 3 needs at least 10"):
+        run_baseline(get_problem("skew-3mmd"), 12, 3, ["gd"], seed=0, mse_samples=10,
+                     validation_count=10)
+
+
+def test_run_baseline_scores_its_fit_under_the_metric_seeds():
+    problem = scaled_med()
+    model, report = run_baseline(problem, 30, 3, ["mse", "gd"], seed=4, mse_samples=200,
+                                 validation_count=60)
+    assert report["converged"] == 30 and report["non_converged_lattice_indices"] == []
+    reference = pareto_set_sweep(problem, 60).converged_points
+    scores = score_model(model, problem, ["mse", "gd"], 4, 200, 60, reference)
+    assert sorted(scores) == ["gd", "mse"] and "igd" not in report
+    assert {name: report[name] for name in scores} == scores
+    assert scores["mse"] == mse(model, problem.pareto_map, 200,
+                                seed=derive_seed(4, METRIC_STREAM, 0))

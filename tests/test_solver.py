@@ -8,9 +8,9 @@ from bezier_mopt.bezier import design_matrix
 from bezier_mopt.metrics import loss_batch
 from bezier_mopt.problems import gradient_batch_stats, get_problem, scaled_med, scalarize
 from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
-from bezier_mopt.solver import (WEIGHT_STREAM, RunRecord, SolverAbort,
+from bezier_mopt.solver import (WEIGHT_STREAM, ConfigError, RunRecord, SolverAbort,
                                 SolverConfig, completed, gradient_step_rule,
-                                run_generic, run_surface_gd,
+                                resolve_schedule, run_generic, run_surface_gd,
                                 run_surface_gd_trials, trial_seeds)
 
 
@@ -72,14 +72,14 @@ def test_gradient_step_fixed_at_analytic_minimizer():
 
 def test_config_validation():
     problem = scaled_med()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SolverConfig(num_samples=30, num_iterations=0, degree=3, seed=0).validate(problem)
-    with pytest.raises(ValueError, match="basis size"):
+    with pytest.raises(ConfigError, match="basis size"):
         SolverConfig(num_samples=5, num_iterations=10, degree=3, seed=0).validate(problem)
-    with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+    with pytest.raises(ConfigError, match=r"outside \(0, 1\]"):
         SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0,
                      step_schedule="const:1.5").validate(problem)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0,
                      step_schedule="const:0").validate(problem)
     SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0).validate(problem)
@@ -89,7 +89,7 @@ def test_config_validation():
     base = SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0)
     for field, bad in (("num_iterations", (2**32, 10**13)), ("resample_retries", (-1, 2**32))):
         for value in bad:
-            with pytest.raises(ValueError, match=rf"{field} {value} is outside"):
+            with pytest.raises(ConfigError, match=rf"{field} {value} is outside"):
                 dataclasses.replace(base, **{field: value}).validate(problem)
         dataclasses.replace(base, **{field: 2**32 - 1}).validate(problem)
 
@@ -97,8 +97,14 @@ def test_config_validation():
 def test_config_rejects_a_callable_step_schedule():
     config = SolverConfig(num_samples=30, num_iterations=10, degree=3, seed=0,
                           step_schedule=lambda k: 1.0 / k)
-    with pytest.raises(ValueError, match="step schedule"):
+    with pytest.raises(ConfigError, match="step schedule"):
         config.validate(scaled_med())
+
+
+@pytest.mark.parametrize("spec", ["const:abc", "const:", "bogus"])
+def test_unreadable_step_schedule_raises_config_error(spec):
+    with pytest.raises(ConfigError, match=f"unknown step schedule '{spec}'"):
+        resolve_schedule(spec)
 
 
 def test_identity_rule_keeps_any_model_fixed():
@@ -305,7 +311,7 @@ def test_custom_initial_control_points_shape_checked():
     problem = scaled_med()
     cfg = SolverConfig(num_samples=20, num_iterations=1, degree=3, seed=0,
                        initial_control_points=np.zeros((4, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_surface_gd(problem, cfg)
 
 
@@ -478,14 +484,14 @@ def test_divergence_aborts_at_the_first_non_finite_model():
 def test_run_seeds_outside_the_documented_range_are_rejected():
     for seed in (-1, 2**128):
         config = SolverConfig(num_samples=20, num_iterations=2, degree=3, seed=seed)
-        with pytest.raises(ValueError, match="2\\*\\*128"):
+        with pytest.raises(ConfigError, match="2\\*\\*128"):
             config.validate(scaled_med())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_surface_gd(scaled_med(), config)
-        with pytest.raises(ValueError, match="2\\*\\*128"):
+        with pytest.raises(ConfigError, match="2\\*\\*128"):
             run_surface_gd_trials(scaled_med(), dataclasses.replace(config, seed=0), [3, seed])
     # Each seed takes at most one weight hook.
-    with pytest.raises(ValueError, match="2 weight hooks for 1 seeds"):
+    with pytest.raises(ConfigError, match="2 weight hooks for 1 seeds"):
         run_surface_gd_trials(scaled_med(), dataclasses.replace(config, seed=0), [3], [None] * 2)
 
 
