@@ -467,9 +467,14 @@ def cmd_sample(ns) -> int:
 def _read_points_csv(path) -> np.ndarray:
     """Points from a CSV file with a header row: uses the x_* columns when
     present (sample output format), otherwise every column. Every data row
-    has one cell per column, and every cell read holds a finite number."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
+    has one cell per column, and every cell read holds a finite number. A
+    file that cannot be read as text is a ConfigError naming its path."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read points {path}: {err}") from err
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines:
         raise ConfigError(f"{path} holds no data")
     reader = csv.reader(lines)

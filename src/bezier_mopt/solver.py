@@ -23,9 +23,10 @@ batched factorization (`bezier.factor_designs`: Gram eigenvalues, thin SVD
 where Z'Z is ill-conditioned) gives every trial its singularity gate and
 smallest Gram eigenvalue, then one batched refit (`solve_factored`). A trial
 whose design is singular resamples alone; a trial that aborts leaves the
-stack and the others go on. Every per-trial quantity is computed from that
-trial's rows only, so a trial's model and trace are bitwise the same alone
-as in any stack. A single run is a stack of one.
+stack at the end of the iteration in which it aborts, and the others go on.
+Every per-trial quantity is computed from that trial's rows only, so a
+trial's model and trace are bitwise the same alone as in any stack. A
+single run is a stack of one.
 
 RNG discipline: every run owns a single integer seed in [0, 2**128). A
 trial draws iteration k's weight batch as the next batch of its main
@@ -39,7 +40,7 @@ count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -171,15 +172,8 @@ class SolverConfig:
     def echo(self) -> dict:
         """JSON-ready snapshot of the resolved configuration."""
         initial = self.initial_control_points
-        return {
-            "num_samples": self.num_samples,
-            "num_iterations": self.num_iterations,
-            "degree": self.degree,
-            "seed": self.seed,
-            "step_schedule": self.step_schedule,
-            "initial_control_points": "zero" if initial is None else np.asarray(initial).tolist(),
-            "resample_retries": self.resample_retries,
-        }
+        initial = "zero" if initial is None else np.asarray(initial).tolist()
+        return {**asdict(self), "initial_control_points": initial}
 
 
 class ConfigError(ValueError):
@@ -281,7 +275,10 @@ def _run_loop(problem: Problem, config: SolverConfig, seeds, weight_hooks=None,
     `rule`, to `rule(x, scalarize(problem, t), k)`. `weight_hooks[i](k,
     weights)`, when given and not None, may replace trial i's sampled batch;
     it exists for the stability diagnostics and must return an array of the
-    same shape. Returns one outcome per seed, in order.
+    same shape. A trial aborts when its design stays singular through every
+    resample or a model or trace value stops being finite, and leaves the
+    stack at the end of that iteration. Returns one outcome per seed, in
+    order.
     """
     config.validate(problem)
     basis = enumerate_multi_indices(problem.num_objectives, config.degree)
@@ -313,61 +310,38 @@ def _run_loop(problem: Problem, config: SolverConfig, seeds, weight_hooks=None,
 
     def draw(rows, k, retry, generators):
         """Stack rows `rows` (a slice or indices) draw iteration k's
-        batches, one from each of `generators`."""
+        batches, one from each of `generators`; returns their designs Z'
+        (R, J, N), a view of the kernel's coordinate-major (J, R*N) output,
+        not a copy."""
         weights[rows] = sample_uniform_simplex_stack(m, n, generators)
         retries_used[active[rows], k - 1] = retry
         if hooked:
             for p in np.arange(len(active))[rows]:
                 if hooks[active[p]] is not None:
                     weights[p] = hooks[active[p]](k, weights[p].copy())
-
-    def transposed_designs(rows):
-        """The designs Z' (R, J, N) of stack rows `rows`: a view of the
-        kernel's coordinate-major (J, R*N) output, not a copy."""
         flat = bernstein_design(weights[rows].reshape(-1, m), basis._exponents_f64,
                                 basis.coefficients)
         return np.swapaxes(flat.T.reshape(j, -1, n), 0, 1)
 
-    def drop(leaving, aborts):
-        nonlocal active, control, weights, zt, grams, lambda_min, fallback
-        for p, abort in zip(leaving, aborts):
-            outcomes[active[p]] = abort
-        keep = np.ones(len(active), dtype=bool)
-        keep[leaving] = False
-        active, control, weights = active[keep], control[keep], weights[keep]
-        zt, grams = zt[keep], grams[keep]
-        lambda_min, fallback = lambda_min[keep], fallback[keep]
-
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A singular design's pseudo-inverse may divide by a zero singular value.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, kk + 1):
             if not active.size:
                 break
-            draw(slice(None), k, 0, [streams[i] for i in active])
-            zt = transposed_designs(slice(None))
+            zt = draw(slice(None), k, 0, [streams[i] for i in active])
             grams, lambda_min, singular, fallback = factor_designs(np.swapaxes(zt, 1, 2))
-            retrying = np.flatnonzero(singular)
+            stuck = np.flatnonzero(singular)
             for retry in range(1, config.resample_retries + 1):
-                if not retrying.size:
+                if not stuck.size:
                     break
-                draw(retrying, k, retry,
-                     [stream(seeds[i], WEIGHT_STREAM, k, retry) for i in active[retrying]])
-                zt[retrying] = transposed_designs(retrying)
-                (grams[retrying], lambda_min[retrying], singular,
-                 fallback[retrying]) = factor_designs(np.swapaxes(zt[retrying], 1, 2))
-                retrying = retrying[singular]
-            if retrying.size:
-                drop(retrying, [SolverAbort(
-                    f"design matrix stayed singular after "
-                    f"{config.resample_retries} resamples at iteration {k}",
-                    payload={
-                        "iteration": k,
-                        "resample_retries": config.resample_retries,
-                        "smallest_singular_value": float(np.sqrt(lambda_min[p])),
-                        "seed": seeds[active[p]],
-                    }) for p in retrying])
-                if not active.size:
-                    break
+                generators = [stream(seeds[i], WEIGHT_STREAM, k, retry) for i in active[stuck]]
+                zt[stuck] = draw(stuck, k, retry, generators)
+                (grams[stuck], lambda_min[stuck], singular,
+                 fallback[stuck]) = factor_designs(np.swapaxes(zt[stuck], 1, 2))
+                stuck = stuck[singular]
 
+            # A stuck trial, singular through every resample, runs the rest
+            # of the iteration too; none of its values are read.
             design = np.swapaxes(zt, 1, 2)
             surface_points = design @ control
             rows = surface_points.reshape(-1, problem.num_vars)
@@ -399,17 +373,25 @@ def _run_loop(problem: Problem, config: SolverConfig, seeds, weight_hooks=None,
             trace[:, active, k - 1] = values
             control = new_control
 
-            finite = np.isfinite(control).all(axis=(1, 2)) & np.isfinite(values).all(axis=0)
-            diverged = np.flatnonzero(~finite)
-            if diverged.size:
-                delta = trace[TRACE_FIELDS.index("control_delta")]
-                drop(diverged, [SolverAbort(
-                    f"non-finite values at iteration {k}",
-                    payload={
-                        "iteration": k,
-                        "control_delta": _last_finite(delta[active[p], :k - 1]),
-                        "seed": seeds[active[p]],
-                    }) for p in diverged])
+            # A trial that aborts leaves the stack here, at the end of the
+            # iteration in which it aborts; a stuck trial aborts as singular.
+            stays = np.isfinite(control).all(axis=(1, 2)) & np.isfinite(values).all(axis=0)
+            stays[stuck] = False
+            leaving = np.flatnonzero(~stays)
+            for p in leaving:
+                if p in stuck:
+                    message = (f"design matrix stayed singular after "
+                               f"{config.resample_retries} resamples at iteration {k}")
+                    detail = {"resample_retries": config.resample_retries,
+                              "smallest_singular_value": float(np.sqrt(lambda_min[p]))}
+                else:
+                    message = f"non-finite values at iteration {k}"
+                    detail = {"control_delta": _last_finite(
+                        trace[TRACE_FIELDS.index("control_delta"), active[p], :k - 1])}
+                outcomes[active[p]] = SolverAbort(
+                    message, payload={"iteration": k, **detail, "seed": seeds[active[p]]})
+            if leaving.size:
+                active, control, weights = active[stays], control[stays], weights[stays]
 
     echo = config.echo()
     for p, i in enumerate(active):

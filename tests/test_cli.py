@@ -693,6 +693,20 @@ def test_metrics_malformed_csv_exits_2(metric, text, tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("name", ["missing.csv", "adir", "bytes.bin"])
+def test_metrics_unreadable_points_file_exits_2_naming_it(name, tmp_path, capsys):
+    # No file, a directory, and bytes that are not UTF-8 text.
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "bytes.bin").write_bytes(b"\xff\xfe--k\n")
+    (tmp_path / "y.csv").write_text("x_1,x_2\n0.0,0.0\n")
+    code, out, err = run_cli(capsys, "metrics", "--metric", "gd", "--x-file",
+                             str(tmp_path / name), "--y-file", str(tmp_path / "y.csv"))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith(f"cannot read points {tmp_path / name}: ")
+
+
 @pytest.mark.parametrize("metric", ["gd", "mse"])
 def test_metrics_overflow_exits_3_without_warnings(metric, tmp_path, capsys):
     x = tmp_path / "x.csv"

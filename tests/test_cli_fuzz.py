@@ -72,8 +72,9 @@ TEXT_VALUES = {
     "initial_model": ["zero", *MODELS],
     "model": MODELS,
     "compare_with": MODELS,
-    "x_file": ["huge.csv", "nan.csv", "x.csv", "short.csv", "model.json", "missing"],
-    "y_file": ["huge.csv", "nan.csv", "x.csv", "short.csv", "missing"],
+    "x_file": ["huge.csv", "nan.csv", "x.csv", "short.csv", "model.json", "bytes.bin",
+               "adir", "missing"],
+    "y_file": ["huge.csv", "nan.csv", "x.csv", "short.csv", "bytes.bin", "adir", "missing"],
     "out": OUTPUTS, "trace": OUTPUTS, "out_dir": OUTPUTS,
 }
 # Arguments argparse reads as files: the args file itself, files that hold

@@ -477,6 +477,54 @@ def test_divergence_aborts_at_the_first_non_finite_model():
     assert payload["control_delta"] == finite[-1]
 
 
+def test_singular_and_non_finite_aborts_in_one_iteration():
+    # Trial 1 shares trial 0's seed, so both reach iteration k0, where the
+    # seed alone diverges; trial 1's design stays singular there instead.
+    problem = scaled_med()
+    config = SolverConfig(num_samples=30, num_iterations=300, degree=3, seed=0,
+                          step_schedule="const:1")
+    with pytest.raises(SolverAbort, match="non-finite") as diverged:
+        run_surface_gd(problem, config)
+    k0 = diverged.value.payload["iteration"]
+    with pytest.raises(SolverAbort, match="singular") as stuck:
+        hooked_run(problem, config, always_degenerate_at(k0))
+    assert stuck.value.payload["iteration"] == k0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = run_surface_gd_trials(problem, config, [0, 0],
+                                        [None, always_degenerate_at(k0)])
+    for outcome, alone in zip(stacked, (diverged.value, stuck.value)):
+        assert isinstance(outcome, SolverAbort)
+        assert outcome.payload == alone.payload
+        assert str(outcome) == str(alone)
+    with pytest.raises(SolverAbort) as first:
+        completed(stacked)
+    assert first.value is stacked[0]
+    assert first.value.payload["other_aborts"] == [stuck.value.payload]
+
+
+def test_exactly_rank_deficient_design_aborts_without_a_warning():
+    # Every row at one vertex makes the design's singular values exactly
+    # zero but one; the stuck trial's last refit divides by them.
+    def vertex_at(iteration):
+        def hook(k, batch):
+            return np.eye(3)[np.zeros(len(batch), dtype=int)] if k == iteration else batch
+        return hook
+
+    problem = scaled_med()
+    config = SolverConfig(num_samples=20, num_iterations=4, degree=3, seed=0,
+                          resample_retries=1)
+    seeds = trial_seeds(2024, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = run_surface_gd_trials(problem, config, seeds, [vertex_at(2), None])
+    assert isinstance(stacked[0], SolverAbort)
+    assert stacked[0].payload == {"iteration": 2, "resample_retries": 1,
+                                  "smallest_singular_value": 0.0, "seed": seeds[0]}
+    assert_same_run(stacked[1], run_surface_gd(
+        problem, dataclasses.replace(config, seed=seeds[1])))
+
+
 # ---------------------------------------------------------------------------
 # Weight streams.
 # ---------------------------------------------------------------------------

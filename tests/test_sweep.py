@@ -103,18 +103,34 @@ def test_sweep_converged_points_are_stationary():
         assert np.linalg.norm(grad) < 1e-8
 
 
-def test_generic_descent_path_matches_family_kernel():
-    problem = scaled_med()
-    stripped = problem.__class__(
-        name=problem.name, num_objectives=3, num_vars=3,
+def without_centers(problem):
+    """`problem` without its norm-power spec, so sweeps take the generic
+    descent path."""
+    return problem.__class__(
+        name=problem.name, num_objectives=problem.num_objectives, num_vars=problem.num_vars,
         evaluate=problem.evaluate, jacobian=problem.jacobian,
         pareto_map=problem.pareto_map, norm_power=None)
+
+
+def test_generic_descent_path_matches_family_kernel():
+    problem = scaled_med()
+    stripped = without_centers(problem)
     weights = triangular_lattice(3, 10)
     start = weights @ problem.norm_power.centers
     fast = minimize_scalarizations(problem, weights, start=start.copy(), max_steps=2000)
     slow = minimize_scalarizations(stripped, weights, start=start.copy(), max_steps=2000)
     assert np.array_equal(fast.converged, slow.converged)
     assert np.abs(fast.points - slow.points).max() < 1e-10
+
+
+def test_problem_without_centers_starts_at_the_origin():
+    stripped = without_centers(scaled_med())
+    weights = triangular_lattice(3, 10)
+    default = minimize_scalarizations(stripped, weights, max_steps=50)
+    origin = minimize_scalarizations(stripped, weights, start=np.zeros((10, 3)), max_steps=50)
+    for field in ("points", "grad_norms", "steps", "status"):
+        value, expected = getattr(default, field), getattr(origin, field)
+        assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes(), field
 
 
 @pytest.mark.parametrize("name", ["skew-3mmd", "scaled-med"])
