@@ -20,10 +20,10 @@ from .problems import (Problem, ScalarizedObjective, get_problem, scalarize,
                        scaled_med, scaled_med_pareto, skew_mmed, skew_mmmd,
                        skew_mmmd_default)
 from .simplex import (MultiIndexSet, bernstein_vector, enumerate_multi_indices,
-                      sample_uniform_simplex, weight_vector)
+                      sample_uniform_simplex, triangular_lattice, weight_vector)
 from .solver import (ConfigError, RunRecord, SolverAbort, SolverConfig, derive_seed,
                      gradient_step_rule, run_generic, run_surface_gd, run_surface_gd_trials)
-from .sweep import SweepResult, pareto_set_sweep, triangular_lattice
+from .sweep import SweepResult, pareto_set_sweep
 
 __all__ = [
     "BezierSimplex", "ConfigError", "MultiIndexSet", "PointSet", "Problem", "RunRecord",

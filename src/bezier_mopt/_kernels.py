@@ -33,15 +33,13 @@ weight index innermost. A weight's step is a Barzilai-Borwein length held
 between a diminishing schedule (STEP0, DECAY_STEPS) and BB_CAP times it, and
 the schedule's own step when the gradient reverses, which also halves the
 weight's schedule for good; its callers set the gradient tolerance and the
-step budget. It takes the problem's gradient as one function, which returns
-the iterates' squared scaled radii to the problem's centers beside the
-gradient, so every problem descends through one loop. `norm_power_descent`
-supplies the norm-power family's, with iterates bitwise equal to a row-major
-formulation that the tests keep as a reference. Weights that cannot meet the
-gradient-norm rule stop early, at a certified cusp (read off those radii) or
-on a non-finite gradient. ``perfbench/run.py --workload baseline-sweep``
-measures it end to end and, with ``--trace 1``, as
-``kernels.descent.busy_s``.
+step budget. It takes the problem's gradient as one function
+(`problems.descent_terms`), which returns the iterates' squared scaled radii
+to the problem's centers beside the gradient, so every problem descends
+through one loop. Weights that cannot meet the gradient-norm rule stop
+early, at a certified cusp (read off those radii) or on a non-finite
+gradient. ``perfbench/run.py --workload baseline-sweep`` measures it end to
+end and, with ``--trace 1``, as ``kernels.descent.busy_s``.
 """
 
 from __future__ import annotations
@@ -163,62 +161,6 @@ def _sum_rows(terms):
     axis 0 is that sum below eight terms; from eight on, it sums pairwise
     when the other axes all have length 1."""
     return np.add.reduce(terms, axis=0) if len(terms) < 8 else sum(terms[1:], terms[0])
-
-
-def norm_power_descent(scales_sq, centers, powers):
-    """`descent_sweep`'s gradient for the objectives f_m(x) = (sum_l
-    scales_sq[m,l] (x_l - centers[m,l])^2)^(powers[m]/2), the gradient
-    taken as zero exactly at a center.
-
-    Arrays are coordinate-major, differences (L, M, w). `gradient(x, t)`
-    returns the gradient (L, w), a scratch array that its next call
-    overwrites, and the squared scaled radii r2 (M, w) of x to the M
-    centers, from which it computed the gradient.
-
-    Per element the arithmetic and its order are those of a row-major
-    formulation that gathers one (w, M, L) array per step, so iterates are
-    bitwise reproducible against it: sums over L run in index order from
-    +0.0, and the sum over M is numpy's reduction over M contiguous terms
-    from +0.0.
-    """
-    n_obj, dim = scales_sq.shape
-    t_seen, tiles = None, None
-
-    def gradient(x, t):
-        nonlocal t_seen, tiles
-        if t is not t_seen:
-            # Weights and constants tiled to the width of t, and scratch
-            # arrays: with full-size constants only x - centers and
-            # w * scales broadcast, which numpy runs more slowly.
-            width = t.shape[1]
-            t_seen, tiles = t, (np.repeat(scales_sq.T[:, :, None], width, axis=2),
-                                np.repeat(centers.T[:, :, None], width, axis=2),
-                                np.repeat(((powers - 2.0) / 2.0)[:, None], width, axis=1),
-                                t * powers[:, None], np.empty((dim, n_obj, width)),
-                                np.empty((dim, n_obj, width)), np.empty((n_obj, width)),
-                                np.empty((dim, width)))
-        scales, ctr, expo, tp, diff, prod, w, grad = tiles
-        np.subtract(x[:, None, :], ctr, out=diff)
-        np.multiply(diff, diff, out=prod)
-        np.multiply(scales, prod, out=prod)
-        # Terms are >= +0.0 or NaN, so starting from the first row equals
-        # starting from +0.0.
-        r2 = _sum_rows(prod)
-        np.power(r2, expo, out=w)
-        np.multiply(tp, w, out=w)
-        # The gradient is zero exactly at a center (r2 == 0); a NaN radius
-        # gets the same treatment.
-        if not np.minimum.reduce(r2, axis=None) > 0.0:
-            np.copyto(w, 0.0, where=~(r2 > 0.0))
-        np.multiply(w, scales, out=prod)
-        np.multiply(prod, diff, out=prod)
-        if n_obj < 8:
-            return np.add.reduce(prod, axis=1, out=grad), r2
-        # numpy sums eight or more contiguous terms pairwise; lay the M
-        # terms out contiguously, as the row-major formulation had.
-        return np.add.reduce(prod.transpose(0, 2, 1).copy(), axis=2, out=grad), r2
-
-    return gradient
 
 
 def descent_sweep(gradient, certified, start, weights, grad_tol, max_steps):

@@ -35,11 +35,11 @@ import numpy as np
 from .bezier import SingularFitError, fit_least_squares
 from .metrics import gd, igd, loss_batch, model_samples, mse
 from .problems import Problem
-from .simplex import enumerate_multi_indices, sample_uniform_simplex
+from .simplex import enumerate_multi_indices, sample_uniform_simplex, triangular_lattice
 from .solver import (HOLDOUT_STREAM, METRIC_STREAM, PERTURB_STREAM, ConfigError, RunRecord,
                      SolverConfig, completed, derive_seed, run_surface_gd_trials, stream,
                      trial_seeds)
-from .sweep import minimize_scalarizations, triangular_lattice
+from .sweep import minimize_scalarizations
 
 # The sup over weights in the perturbation gap is approximated on one fixed
 # grid so reports stay comparable across runs and releases; reports name it

@@ -19,9 +19,13 @@ defined as exactly zero there (the correct "no move" update for the
 minimizer) and analytically elsewhere. Lipschitz continuity then holds on
 compact sets excluding centers, which is what the empirical Lipschitz
 estimates recorded by the solver reflect. A weighted sum minimized at a
-center with q_m <= 1 never meets a gradient-norm stopping rule; the
-scalarization sweep (`sweep.py`) certifies such centers and stops those
-weights there as `cusp` rather than running them to `max_steps`.
+center with q_m <= 1 never meets a gradient-norm stopping rule;
+`cusp_certificate` certifies such centers, and the scalarization sweep
+(`sweep.py`) stops those weights there as `cusp` rather than running them
+to `max_steps`. No other module reads `Problem.norm_power` or a
+`NormPowerSpec` field: the solver gets its gradients from
+`gradient_batch_stats`, the sweep its gradient, cusp certificate and start
+from `descent_terms`.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def norm_power_gradient_batch(spec: NormPowerSpec, points: np.ndarray,
     Returns (G, mu) where row n of G is J_f(points[n])' weights[n] and
     mu[n] is the largest single-objective gradient norm at points[n].
 
-    Arrays are coordinate-major, as in `_kernels.norm_power_descent`: the row
+    Arrays are coordinate-major, as in `norm_power_descent`: the row
     index is innermost, so every numpy call runs over all N rows at once.
     Differences and per-objective gradients are (L, M, N), radii (M, N).
     Sums over L and over M run in index order from +0.0. mu is the square
@@ -178,6 +182,103 @@ def gradient_batch_stats(problem: Problem, points: np.ndarray,
         g[n] = jac.T @ weights[n]
         mu[n] = np.sqrt((jac * jac).sum(axis=1)).max()
     return g, mu
+
+
+def norm_power_descent(scales_sq, centers, powers):
+    """`_kernels.descent_sweep`'s gradient for the objectives f_m(x) = (sum_l
+    scales_sq[m,l] (x_l - centers[m,l])^2)^(powers[m]/2), the gradient
+    taken as zero exactly at a center.
+
+    Arrays are coordinate-major, differences (L, M, w). `gradient(x, t)`
+    returns the gradient (L, w), a scratch array that its next call
+    overwrites, and the squared scaled radii r2 (M, w) of x to the M
+    centers, from which it computed the gradient.
+
+    Per element the arithmetic and its order are those of a row-major
+    formulation that gathers one (w, M, L) array per step, so iterates are
+    bitwise reproducible against it: sums over L run in index order from
+    +0.0, and the sum over M is numpy's reduction over M contiguous terms
+    from +0.0.
+    """
+    n_obj, dim = scales_sq.shape
+    t_seen, tiles = None, None
+
+    def gradient(x, t):
+        nonlocal t_seen, tiles
+        if t is not t_seen:
+            # Weights and constants tiled to the width of t, and scratch
+            # arrays: with full-size constants only x - centers and
+            # w * scales broadcast, which numpy runs more slowly.
+            width = t.shape[1]
+            t_seen, tiles = t, (np.repeat(scales_sq.T[:, :, None], width, axis=2),
+                                np.repeat(centers.T[:, :, None], width, axis=2),
+                                np.repeat(((powers - 2.0) / 2.0)[:, None], width, axis=1),
+                                t * powers[:, None], np.empty((dim, n_obj, width)),
+                                np.empty((dim, n_obj, width)), np.empty((n_obj, width)),
+                                np.empty((dim, width)))
+        scales, ctr, expo, tp, diff, prod, w, grad = tiles
+        np.subtract(x[:, None, :], ctr, out=diff)
+        np.multiply(diff, diff, out=prod)
+        np.multiply(scales, prod, out=prod)
+        # Terms are >= +0.0 or NaN, so starting from the first row equals
+        # starting from +0.0.
+        r2 = _sum_rows(prod)
+        np.power(r2, expo, out=w)
+        np.multiply(tp, w, out=w)
+        # The gradient is zero exactly at a center (r2 == 0); a NaN radius
+        # gets the same treatment.
+        if not np.minimum.reduce(r2, axis=None) > 0.0:
+            np.copyto(w, 0.0, where=~(r2 > 0.0))
+        np.multiply(w, scales, out=prod)
+        np.multiply(prod, diff, out=prod)
+        if n_obj < 8:
+            return np.add.reduce(prod, axis=1, out=grad), r2
+        # numpy sums eight or more contiguous terms pairwise; lay the M
+        # terms out contiguously, as the row-major formulation had.
+        return np.add.reduce(prod.transpose(0, 2, 1).copy(), axis=2, out=grad), r2
+
+    return gradient
+
+
+def cusp_certificate(spec: NormPowerSpec, weights) -> np.ndarray:
+    """(M, n) mask: center m is a certified local minimizer of the
+    scalarization sum_j t_ij f_j of weight row i.
+
+    With g_rest the gradient at c_m of the other weighted objectives,
+    sum_{j != m} t_ij grad f_j(c_m), the nonsmooth first-order condition
+    -g_rest in t_im A_m'(unit ball) (Clarke, Optimization and Nonsmooth
+    Analysis, 1983) holds for q_m < 1 whenever t_im > 0, since
+    ||A_m (x - c_m)||^q_m outgrows any linear term, and for q_m = 1 exactly
+    when ||A_m^{-1} g_rest|| <= t_im. Centers with q_m > 1 are smooth
+    points, left to the gradient-norm rule; a singular A_m certifies none.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    # jac[m, j] is grad f_j(c_m), zero for j == m (the center convention).
+    jac = np.stack([_norm_power_jacobian(spec, c) for c in spec.centers])
+    g_rest = weights @ jac                                        # (M, n, L)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dual = np.sqrt((g_rest * g_rest / spec.scales_sq[:, None, :]).sum(axis=2))
+    t = weights.T
+    powers = spec.powers[:, None]
+    regular = (spec.scales_sq > 0.0).all(axis=1)[:, None]
+    return regular & (((powers < 1.0) & (t > 0.0)) | ((powers == 1.0) & (dual <= t)))
+
+
+def descent_terms(problem: Problem, weights) -> tuple[Callable, np.ndarray, np.ndarray]:
+    """(gradient, certified, start) of `_kernels.descent_sweep` for the
+    scalarizations of `weights` (n, M). A norm-power problem gives
+    `norm_power_descent`'s gradient, the (M, n) `cusp_certificate` and the
+    weight-convex combinations of its centers; any other descends from the
+    origin on its Jacobian's gradients, with no centers, so no cusps."""
+    spec = problem.norm_power
+    if spec is not None:
+        return (norm_power_descent(spec.scales_sq, spec.centers, spec.powers),
+                cusp_certificate(spec, weights), weights @ spec.centers)
+
+    def gradient(x, t):
+        return gradient_batch_stats(problem, x.T, t.T)[0].T, np.empty((0, x.shape[1]))
+    n = len(weights)
+    return gradient, np.zeros((0, n), dtype=np.bool_), np.zeros((n, problem.num_vars))
 
 
 def _norm_power_problem(name: str, spec: NormPowerSpec,

@@ -4,7 +4,7 @@ A weight vector is a nonnegative vector summing to one. The multi-index set
 of order (M, D) collects every exponent vector of M nonnegative integers
 summing to D, ordered descending-lexicographically so that (D, 0, ..., 0)
 comes first and (0, ..., 0, D) last. That fixed order defines the layout of
-control-point matrices and serialized models throughout the package.
+control-point matrices, serialized models and triangular weight lattices.
 """
 
 from __future__ import annotations
@@ -68,6 +68,32 @@ def _descending_lex_exponents(num_objectives: int, degree: int) -> list[list[int
 
     rec([], degree, num_objectives)
     return out
+
+
+def triangular_lattice(num_objectives: int, count: int) -> np.ndarray:
+    """`count` deterministic weight vectors on a triangular lattice.
+
+    Uses the smallest resolution H whose lattice (all degree-H multi-index
+    vectors divided by H, canonical order) has at least `count` points, then
+    thins to exactly `count` by taking evenly strided positions in that
+    order. Counts that are exact lattice sizes, such as 10 points for three
+    objectives, are returned without thinning.
+    """
+    if num_objectives < 1:
+        raise ValueError("num_objectives must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if num_objectives == 1:
+        return np.ones((count, 1))
+    resolution = 1
+    while math.comb(resolution + num_objectives - 1, num_objectives - 1) < count:
+        resolution += 1
+    rows = np.array(_descending_lex_exponents(num_objectives, resolution),
+                    dtype=np.float64) / resolution
+    if len(rows) > count:
+        keep = np.round(np.linspace(0, len(rows) - 1, count)).astype(np.int64)
+        rows = rows[keep]
+    return rows
 
 
 def multinomial_coefficient(degree: int, exponents) -> int:

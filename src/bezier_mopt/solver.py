@@ -375,7 +375,8 @@ def _run_loop(problem: Problem, config: SolverConfig, seeds, weight_hooks=None,
 
             # A trial that aborts leaves the stack here, at the end of the
             # iteration in which it aborts; a stuck trial aborts as singular.
-            stays = np.isfinite(control).all(axis=(1, 2)) & np.isfinite(values).all(axis=0)
+            # Non-finite control points make control_delta non-finite.
+            stays = np.isfinite(values).all(axis=0)
             stays[stuck] = False
             leaving = np.flatnonzero(~stays)
             for p in leaving:
@@ -427,10 +428,10 @@ def run_generic(problem: Problem, rule: StepRule,
 def run_surface_gd(problem: Problem, config: SolverConfig) -> tuple[BezierSimplex, RunRecord]:
     """Run the loop with one gradient step per sampled point.
 
-    Observationally identical to `run_generic(problem,
-    gradient_step_rule(config.step_schedule), config)` with the same seed;
-    this path advances the whole batch vectorized. Raises SolverAbort when
-    the run aborts.
+    Agrees to rounding with `run_generic(problem,
+    gradient_step_rule(config.step_schedule), config)` with the same seed
+    (acceptance criterion 3 bounds the gap); this path advances the whole
+    batch vectorized. Raises SolverAbort when the run aborts.
     """
     return completed(_run_loop(problem, config, [config.seed]))[0]
 

@@ -11,10 +11,10 @@ from bezier_mopt.diagnostics import (TEST_GRID_VERSION, generalization_gap_exper
                                      stability_summary, stability_test_grid)
 from bezier_mopt.metrics import mse
 from bezier_mopt.problems import get_problem, scaled_med, skew_mmed
-from bezier_mopt.simplex import sample_uniform_simplex
+from bezier_mopt.simplex import sample_uniform_simplex, triangular_lattice
 from bezier_mopt.solver import (METRIC_STREAM, ConfigError, SolverConfig, completed, derive_seed,
                                 run_surface_gd, run_surface_gd_trials, trial_seeds)
-from bezier_mopt.sweep import pareto_set_sweep, triangular_lattice
+from bezier_mopt.sweep import pareto_set_sweep
 
 
 def config(n=30, k=20, seed=0):

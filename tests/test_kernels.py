@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bezier_mopt import _kernels as kern
-from bezier_mopt.problems import NormPowerSpec, get_problem, scaled_med, scaled_med_pareto
-from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex
-from bezier_mopt.sweep import cusp_certificate, triangular_lattice
+from bezier_mopt.problems import (NormPowerSpec, cusp_certificate, get_problem,
+                                  norm_power_descent, scaled_med, scaled_med_pareto)
+from bezier_mopt.simplex import enumerate_multi_indices, sample_uniform_simplex, triangular_lattice
 
 
 def _vertex_position(basis, m):
@@ -182,7 +182,7 @@ def test_descent_sweep_reaches_quadratic_minimum():
     weights = sample_uniform_simplex(3, 16, 10)
     start = weights @ spec.centers
     points, grad_norms, steps, status = kern.descent_sweep(
-        kern.norm_power_descent(spec.scales_sq, spec.centers, spec.powers),
+        norm_power_descent(spec.scales_sq, spec.centers, spec.powers),
         cusp_certificate(spec, weights), start, weights, 1e-10, 100000)
     assert (status == kern.CONVERGED).all()
     assert grad_norms.max() < 1e-10
@@ -295,7 +295,7 @@ def _descend_and_check(args):
     scales_sq, centers, powers, weights, start = args[:5]
     max_steps = args[-1]
     certified = cusp_certificate(NormPowerSpec(scales_sq, centers, powers), weights)
-    got = kern.descent_sweep(kern.norm_power_descent(*args[:3]), certified, start, weights,
+    got = kern.descent_sweep(norm_power_descent(*args[:3]), certified, start, weights,
                              *args[5:])
     points, grad_norms, steps, status = got
     stopped = (status == kern.CUSP) | ((status == kern.DIVERGED) & (steps < max_steps))
@@ -412,7 +412,7 @@ def test_descent_sweep_diverging_weight_is_silent_and_unconverged():
     args = (spec.scales_sq, spec.centers, spec.powers, weights, start, 1e-8, 1000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = kern.descent_sweep(kern.norm_power_descent(*args[:3]),
+        got = kern.descent_sweep(norm_power_descent(*args[:3]),
                                  cusp_certificate(spec, weights), start, weights, *args[5:])
     with np.errstate(over="ignore", invalid="ignore"):
         _descend_and_check(args)

@@ -3,9 +3,12 @@ every third-party module the tests import is declared."""
 import ast
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from bezier_mopt.problems import NormPowerSpec
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -100,3 +103,40 @@ def test_every_private_module_name_is_used():
     dead = [f"{module}:{name}" for module, tree in trees.items()
             for name in _private_definitions(tree) if name not in used]
     assert dead == []
+
+
+# The package-internal helper module, whose private helpers other modules share.
+SHARED_HELPERS = "_kernels"
+
+
+def _private_imports(directory: Path) -> list[str]:
+    """`file:line name` of every underscore-prefixed name that a module of
+    the package imports from another package module."""
+    found = []
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").split(".")[0] == "bezier_mopt")):
+                continue
+            source = (node.module or "").split(".")[-1]
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")
+                      and SHARED_HELPERS not in (source, alias.name)]
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A private name belongs to its module: a decision another module
+    needs is made public where it lives, or moves there."""
+    assert _private_imports(ROOT / "src" / "bezier_mopt") == []
+
+
+def test_only_problems_reads_norm_power_parameters():
+    """The norm-power family's parameters have one home, `problems`."""
+    family = {"norm_power"} | {field.name for field in fields(NormPowerSpec)}
+    reads = [f"{path.name}:{node.lineno} {node.attr}"
+             for path in sorted((ROOT / "src" / "bezier_mopt").glob("*.py"))
+             if path.name != "problems.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in family]
+    assert reads == []

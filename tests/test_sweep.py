@@ -5,10 +5,10 @@ import pytest
 
 from bezier_mopt._kernels import CHECK_STEPS, STATUSES
 from bezier_mopt.problems import (NormPowerSpec, _norm_power_problem, _norm_power_values,
-                                  get_problem, scaled_med, scaled_med_pareto, skew_mmed)
-from bezier_mopt.simplex import sample_uniform_simplex
-from bezier_mopt.sweep import (cusp_certificate, minimize_scalarizations,
-                               pareto_set_sweep, triangular_lattice)
+                                  cusp_certificate, get_problem, scaled_med, scaled_med_pareto,
+                                  skew_mmed)
+from bezier_mopt.simplex import sample_uniform_simplex, triangular_lattice
+from bezier_mopt.sweep import minimize_scalarizations, pareto_set_sweep
 
 
 def test_lattice_exact_size_without_thinning():
