@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .bezier import (BezierSimplex, SingularFitError, design_matrix,
                      fit_least_squares, load_model, save_model)
 from .diagnostics import (generalization_gap_experiment, perturbation_experiment,
-                          run_baseline, score_model, stability_summary)
+                          run_baseline, run_experiment, score_model, stability_summary)
 from .metrics import PointSet, UnsupportedMetricError, gd, igd, loss, mse
 from .problems import (Problem, ScalarizedObjective, get_problem, scalarize,
                        scaled_med, scaled_med_pareto, skew_mmed, skew_mmmd,
@@ -33,7 +33,7 @@ __all__ = [
     "enumerate_multi_indices", "fit_least_squares", "gd",
     "generalization_gap_experiment", "get_problem", "gradient_step_rule",
     "igd", "load_model", "loss", "mse", "pareto_set_sweep",
-    "perturbation_experiment", "run_baseline", "run_generic", "run_surface_gd",
+    "perturbation_experiment", "run_baseline", "run_experiment", "run_generic", "run_surface_gd",
     "run_surface_gd_trials", "sample_uniform_simplex", "save_model", "scalarize",
     "scaled_med", "scaled_med_pareto", "score_model", "skew_mmed", "skew_mmmd",
     "skew_mmmd_default", "stability_summary", "triangular_lattice",

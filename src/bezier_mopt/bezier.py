@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import bernstein_design
-from .simplex import (MultiIndexSet, check_weight_rows, enumerate_multi_indices,
-                      weight_vector)
+from .simplex import (MultiIndexSet, basis_size, check_weight_rows,
+                      enumerate_multi_indices, weight_vector)
 
 # A design matrix is declared numerically singular when its smallest
 # singular value falls below this fraction of the largest. Random weight
@@ -104,9 +104,14 @@ class BezierSimplex:
         for key in ("M", "D", "L", "index_order", "control_points"):
             if key not in doc:
                 raise ValueError(f"model document is missing field {key!r}")
-        basis = enumerate_multi_indices(int(doc["M"]), int(doc["D"]))
+        num_objectives, degree = int(doc["M"]), int(doc["D"])
+        size = basis_size(num_objectives, degree)
         order = np.asarray(doc["index_order"], dtype=np.int64)
-        if order.shape != basis.exponents.shape or not np.array_equal(order, basis.exponents):
+        # The basis is enumerated only for an index_order of its shape, a
+        # document as large as the basis.
+        basis = (enumerate_multi_indices(num_objectives, degree)
+                 if order.shape == (size, num_objectives) else None)
+        if basis is None or not np.array_equal(order, basis.exponents):
             raise ValueError("index_order does not match the canonical enumeration")
         control = np.asarray(doc["control_points"], dtype=np.float64)
         if control.ndim != 2 or control.shape != (basis.size, int(doc["L"])):

@@ -4,9 +4,9 @@ Subcommands: solve (one optimizer run), experiment (multi-trial metric
 sweeps), baseline (scalarization-sweep pipeline), sample (draw points from
 a model file), metrics (indicators between files), diagnostics (stability
 probes). A subcommand resolves its options, calls the library and writes
-its files; only the experiment's grid runner, `run_experiment`, lives here.
-Every option is declared once, in OPTIONS: its flag, its type, its default,
-its lowest allowed value and the subcommands, or the modes of a subcommand,
+its files; the experiment grid is `diagnostics.run_experiment`. Every
+option is declared once, in OPTIONS: its flag, its type, its default, its
+lowest allowed value and the subcommands, or the modes of a subcommand,
 that read it. The mode of diagnostics is its --mode, that of metrics its
 --metric; an option of another mode is rejected. An argument `@FILE` stands
 for the lines of FILE, one argument per line in flag spelling, expanded
@@ -16,18 +16,14 @@ configuration error (the library's ConfigError, and an output location that
 no run could write, caught before any work), 3 runtime or numerical failure
 (out of memory included); failures emit one JSON object on stderr, whose
 message is the JSON payload of a run's SolverAbort in every command.
-
-The trials of each experiment sample count run as one lockstep stack. With
-a worker pool the stack is split into one contiguous chunk per worker; the
-pool size is --threads, else the hardware thread count, and never more
-than the chunks to run.
+An experiment's worker pool has --threads workers, else the hardware thread
+count, never more than the chunks of trials to run.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -36,18 +32,13 @@ import numpy as np
 
 from . import __version__
 from .bezier import BezierSimplex, SingularFitError, load_model
-from .diagnostics import (TEST_GRID_VERSION, perturbation_experiment, repeat_generalization_gap,
-                          run_baseline, score_model, stability_summary)
+# The benchmark's setup probe calls the problem resolver as cli._resolve_problem.
+from .diagnostics import (METRIC_COLUMNS, TEST_GRID_VERSION, parse_metrics,
+                          perturbation_experiment, repeat_generalization_gap,
+                          resolve_problem as _resolve_problem, run_baseline, run_experiment)
 from .metrics import gd, igd, mse
-from .problems import get_problem
 from .simplex import sample_uniform_simplex
-from .solver import (ConfigError, SolverAbort, SolverConfig, run_surface_gd,
-                     run_surface_gd_trials, trial_seeds)
-from .sweep import pareto_set_sweep
-
-# Each metric an experiment can report, with the trials.csv columns it fills.
-METRIC_COLUMNS = {"mse": ["mse"], "gd": ["gd"], "igd": ["igd"], "diagnostics": [
-    "lambda_min_min", "ztg_norm_max", "ztg_bound_ok", "basis_norm_ok"]}
+from .solver import ConfigError, SolverAbort, SolverConfig, run_surface_gd
 
 
 # ---------------------------------------------------------------------------
@@ -120,29 +111,6 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_metrics(value, known=METRIC_COLUMNS) -> list[str]:
-    """Metric names from a comma list or a sequence, each one of `known`."""
-    parts = value.split(",") if isinstance(value, str) else value
-    names = [str(part).strip().lower() for part in parts if str(part).strip()]
-    for name in names:
-        if name not in known:
-            raise ConfigError(f"unknown metric {name!r}; known: {', '.join(known)}")
-    return names
-
-
-def _resolve_problem(name, metric_names=()):
-    """The registered problem `name`; mse in `metric_names` needs its analytical map."""
-    if name is None:
-        raise ConfigError("no problem given: set --problem")
-    try:
-        problem = get_problem(str(name))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    if "mse" in metric_names and problem.pareto_map is None:
-        raise ConfigError(f"problem {problem.name} has no analytical map for mse")
-    return problem
-
-
 # ---------------------------------------------------------------------------
 # The option table and its resolver.
 # ---------------------------------------------------------------------------
@@ -173,7 +141,7 @@ OPTIONS = (
     ("--resample-retries", "resample_retries", int, 5, 0, SOLVERS, "redraws of a singular sample"),
     ("--initial-model", "initial_model", str, "zero", None, SOLVERS, 'start model JSON or "zero"'),
     ("--trials", "trials", int, 20, 1, ("experiment", "diagnostics gengap"), "seeded trials"),
-    ("--metrics", "metrics", _parse_metrics, ["mse"], None, ("experiment", "baseline"),
+    ("--metrics", "metrics", parse_metrics, ["mse"], None, ("experiment", "baseline"),
      "comma list of mse, gd, igd and (experiment only) diagnostics"),
     ("--mse-samples", "mse_samples", int, 10000, 1, ("experiment", "baseline"), "mse weights"),
     ("--validation-count", "validation_count", int, 1000, 1, ("experiment", "baseline"),
@@ -195,8 +163,6 @@ OPTIONS = (
     ("--out-dir", "out_dir", str, ".", None, ("experiment", "baseline", "diagnostics"),
      "output directory"),
 )
-# Table defaults by dest; run_experiment takes its defaults from here.
-DEFAULTS = {dest: default for _, dest, _, default, *_ in OPTIONS}
 # The files each scope that reads --out-dir writes there, in writing order.
 OUT_DIR_FILES = {"experiment": ("trials.csv", "aggregate.json"),
                  "baseline": ("baseline_model.json", "baseline_report.json"),
@@ -283,106 +249,9 @@ def _model_payload(model: BezierSimplex, config_echo: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# experiment
+# The subcommands: each reads its inputs, calls the library and writes its
+# outputs.
 # ---------------------------------------------------------------------------
-
-def _experiment_trial(problem_name, metric_names, mse_samples, validation_count,
-                      validation_points, job) -> list[dict]:
-    """A job of one cell, its configuration and a chunk of its trials as
-    (trial, seed) pairs: one lockstep run of their seeds, then each trial's
-    requested metrics. Returns one plain dict per trial so the worker pool
-    can ship the rows across processes."""
-    problem = get_problem(problem_name)
-    solver_cfg, trials = job
-    outcomes = run_surface_gd_trials(problem, solver_cfg, [seed for _, seed in trials])
-    rows = []
-    for (trial, seed), outcome in zip(trials, outcomes):
-        row = {"problem": problem.name, "n": solver_cfg.num_samples,
-               "trial": trial, "seed": seed, "status": "ok", "error": ""}
-        rows.append(row)
-        if isinstance(outcome, SolverAbort):
-            row["status"] = "failed"
-            row["error"] = str(outcome)
-            continue
-        model, record = outcome
-        row.update(score_model(model, problem, metric_names, seed, mse_samples,
-                               validation_count, validation_points))
-        if "diagnostics" in metric_names:
-            summary = stability_summary(record)
-            row.update({column: summary[column] for column in METRIC_COLUMNS["diagnostics"]})
-    return rows
-
-
-def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
-                   metric_names, iterations: int = DEFAULTS["iterations"],
-                   degree: int = DEFAULTS["degree"], schedule: str = DEFAULTS["schedule"],
-                   resample_retries: int = DEFAULTS["resample_retries"],
-                   mse_samples: int = DEFAULTS["mse_samples"],
-                   validation_count: int = DEFAULTS["validation_count"],
-                   threads: int = 1, initial_control_points=None) -> dict:
-    """Library entry point behind `experiment`: runs the full grid and
-    returns {"rows": per-trial dicts, "aggregate": summary dict}.
-
-    Every trial starts from `initial_control_points`, or from the zero
-    model when it is None. The trials of each sample count run as one
-    lockstep stack, or, with a worker pool, as one contiguous chunk of the
-    stack per worker; the rows are the same either way."""
-    metric_names = _parse_metrics(metric_names)
-    problem = _resolve_problem(problem_name, metric_names)
-    for name, count in (("trials", trials), ("sample counts", len(n_values)),
-                        ("mse_samples", mse_samples), ("validation_count", validation_count)):
-        if count < 1:
-            raise ConfigError(f"{name} must be >= 1, got {count}")
-    if len(set(map(int, n_values))) < len(n_values):
-        raise ConfigError(f"sample counts repeat: {list(n_values)}")
-    # One validated configuration per sample count; its seed is unused, as
-    # each trial runs with its own.
-    cell_configs = [SolverConfig(
-        num_samples=int(n), num_iterations=iterations, degree=degree, seed=0,
-        step_schedule=schedule, initial_control_points=initial_control_points,
-        resample_retries=resample_retries) for n in n_values]
-    for config in cell_configs:
-        config.validate(problem)
-    validation_points = None
-    if "gd" in metric_names or "igd" in metric_names:
-        validation_points = pareto_set_sweep(problem, validation_count).converged_points
-
-    seeded = list(enumerate(trial_seeds(root_seed, trials)))
-    chunks = np.array_split(np.arange(trials), min(max(threads, 1), trials))
-    jobs = [(config, [seeded[trial] for trial in chunk])
-            for config in cell_configs for chunk in chunks]
-    run_chunk = functools.partial(_experiment_trial, str(problem_name), metric_names,
-                                  mse_samples, validation_count, validation_points)
-
-    if threads > 1 and len(jobs) > 1:
-        # Imported here: only a pool needs it, and every command starts faster.
-        import concurrent.futures
-        # The pool forks all its workers at once, so it gets no more than jobs.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            chunk_rows = list(pool.map(run_chunk, jobs))
-    else:
-        chunk_rows = [run_chunk(job) for job in jobs]
-    rows = [row for chunk in chunk_rows for row in chunk]
-
-    aggregate = {"problem": problem.name, "version": __version__,
-                 "trials": trials, "root_seed": root_seed,
-                 "metrics": metric_names, "settings": []}
-    for n in n_values:
-        group = [r for r in rows if r["n"] == int(n)]
-        ok = [r for r in group if r["status"] == "ok"]
-        entry = {"n": int(n), "completed": len(ok), "failed": len(group) - len(ok)}
-        if len(ok) < len(group):
-            entry["warning"] = "failed trials excluded from aggregates"
-        for metric in ("mse", "gd", "igd"):
-            if metric in metric_names and ok:
-                values = np.array([r[metric] for r in ok])
-                entry[metric] = {"mean": float(values.mean()),
-                                 "std": float(values.std(ddof=0)),
-                                 "degenerate_std": len(values) == 1,
-                                 "values": [float(v) for v in values]}
-        aggregate["settings"].append(entry)
-    return {"rows": rows, "aggregate": aggregate}
-
 
 def cmd_experiment(ns) -> int:
     initial_control_points = _initial_control_points(ns.initial_model)
@@ -408,11 +277,6 @@ def cmd_experiment(ns) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# The other subcommands: each reads its inputs, calls the library and writes
-# its outputs.
-# ---------------------------------------------------------------------------
-
 def cmd_solve(ns) -> int:
     problem = _resolve_problem(ns.problem)
     solver_cfg = _solver_config(ns, problem)
@@ -431,7 +295,7 @@ def cmd_solve(ns) -> int:
 
 
 def cmd_baseline(ns) -> int:
-    metric_names = _parse_metrics(ns.metrics, known=("mse", "gd", "igd"))
+    metric_names = parse_metrics(ns.metrics, known=("mse", "gd", "igd"))
     problem = _resolve_problem(ns.problem, metric_names)
     comparison = (None if ns.compare_with is None
                   else _read_json(ns.compare_with, "comparison file"))

@@ -1,8 +1,9 @@
-"""Scoring, the baseline, and empirical stability diagnostics.
+"""Experiments, scoring, the baseline, and empirical stability diagnostics.
 
-`score_model` scores a fitted model under a run seed, for experiment trials
-and the baseline alike; `run_baseline` fits and scores the scalarization-sweep
-baseline. Rejected input raises `solver.ConfigError` before any run starts.
+`run_experiment` runs the experiment grid, seeded solver trials at each
+sample count; `score_model` scores its trials, and the scalarization-sweep
+baseline that `run_baseline` fits, by the metrics of `METRIC_COLUMNS`.
+Rejected input raises `solver.ConfigError` before any run starts.
 
 The stability probes measure, on real runs, the quantities that the
 solver's stability analysis is built from: minimal eigenvalues of the design
@@ -28,18 +29,21 @@ realized batch and is asserted by `stability_summary`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import __version__
 from .bezier import SingularFitError, fit_least_squares
 from .metrics import gd, igd, loss_batch, model_samples, mse
-from .problems import Problem
-from .simplex import enumerate_multi_indices, sample_uniform_simplex, triangular_lattice
+from .problems import Problem, get_problem
+from .simplex import (basis_size, enumerate_multi_indices, sample_uniform_simplex,
+                      triangular_lattice)
 from .solver import (HOLDOUT_STREAM, METRIC_STREAM, PERTURB_STREAM, ConfigError, RunRecord,
-                     SolverConfig, completed, derive_seed, run_surface_gd_trials, stream,
-                     trial_seeds)
-from .sweep import minimize_scalarizations
+                     SolverAbort, SolverConfig, completed, derive_seed, run_surface_gd_trials,
+                     stream, trial_seeds)
+from .sweep import minimize_scalarizations, pareto_set_sweep
 
 # The sup over weights in the perturbation gap is approximated on one fixed
 # grid so reports stay comparable across runs and releases; reports name it
@@ -48,6 +52,33 @@ TEST_GRID_VERSION = "v1"
 _GRID_SEED = 202409
 _GRID_LATTICE = 1000
 _GRID_RANDOM = 1000
+
+# Each metric an experiment can report, with the trials.csv columns it fills.
+METRIC_COLUMNS = {"mse": ["mse"], "gd": ["gd"], "igd": ["igd"], "diagnostics": [
+    "lambda_min_min", "ztg_norm_max", "ztg_bound_ok", "basis_norm_ok"]}
+
+
+def parse_metrics(value, known=METRIC_COLUMNS) -> list[str]:
+    """Metric names from a comma list or a sequence, each one of `known`."""
+    parts = value.split(",") if isinstance(value, str) else value
+    names = [str(part).strip().lower() for part in parts if str(part).strip()]
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"unknown metric {name!r}; known: {', '.join(known)}")
+    return names
+
+
+def resolve_problem(name, metric_names=()):
+    """The registered problem `name`; mse in `metric_names` needs its analytical map."""
+    if name is None:
+        raise ConfigError("no problem given: set --problem")
+    try:
+        problem = get_problem(str(name))
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    if "mse" in metric_names and problem.pareto_map is None:
+        raise ConfigError(f"problem {problem.name} has no analytical map for mse")
+    return problem
 
 
 def score_model(model, problem, metric_names, seed, mse_samples, validation_count,
@@ -79,13 +110,16 @@ def run_baseline(problem: Problem, population: int, degree: int, metric_names, s
     report counts and lists the weights by status and holds `score_model`'s
     scores under `seed`; for gd/igd a `validation_count`-weight lattice gives
     the reference points. Raises ConfigError for a population below the
-    basis size, before any descent, and SingularFitError when fewer weights
-    converge than the basis has functions."""
-    basis = enumerate_multi_indices(problem.num_objectives, degree)
-    if population < basis.size:
+    basis size or a negative seed, before any descent, and SingularFitError
+    when fewer weights converge than the basis has functions."""
+    size = basis_size(problem.num_objectives, degree)
+    if population < size:
         raise ConfigError(
-            f"--population {population} is below the basis size {basis.size} for "
+            f"--population {population} is below the basis size {size} for "
             f"degree {degree} with {problem.num_objectives} objectives")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    basis = enumerate_multi_indices(problem.num_objectives, degree)
     if not {"gd", "igd"} & set(metric_names):
         validation_count = None
 
@@ -110,6 +144,106 @@ def run_baseline(problem: Problem, population: int, degree: int, metric_names, s
     report.update(score_model(model, problem, metric_names, seed, mse_samples,
                               validation_count, reference_sweep.converged_points))
     return model, report
+
+
+def run_trial_chunk(problem_name, metric_names, mse_samples, validation_count,
+                    validation_points, job) -> list[dict]:
+    """A job of one cell, its configuration and a chunk of its trials as
+    (trial, seed) pairs: one lockstep run of their seeds, then each trial's
+    requested metrics. Returns one plain dict per trial so the worker pool
+    can ship the rows across processes."""
+    problem = get_problem(problem_name)
+    solver_cfg, trials = job
+    outcomes = run_surface_gd_trials(problem, solver_cfg, [seed for _, seed in trials])
+    rows = []
+    for (trial, seed), outcome in zip(trials, outcomes):
+        row = {"problem": problem.name, "n": solver_cfg.num_samples,
+               "trial": trial, "seed": seed, "status": "ok", "error": ""}
+        rows.append(row)
+        if isinstance(outcome, SolverAbort):
+            row["status"] = "failed"
+            row["error"] = str(outcome)
+            continue
+        model, record = outcome
+        row.update(score_model(model, problem, metric_names, seed, mse_samples,
+                               validation_count, validation_points))
+        if "diagnostics" in metric_names:
+            summary = stability_summary(record)
+            row.update({column: summary[column] for column in METRIC_COLUMNS["diagnostics"]})
+    return rows
+
+
+def run_experiment(problem_name: str, n_values, trials: int, root_seed: int,
+                   metric_names, iterations: int = 1000, degree: int = 3,
+                   schedule: str = "1/k", resample_retries: int = 5,
+                   mse_samples: int = 10000, validation_count: int = 1000,
+                   threads: int = 1, initial_control_points=None) -> dict:
+    """The experiment grid behind the `experiment` command: returns
+    {"rows": per-trial dicts, "aggregate": summary dict}.
+
+    Trial i of every sample count runs with seed i of `trial_seeds(root_seed,
+    trials)`, from `initial_control_points`, or from the zero model when it
+    is None. The trials of each sample count run as one lockstep stack, or,
+    with a worker pool, as one contiguous chunk of the stack per worker; the
+    rows are the same either way. A trial that aborts is a "failed" row,
+    left out of the aggregate."""
+    metric_names = parse_metrics(metric_names)
+    problem = resolve_problem(problem_name, metric_names)
+    for name, count in (("trials", trials), ("sample counts", len(n_values)),
+                        ("mse_samples", mse_samples), ("validation_count", validation_count)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count}")
+    if root_seed < 0:
+        raise ConfigError(f"root_seed must be >= 0, got {root_seed}")
+    if len(set(map(int, n_values))) < len(n_values):
+        raise ConfigError(f"sample counts repeat: {list(n_values)}")
+    # One validated configuration per sample count; its seed is unused, as
+    # each trial runs with its own.
+    cell_configs = [SolverConfig(
+        num_samples=int(n), num_iterations=iterations, degree=degree, seed=0,
+        step_schedule=schedule, initial_control_points=initial_control_points,
+        resample_retries=resample_retries) for n in n_values]
+    for config in cell_configs:
+        config.validate(problem)
+    validation_points = None
+    if "gd" in metric_names or "igd" in metric_names:
+        validation_points = pareto_set_sweep(problem, validation_count).converged_points
+
+    seeded = list(enumerate(trial_seeds(root_seed, trials)))
+    chunks = np.array_split(np.arange(trials), min(max(threads, 1), trials))
+    jobs = [(config, [seeded[trial] for trial in chunk])
+            for config in cell_configs for chunk in chunks]
+    run_chunk = functools.partial(run_trial_chunk, str(problem_name), metric_names,
+                                  mse_samples, validation_count, validation_points)
+
+    if threads > 1 and len(jobs) > 1:
+        # Imported here: only a pool needs it, and every command starts faster.
+        import concurrent.futures
+        # The pool forks all its workers at once, so it gets no more than jobs.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            chunk_rows = list(pool.map(run_chunk, jobs))
+    else:
+        chunk_rows = [run_chunk(job) for job in jobs]
+    rows = [row for chunk in chunk_rows for row in chunk]
+
+    aggregate = {"problem": problem.name, "version": __version__,
+                 "trials": trials, "root_seed": root_seed,
+                 "metrics": metric_names, "settings": []}
+    for n in n_values:
+        group = [r for r in rows if r["n"] == int(n)]
+        ok = [r for r in group if r["status"] == "ok"]
+        entry = {"n": int(n), "completed": len(ok), "failed": len(group) - len(ok)}
+        if len(ok) < len(group):
+            entry["warning"] = "failed trials excluded from aggregates"
+        for metric in ("mse", "gd", "igd"):
+            if metric in metric_names and ok:
+                values = np.array([r[metric] for r in ok])
+                entry[metric] = {"mean": float(values.mean()),
+                                 "std": float(values.std(ddof=0)),
+                                 "degenerate_std": len(values) == 1,
+                                 "values": [float(v) for v in values]}
+        aggregate["settings"].append(entry)
+    return {"rows": rows, "aggregate": aggregate}
 
 
 def stability_test_grid(num_objectives: int) -> np.ndarray:
@@ -180,7 +314,7 @@ def perturbation_experiment(problem: Problem, config: SolverConfig, k: int,
     reports = []
     for r, seed in enumerate(seeds):
         (base_model, base_rec), (pert_model, pert_rec) = runs[2 * r:2 * r + 2]
-        basis_size = base_model.basis.size
+        size = base_model.basis.size
 
         sup_gap = float(np.abs(
             loss_batch(base_model, grid, problem.pareto_map)
@@ -188,10 +322,10 @@ def perturbation_experiment(problem: Problem, config: SolverConfig, k: int,
         frob_gap = float(np.linalg.norm(
             base_model.control_points - pert_model.control_points))
         eta_hat = float(min(base_rec.lambda_min.min(), pert_rec.lambda_min.min()))
-        zeta_hat = float(np.sqrt(basis_size) / eta_hat)
+        zeta_hat = float(np.sqrt(size) / eta_hat)
         mu_hat = float(max(base_rec.max_objective_grad.max(),
                            pert_rec.max_objective_grad.max()))
-        horizon = config.num_iterations - k + 1.0 / np.sqrt(basis_size)
+        horizon = config.num_iterations - k + 1.0 / np.sqrt(size)
         bound_value = 2.0 * mu_hat * zeta_hat * (1.0 + horizon * config.num_samples)
         reports.append(PerturbationReport(
             iteration=k, repeat=r, seed=seed, sup_gap=sup_gap,

@@ -9,6 +9,7 @@ control-point matrices, serialized models and triangular weight lattices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -56,18 +57,21 @@ def weight_vector(values, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _descending_lex_exponents(num_objectives: int, degree: int) -> list[list[int]]:
-    out: list[list[int]] = []
+def _descending_lex_exponents(num_objectives: int, degree: int) -> np.ndarray:
+    """The (J, M) int64 exponent rows of order (M, D), in canonical order.
 
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for d in range(remaining, -1, -1):
-            rec(prefix + [d], remaining - d, slots - 1)
-
-    rec([], degree, num_objectives)
-    return out
+    A row places M - 1 bars among D + M - 1 slots, and its exponents are
+    the gaps the bars leave; the bar positions in reverse lexicographic
+    order give the rows in descending-lexicographic order, with no
+    recursion over the M slots."""
+    slots, bars = degree + num_objectives - 1, num_objectives - 1
+    count = math.comb(slots, bars)
+    positions = itertools.chain.from_iterable(itertools.combinations(range(slots), bars))
+    edges = np.empty((count, num_objectives + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = -1, slots
+    edges[:, 1:-1] = np.fromiter(positions, dtype=np.int64,
+                                 count=count * bars).reshape(count, bars)[::-1]
+    return np.diff(edges, axis=1) - 1
 
 
 def triangular_lattice(num_objectives: int, count: int) -> np.ndarray:
@@ -88,8 +92,7 @@ def triangular_lattice(num_objectives: int, count: int) -> np.ndarray:
     resolution = 1
     while math.comb(resolution + num_objectives - 1, num_objectives - 1) < count:
         resolution += 1
-    rows = np.array(_descending_lex_exponents(num_objectives, resolution),
-                    dtype=np.float64) / resolution
+    rows = _descending_lex_exponents(num_objectives, resolution) / resolution
     if len(rows) > count:
         keep = np.round(np.linspace(0, len(rows) - 1, count)).astype(np.int64)
         rows = rows[keep]
@@ -132,8 +135,9 @@ class MultiIndexSet:
         return self.exponents.shape[0]
 
 
-def enumerate_multi_indices(num_objectives: int, degree: int) -> MultiIndexSet:
-    """Enumerate the degree-D multi-index set over `num_objectives` slots.
+def basis_size(num_objectives: int, degree: int) -> int:
+    """The size binomial(D + M - 1, M - 1) of the degree-D multi-index set
+    over `num_objectives` slots, without enumerating it.
 
     Rejects num_objectives < 1 and degree < 1 (a degree-0 basis is a
     constant map with no fitting problem of interest).
@@ -142,12 +146,21 @@ def enumerate_multi_indices(num_objectives: int, degree: int) -> MultiIndexSet:
         raise ValueError("num_objectives must be >= 1")
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    return math.comb(degree + num_objectives - 1, num_objectives - 1)
+
+
+def enumerate_multi_indices(num_objectives: int, degree: int) -> MultiIndexSet:
+    """Enumerate the degree-D multi-index set over `num_objectives` slots.
+
+    Rejects what `basis_size` rejects.
+    """
+    basis_size(num_objectives, degree)
     rows = _descending_lex_exponents(num_objectives, degree)
-    coeffs = [multinomial_coefficient(degree, row) for row in rows]
+    coeffs = [multinomial_coefficient(degree, row) for row in rows.tolist()]
     return MultiIndexSet(
         num_objectives=num_objectives,
         degree=degree,
-        exponents=np.array(rows, dtype=np.int64),
+        exponents=rows,
         coefficients=np.array(coeffs, dtype=np.float64),
     )
 

@@ -48,7 +48,7 @@ import numpy as np
 from ._kernels import bernstein_design
 from .bezier import BezierSimplex, factor_designs, solve_factored
 from .problems import Problem, gradient_batch_stats, scalarize
-from .simplex import enumerate_multi_indices, sample_uniform_simplex_stack
+from .simplex import basis_size, enumerate_multi_indices, sample_uniform_simplex_stack
 
 # Substream domains under a run seed. Keyed into SeedSequence spawn keys so
 # the individual streams are independent and stable.
@@ -146,13 +146,13 @@ class SolverConfig:
     resample_retries: int = 5
 
     def validate(self, problem: Problem) -> None:
-        basis = enumerate_multi_indices(problem.num_objectives, self.degree)
+        size = basis_size(problem.num_objectives, self.degree)
         if not 1 <= self.num_iterations < 2**32:
             raise ConfigError(f"num_iterations {self.num_iterations} is outside [1, 2**32)")
-        if self.num_samples < basis.size:
+        if self.num_samples < size:
             raise ConfigError(
                 f"num_samples={self.num_samples} is below the basis size "
-                f"{basis.size} for degree {self.degree} with "
+                f"{size} for degree {self.degree} with "
                 f"{problem.num_objectives} objectives")
         if not 0 <= self.resample_retries < 2**32:
             raise ConfigError(f"resample_retries {self.resample_retries} is outside [0, 2**32)")
@@ -160,10 +160,10 @@ class SolverConfig:
             raise ConfigError(f"seed {self.seed} is outside [0, 2**128)")
         if self.initial_control_points is not None:
             shape = np.shape(self.initial_control_points)
-            if shape != (basis.size, problem.num_vars):
+            if shape != (size, problem.num_vars):
                 raise ConfigError(
                     f"initial control points have shape {shape}, expected "
-                    f"({basis.size}, {problem.num_vars})")
+                    f"({size}, {problem.num_vars})")
         # Neither schedule ever steps further than at k = 1, nor reaches 0.
         a = resolve_schedule(self.step_schedule)(1)
         if not (0.0 < a <= 1.0):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import inspect
 import json
 import shlex
 import subprocess
@@ -292,8 +293,8 @@ def test_experiment_bad_metric_config_exits_2_before_any_trial(flags, tmp_path, 
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(cli, "run_surface_gd_trials", no_trials)
-    monkeypatch.setattr(cli, "pareto_set_sweep", no_trials)
+    monkeypatch.setattr(diagnostics, "run_surface_gd_trials", no_trials)
+    monkeypatch.setattr(diagnostics, "pareto_set_sweep", no_trials)
     code, _, err = run_cli(
         capsys, "experiment", "--problem", "scaled-med", "--n", "15", "--k", "5",
         "--trials", "2", "--metrics", "mse", "--threads", "1", *flags,
@@ -383,9 +384,10 @@ OUTPUT_CASES += [
 @pytest.mark.parametrize("argv,path,message", OUTPUT_CASES)
 def test_unwritable_output_location_exits_2_before_any_work(argv, path, message, tmp_path,
                                                            capsys, monkeypatch):
-    for name in ("run_surface_gd", "run_surface_gd_trials", "sample_uniform_simplex",
-                 "repeat_generalization_gap", "mse", "perturbation_experiment"):
+    for name in ("run_surface_gd", "sample_uniform_simplex", "repeat_generalization_gap",
+                 "mse", "perturbation_experiment"):
         monkeypatch.setattr(cli, name, None)  # no run and no draw starts
+    monkeypatch.setattr(diagnostics, "run_surface_gd_trials", None)
     monkeypatch.setattr(diagnostics, "minimize_scalarizations", None)
     monkeypatch.chdir(tmp_path)
     model = write_model(tmp_path / "model.json").read_bytes()
@@ -472,7 +474,7 @@ def test_bad_solver_input_exits_2_with_json_error(command, case, tmp_path, capsy
         raise AssertionError("a run started")
 
     monkeypatch.setattr(cli, "run_surface_gd", no_run)
-    monkeypatch.setattr(cli, "run_surface_gd_trials", no_run)
+    monkeypatch.setattr(diagnostics, "run_surface_gd_trials", no_run)
     flags = {"n": "15", "seed": "1"}
     if case == "empty-model":
         (tmp_path / "bad.json").write_text("{}")
@@ -757,6 +759,49 @@ def test_run_experiment_needs_a_trial():
         cli.run_experiment("scaled-med", [30], trials=0, root_seed=0, metric_names="mse")
 
 
+def test_run_experiment_defaults_are_the_option_table_defaults():
+    # Only the worker count differs: the library runs serially by default,
+    # the experiment command on every hardware thread.
+    table = {dest: default for _, dest, _, default, _, scopes, _ in cli.OPTIONS
+             if "experiment" in scopes}
+    defaults = {name: param.default for name, param
+                in inspect.signature(cli.run_experiment).parameters.items()
+                if param.default is not param.empty}
+    shared = sorted(set(table) & set(defaults) - {"threads"})
+    assert shared == ["degree", "iterations", "mse_samples", "resample_retries", "schedule",
+                      "validation_count"]
+    assert {name: defaults[name] for name in shared} == {name: table[name] for name in shared}
+
+
+# Each: a command line whose basis is too deep to enumerate by recursion
+# over the objectives, or too large to enumerate before the size check, and
+# the message it exits 2 with.
+LARGE_BASIS_CASES = {
+    "solve-deep": (["solve", "--problem", "skew-mmd:1500", "--degree", "1", "--n", "30", "--k",
+                    "1", "--out", "m.json"], "num_samples=30 is below the basis size 1500"),
+    "baseline-deep": (["baseline", "--problem", "skew-mmd:1500", "--degree", "1",
+                       "--population", "10", "--metrics", "gd"],
+                      "--population 10 is below the basis size 1500"),
+    "sample-deep": (["sample", "--model", "deep.json", "--n", "5", "--out", "s.csv"],
+                    "index_order does not match the canonical enumeration"),
+    "solve-large": (["solve", "--problem", "skew-mmd:120", "--degree", "3", "--n", "30", "--k",
+                     "1", "--out", "m.json"], "num_samples=30 is below the basis size 295240"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_BASIS_CASES))
+def test_deep_or_large_basis_exits_2_with_one_json_error(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(json.dumps(
+        {"M": 1500, "D": 1, "L": 3, "index_order": [[1, 0]], "control_points": [[0.0] * 3]}))
+    argv, message = LARGE_BASIS_CASES[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "config" and message in error["message"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["deep.json"]
+
+
 def test_metrics_mse_zero_count_exits_2(tmp_path, capsys):
     model_path = write_model(tmp_path / "m.json")
     code, out, err = run_cli(capsys, "metrics", "--metric", "mse", "--model",
@@ -1007,7 +1052,7 @@ def test_counts_beyond_32_bit_words_exit_2_before_any_run(command, flags, tmp_pa
     # Iteration and retry counts must lie below 2**32, their documented
     # range; a run this long would also fail to allocate its trace.
     monkeypatch.setattr(cli, "run_surface_gd", None)
-    monkeypatch.setattr(cli, "run_surface_gd_trials", None)
+    monkeypatch.setattr(diagnostics, "run_surface_gd_trials", None)
     tail = ["--out", str(tmp_path / "m.json")] if command == "solve" else [
         "--threads", "1", "--out-dir", str(tmp_path / "exp")]
     code, out, err = run_cli(capsys, command, "--problem", "scaled-med", "--n", "30", *flags,
@@ -1025,7 +1070,7 @@ def test_out_of_memory_exits_3_with_one_json_error(command, error, tmp_path, cap
         raise error
 
     monkeypatch.setattr(cli, "run_surface_gd", out_of_memory)
-    monkeypatch.setattr(cli, "run_surface_gd_trials", out_of_memory)
+    monkeypatch.setattr(diagnostics, "run_surface_gd_trials", out_of_memory)
     tail = ["--out", str(tmp_path / "m.json")] if command == "solve" else [
         "--threads", "1", "--out-dir", str(tmp_path / "exp")]
     code, out, err = run_cli(capsys, command, "--problem", "scaled-med", "--n", "30", "--k", "5",

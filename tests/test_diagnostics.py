@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,8 @@ from bezier_mopt import diagnostics
 from bezier_mopt.bezier import SingularFitError
 from bezier_mopt.diagnostics import (TEST_GRID_VERSION, generalization_gap_experiment,
                                      loss_gap, perturbation_experiment,
-                                     repeat_generalization_gap, run_baseline, score_model,
-                                     stability_summary, stability_test_grid)
+                                     repeat_generalization_gap, run_baseline, run_experiment,
+                                     score_model, stability_summary, stability_test_grid)
 from bezier_mopt.metrics import mse
 from bezier_mopt.problems import get_problem, scaled_med, skew_mmed
 from bezier_mopt.simplex import sample_uniform_simplex, triangular_lattice
@@ -188,6 +192,37 @@ def test_run_baseline_population_below_the_basis_raises_before_any_descent(monke
     monkeypatch.setattr(diagnostics, "minimize_scalarizations", None)  # no descent runs
     with pytest.raises(ConfigError, match="population 9 is below the basis size 10"):
         run_baseline(scaled_med(), 9, 3, ["mse"], seed=0, mse_samples=10, validation_count=10)
+
+
+def test_run_baseline_rejects_a_negative_seed_before_any_descent(monkeypatch):
+    monkeypatch.setattr(diagnostics, "minimize_scalarizations", None)  # no descent runs
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        run_baseline(scaled_med(), 30, 3, ["gd"], seed=-1, mse_samples=10, validation_count=10)
+
+
+def test_run_experiment_rejects_a_negative_root_seed_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run or the validation sweep started")
+
+    monkeypatch.setattr(diagnostics, "run_surface_gd_trials", no_run)
+    monkeypatch.setattr(diagnostics, "pareto_set_sweep", no_run)
+    with pytest.raises(ConfigError, match="root_seed must be >= 0, got -1"):
+        run_experiment("scaled-med", [30], 2, -1, "mse,gd", iterations=5)
+
+
+def test_run_experiment_runs_without_the_cli():
+    code = ("import sys\n"
+            "from bezier_mopt.diagnostics import run_experiment\n"
+            "result = run_experiment('scaled-med', [15], 2, 3, 'mse', iterations=5,"
+            " mse_samples=50)\n"
+            "assert 'bezier_mopt.cli' not in sys.modules, sorted(sys.modules)\n"
+            "print(len(result['rows']), result['aggregate']['settings'][0]['completed'])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "2"]
 
 
 def test_run_baseline_with_too_few_converged_weights_raises_singular_fit():

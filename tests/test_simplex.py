@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from bezier_mopt import simplex
 from bezier_mopt.bezier import BezierSimplex
+from bezier_mopt.diagnostics import run_baseline
 from bezier_mopt.metrics import loss
-from bezier_mopt.problems import scaled_med, scaled_med_pareto, scalarize
-from bezier_mopt.simplex import (bernstein_vector,
+from bezier_mopt.problems import get_problem, scaled_med, scaled_med_pareto, scalarize
+from bezier_mopt.simplex import (basis_size, bernstein_vector,
                                  enumerate_multi_indices,
                                  multinomial_coefficient,
                                  sample_uniform_simplex,
-                                 sample_uniform_simplex_stack, weight_vector)
+                                 sample_uniform_simplex_stack, triangular_lattice,
+                                 weight_vector)
+from bezier_mopt.solver import ConfigError, SolverConfig
 
 
 def _vertex_position(basis, m):
@@ -37,6 +41,53 @@ def test_enumeration_degenerate_m1():
 def test_enumeration_rejects_degenerate(m, d):
     with pytest.raises(ValueError):
         enumerate_multi_indices(m, d)
+    with pytest.raises(ValueError):
+        basis_size(m, d)
+
+
+def _recursive_exponents(m, d):
+    """The canonical order by its definition: the first exponent runs from
+    d down to 0, and the other m - 1 follow in canonical order."""
+    if m == 1:
+        return [[d]]
+    return [[first] + rest for first in range(d, -1, -1)
+            for rest in _recursive_exponents(m - 1, d - first)]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_enumeration_matches_the_recursive_definition(m):
+    for d in range(1, 9):
+        expected = np.array(_recursive_exponents(m, d), dtype=np.int64)
+        basis = enumerate_multi_indices(m, d)
+        assert basis.exponents.dtype == np.int64
+        assert np.array_equal(basis.exponents, expected)
+        assert basis.size == basis_size(m, d)
+        # A count that is a whole lattice's size keeps every row, in order.
+        assert triangular_lattice(m, len(expected)).tobytes() == (expected / d).tobytes()
+
+
+def test_deep_multi_index_set_enumerates_without_recursion():
+    # Far past Python's recursion limit in objectives; degree 1 gives one
+    # exponent row per objective.
+    basis = enumerate_multi_indices(1500, 1)
+    assert np.array_equal(basis.exponents, np.eye(1500, dtype=np.int64))
+    assert triangular_lattice(1500, 1500).tobytes() == np.eye(1500).tobytes()
+
+
+def test_basis_size_checks_run_without_enumerating_the_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(simplex, "_descending_lex_exponents", refuse)
+    problem = get_problem("skew-mmd:120")  # 295240 basis functions at degree 3
+    with pytest.raises(ConfigError, match="num_samples=30 is below the basis size 295240"):
+        SolverConfig(num_samples=30, num_iterations=1, degree=3, seed=0).validate(problem)
+    with pytest.raises(ConfigError, match="population 100 is below the basis size 295240"):
+        run_baseline(problem, 100, 3, ["gd"], seed=0, mse_samples=10, validation_count=10)
+    doc = {"M": 120, "D": 3, "L": 3, "index_order": [[3] + [0] * 119],
+           "control_points": [[0.0, 0.0, 0.0]]}
+    with pytest.raises(ValueError, match="index_order does not match"):
+        BezierSimplex.from_dict(doc)
 
 
 def test_canonical_order_is_descending_lex():

@@ -2,10 +2,12 @@
 
 `perfbench/tracer.py` wraps package functions by name and labels spans from
 their positional arguments: the descent by the row count of its fourth
-argument, the weights, and the experiment by `cli._experiment_trial`. Each
-case drives the CLI through the tracer in a fresh process, as
-`perfbench/run.py --trace 1` does, so a renamed function or a moved
-argument shows here rather than as a per-layer metric that reads 0.
+argument, the weights. Each case drives the CLI through the tracer in a
+fresh process, as `perfbench/run.py --trace 1` does, so a renamed function
+or a moved argument shows here rather than as a per-layer metric that reads
+0. The experiment's trial span is the lockstep chunk runner,
+`diagnostics.run_trial_chunk`; `perfbench/run.py` still reads it under its
+old name, `cli._experiment_trial`, until the benchmark is re-pointed.
 
 `perfbench/probe.py` reaches into the package by name too (the problem
 resolver, the kernels and the basis's exponent table); a probe that fails
@@ -35,7 +37,7 @@ CASES = {
     "baseline": (["baseline", "--problem", "skew-3mmd", "--degree", "2", "--metrics", "gd,igd",
                   "--population", "30", "--validation-count", "60"],
                  ("_kernels.descent_sweep", "90w")),
-    "experiment": (EXPERIMENT, ("cli._experiment_trial", "")),
+    "experiment": (EXPERIMENT, ("diagnostics.run_trial_chunk", "")),
     "experiment-draws": (EXPERIMENT + ["--metrics", "diagnostics"],
                          ("simplex.sample_uniform_simplex_stack", "")),
 }
